@@ -180,19 +180,18 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
         ))
 
     # communication graph: rank a sends to rank b if some a-local source
-    # has a synapse whose target lives on b
+    # has a synapse whose target lives on b.  reach[s, b] records that
+    # source s projects onto rank b; own-rank entries are cleared, since
+    # local spikes never travel.
     if n_ranks > 1:
-        source_rank_of_syn = neuron_rank[source_of_syn]
+        reach = np.zeros((n, n_ranks), dtype=bool)
+        reach[source_of_syn, target_rank] = True
+        reach[gids, neuron_rank] = False
         for r, part in enumerate(parts):
-            mine = source_rank_of_syn == r
-            remote = mine & (target_rank != r)
-            pairs = np.unique(
-                np.stack([source_of_syn[remote], target_rank[remote]], axis=1), axis=0
-            )
-            out_peers = sorted(int(p) for p in np.unique(pairs[:, 1]))
-            part.out_peers = out_peers
-            for peer in out_peers:
-                part.peer_sources[peer] = pairs[pairs[:, 1] == peer, 0]
+            local_reach = reach[part.local_gids]
+            for peer in np.flatnonzero(local_reach.any(axis=0)):
+                part.out_peers.append(int(peer))
+                part.peer_sources[int(peer)] = part.local_gids[local_reach[:, peer]]
         for r, part in enumerate(parts):
             part.in_peers = sorted(
                 p.rank for p in parts if r in p.out_peers

@@ -103,8 +103,9 @@ def poisson_external_batch(neurons: np.ndarray, step: int, stim: StimulusSpec,
 class DelayRing:
     """Per-future-step input accumulators, one per local neuron per slot.
 
-    Slot arithmetic is modulo the ring length (max delay in steps + 1);
-    the current slot is drained exactly once per step and zeroed.
+    Row ``(cursor + d) % n_slots`` of ``buf`` holds the input due ``d``
+    steps from now; the ring length is the max delay in steps + 1.  The
+    current slot is drained exactly once per step and zeroed.
     """
 
     def __init__(self, n_slots: int, n_local: int):
@@ -125,17 +126,30 @@ class DelayRing:
                    weights: np.ndarray) -> None:
         """Add ``weights`` at slots (cursor + delays) mod length.
 
-        Accumulation follows input order, so callers control the float
-        addition order by ordering their inputs.
+        The weights are binned by the cursor-relative index ``delay *
+        n_local + target``, and the binned rows are added into the ring
+        as two rotated slices: delay rows ``[0, S - c)`` land on slots
+        ``[c, S)`` and rows ``[S - c, S)`` wrap onto slots ``[0, c)``.
+        For a fixed cursor, (delay, target) and (slot, target) name the
+        same cell, so each cell's bin sums the same weights in input order
+        and receives one ``buf + bin`` addition, exactly as binning by
+        absolute slot would.  Callers control the float addition order by
+        ordering their inputs.
         """
         if len(delays) == 0:
             return
         if int(delays.min()) < 1:
             raise ContractViolationError("synaptic delay below the 1-step minimum")
-        slots = (self.cursor + delays.astype(np.int64)) % self.n_slots
-        flat = slots * self.n_local + local_targets
-        acc = np.bincount(flat, weights=weights, minlength=self.n_slots * self.n_local)
-        self.buf += acc.reshape(self.n_slots, self.n_local)
+        n_slots, n_local, c = self.n_slots, self.n_local, self.cursor
+        flat = delays.astype(np.int64)
+        flat *= n_local
+        flat += local_targets
+        acc = np.bincount(flat, weights=weights, minlength=n_slots * n_local)
+        if len(acc) > n_slots * n_local:
+            raise ContractViolationError("synaptic delay beyond the ring length")
+        acc = acc.reshape(n_slots, n_local)
+        self.buf[c:] += acc[:n_slots - c]
+        self.buf[:c] += acc[n_slots - c:]
 
     def advance(self) -> None:
         self.cursor = (self.cursor + 1) % self.n_slots
@@ -291,13 +305,16 @@ class Engine:
         part = self.part
         if len(sources_sorted):
             starts = part.in_offsets[sources_sorted]
-            ends = part.in_offsets[sources_sorted + 1]
-            spans = [np.arange(s, e) for s, e in zip(starts, ends) if e > s]
-            if spans:
-                idx = np.concatenate(spans)
+            lengths = part.in_offsets[sources_sorted + 1] - starts
+            ends = np.cumsum(lengths)
+            total = int(ends[-1])
+            if total:
+                # concatenated [start, start + length) spans, in source order
+                idx = np.repeat(starts - (ends - lengths), lengths)
+                idx += np.arange(total)
                 self.ring.accumulate(part.in_delays[idx], part.in_targets[idx],
                                      part.in_weights[idx])
-                self.internal_events += len(idx)
+                self.internal_events += total
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)
 

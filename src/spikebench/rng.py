@@ -61,11 +61,13 @@ def unit_from_u64(x: int) -> float:
 
 
 def _mix64_arr(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
+    """Splitmix64 finalizer over a uint64 array, in place; returns ``x``."""
+    x ^= x >> np.uint64(30)
     x *= np.uint64(_M1)
     x ^= x >> np.uint64(27)
     x *= np.uint64(_M2)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def hash_words_arr(seed: int, words: list) -> np.ndarray:
@@ -74,16 +76,10 @@ def hash_words_arr(seed: int, words: list) -> np.ndarray:
     shape = np.broadcast_shapes(*(np.shape(w) for w in words))
     x = np.full(shape, seed & _MASK, dtype=np.uint64)
     for w in words:
-        x = _mix64_arr(x + np.uint64(_GOLDEN) + np.asarray(w, dtype=np.uint64) * np.uint64(_WORD_MULT))
+        x += np.uint64(_GOLDEN)
+        x += np.asarray(w, dtype=np.uint64) * np.uint64(_WORD_MULT)
+        _mix64_arr(x)
     return x
-
-
-def _stream_u64_arr(base: np.ndarray, k: int) -> np.ndarray:
-    return _mix64_arr(base + np.uint64((k + 1) * _GOLDEN & _MASK))
-
-
-def _unit_arr(x: np.ndarray) -> np.ndarray:
-    return (x >> np.uint64(11)) * _U53
 
 
 def poisson_keyed(lam: float, seed: int, stream: int, step: int) -> int:
@@ -109,29 +105,33 @@ def poisson_keyed(lam: float, seed: int, stream: int, step: int) -> int:
 def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step: int) -> np.ndarray:
     """Vector of Poisson(lam) draws, one per entry of ``streams``.
 
-    Bit-identical to calling :func:`poisson_keyed` per element.
+    Bit-identical to calling :func:`poisson_keyed` per element.  The
+    Knuth loop runs over a shrinking active set: each pass draws uniform k
+    only for the lanes still running, multiplies it into their running
+    products, and compacts ``base``, ``p`` and the lane index down to the
+    lanes whose product is still above ``exp(-lam)``.  A lane therefore
+    multiplies the same uniforms, in the same order, as the scalar loop,
+    and stops at the same pass; the work is about E[N] + 1 passes over the
+    lanes instead of max(N) + 1 passes over the full array.
     """
     streams = np.asarray(streams)
     if lam <= 0.0 or streams.size == 0:
         return np.zeros(streams.shape, dtype=np.int64)
-    base = hash_words_arr(seed, [streams, step])
+    base = hash_words_arr(seed, [streams.ravel(), step])
     limit = math.exp(-lam)
-    p = np.ones(streams.shape, dtype=np.float64)
-    counts = np.zeros(streams.shape, dtype=np.int64)
-    active = np.ones(streams.shape, dtype=bool)
+    counts = np.zeros(base.size, dtype=np.int64)
+    lane = np.arange(base.size)
+    p = np.ones(base.size, dtype=np.float64)
     k = 0
-    while True:
-        u = _unit_arr(_stream_u64_arr(base[active], k))
-        p_act = p[active] * u
-        p[active] = p_act
+    while lane.size:
+        x = _mix64_arr(base + np.uint64((k + 1) * _GOLDEN & _MASK))
+        p *= (x >> np.uint64(11)) * _U53
         k += 1
-        still = p_act > limit
-        counts[active] += still
-        if not still.all():
-            idx = np.flatnonzero(active)
-            active[idx[~still]] = False
-            if not active.any():
-                return counts
+        keep = np.flatnonzero(p > limit)
+        if keep.size < lane.size:
+            lane, base, p = lane[keep], base[keep], p[keep]
+        counts[lane] = k
+    return counts.reshape(streams.shape)
 
 
 def philox_generator(seed: int, stream: int) -> np.random.Generator:

@@ -95,6 +95,28 @@ def test_partition_communication_graph_consistency():
             assert part.rank in parts[peer].out_peers
 
 
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+def test_partition_communication_graph_matches_brute_force(n_ranks):
+    # every (source, remote target rank) pair, read off the synapse list
+    # one synapse at a time
+    net = _net()
+    _, parts = partition(net, n_ranks)
+    owner = {int(gid): part.rank for part in parts for gid in part.local_gids}
+    pairs = set()
+    for src in range(net.n_neurons):
+        for tgt in net.targets[net.offsets[src]:net.offsets[src + 1]]:
+            if owner[int(tgt)] != owner[src]:
+                pairs.add((src, owner[int(tgt)]))
+    for part in parts:
+        expected = {}
+        for src, peer in sorted(pairs):
+            if owner[src] == part.rank:
+                expected.setdefault(peer, []).append(src)
+        assert part.out_peers == sorted(expected)
+        assert {peer: srcs.tolist() for peer, srcs in part.peer_sources.items()} == expected
+        assert part.in_peers == sorted({owner[s] for s, peer in pairs if peer == part.rank})
+
+
 # ---------------------------------------------------------- wire frames
 
 def test_empty_frame_is_header_only():

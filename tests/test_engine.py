@@ -104,6 +104,36 @@ def test_zero_delay_is_contract_violation():
         deliver_spike(ring, np.array([0]), np.array([1.0]), np.array([0]))
 
 
+def test_ring_rotated_accumulate_matches_modulo_reference():
+    # reference: bin by absolute slot (cursor + delay) mod length, then add
+    # the whole binned ring; the rotated form must agree bit for bit at
+    # every cursor position
+    n_slots, n_local = 7, 5
+    gen = np.random.default_rng(3)
+    ring = DelayRing(n_slots, n_local)
+    ref = np.zeros((n_slots, n_local))
+    for step in range(3 * n_slots):
+        for _ in range(2):  # several calls per step, as with many spikers
+            size = int(gen.integers(1, 40))
+            delays = gen.integers(1, n_slots, size).astype(np.int16)
+            targets = gen.integers(0, 2, size).astype(np.int32)  # repeated targets
+            weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
+            ring.accumulate(delays, targets, weights)
+            slots = (ring.cursor + delays.astype(np.int64)) % n_slots
+            ref += np.bincount(slots * n_local + targets, weights=weights,
+                               minlength=n_slots * n_local).reshape(n_slots, n_local)
+        assert ring.buf.tobytes() == ref.tobytes(), f"cursor {ring.cursor}"
+        assert ring.drain().tobytes() == ref[ring.cursor].tobytes()
+        ref[ring.cursor] = 0.0
+        ring.advance()
+
+
+def test_delay_beyond_ring_is_contract_violation():
+    ring = DelayRing(n_slots=3, n_local=2)
+    with pytest.raises(ContractViolationError):
+        ring.accumulate(np.array([3]), np.array([0]), np.array([1.0]))
+
+
 # ----------------------------------------------------------- engine runs
 
 def _tiny_net(**kw):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from spikebench import rng
 
@@ -54,6 +55,27 @@ def test_poisson_scalar_matches_batch():
     batch = rng.poisson_keyed_batch(1.782, 7, streams, step=55)
     scalars = [rng.poisson_keyed(1.782, 7, int(s), 55) for s in streams]
     assert batch.tolist() == scalars
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 1.782, 5.0, 20.0, 50.0])
+def test_poisson_batch_matches_scalar_across_rates(lam):
+    streams = np.arange(300, dtype=np.int64)
+    for step in (0, 9, 4321):
+        batch = rng.poisson_keyed_batch(lam, 17, streams, step)
+        assert batch.tolist() == [rng.poisson_keyed(lam, 17, int(s), step) for s in streams]
+
+
+def test_poisson_batch_shape_dtype_and_order():
+    flat = np.array([41, 3, 3, 977, 0, 41], dtype=np.int64)  # unsorted, repeated
+    expected = [rng.poisson_keyed(1.782, 5, int(s), 12) for s in flat]
+    got = rng.poisson_keyed_batch(1.782, 5, flat, 12)
+    assert got.dtype == np.int64 and got.shape == (6,)
+    assert got.tolist() == expected
+    grid = rng.poisson_keyed_batch(1.782, 5, flat.reshape(2, 3), 12)
+    assert grid.dtype == np.int64 and grid.shape == (2, 3)
+    assert grid.ravel().tolist() == expected
+    zero = rng.poisson_keyed_batch(0.0, 5, flat.reshape(3, 2), 12)
+    assert zero.dtype == np.int64 and zero.shape == (3, 2)
 
 
 def test_poisson_batch_empty_and_zero_rate():

@@ -30,10 +30,7 @@ from .engine import (
     RunMetrics,
     StimulusSpec,
     calibrate_rate,
-    deliver_spike,
     expected_event_count,
-    poisson_external,
-    poisson_external_batch,
     raster_checksum,
 )
 from .errors import (
@@ -52,7 +49,6 @@ from .errors import (
 from .network import (
     GridSpec,
     Network,
-    Synapse,
     build_network,
     connection_probability,
     count_equivalent_synapses,
@@ -71,7 +67,6 @@ from .neurons import (
 )
 from .distributed import (
     Communicator,
-    PartitionMap,
     RankPartition,
     decode_frame,
     encode_frame,

@@ -11,10 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 
-Single-host multi-rank runs execute ranks as threads (``--ranks N``,
-transport memory or tcp).  Multi-host runs give each invocation one rank:
-``--rank N --cluster FILE`` where FILE holds `rank host:port` lines; each
-rank process writes rank-local artifacts.
+Every run goes through ``distributed.run_simulation``.  ``--ranks N``
+runs N ranks as threads of this process (transport memory or tcp).
+``--rank R --cluster FILE`` runs only rank R, over TCP to the processes
+listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 """
 
 import argparse
@@ -117,6 +117,30 @@ def _write_raster(cfg: RunConfig, out_dir: str, steps, gids, suffix: str = "") -
     return path
 
 
+def _write_energy(cfg: RunConfig, out_dir: str, measured_events) -> tuple:
+    """Write energy.kv for every configured power record, after the
+    provenance header; a zero ``power.<label>.events`` takes
+    ``measured_events``.  Returns (path, {label: record})."""
+    lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
+    records = {}
+    for label in cfg.power_labels():
+        record = cfg.power_record(label)
+        if record.synaptic_events == 0 and measured_events:
+            record = dc_replace(record, synaptic_events=measured_events)
+        if record.synaptic_events == 0:
+            raise UndefinedMetricError(
+                f"power.{label}.events is 0 and no measured event count supplied one; "
+                "joule-per-event needs a positive event count"
+            )
+        report = energy_report(record, baseline_w=cfg[f"power.{label}.baseline_w"])
+        lines.append(format_energy_report(report, prefix=f"energy.{label}").rstrip())
+        records[label] = record
+    path = os.path.join(out_dir, "energy.kv")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path, records
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out_dir = args.out
@@ -130,25 +154,14 @@ def cmd_run(args) -> int:
         net, cfg["stimulus.ext_synapses_per_neuron"]
     )
 
-    if args.rank is not None:
-        if not args.cluster:
-            raise ConfigError(["--rank requires --cluster FILE"])
-        cluster = distributed.parse_cluster_file(args.cluster)
-        metrics, (steps, gids), _ = distributed.run_single_rank(
-            net, rank=args.rank, seconds=cfg["run.simulated_seconds"], stim=stim,
-            n_ranks=cfg["run.ranks"], cluster=cluster, lif_params=lif,
-            stdp_params=stdp, w_exc_scale=cfg["run.w_exc_scale"],
-            timeout=cfg["run.timeout_seconds"],
-        )
-        suffix = f"_rank{args.rank}"
-    else:
-        metrics, (steps, gids), _, _ = distributed.run_simulation(
-            net, seconds=cfg["run.simulated_seconds"], stim=stim,
-            n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],
-            lif_params=lif, stdp_params=stdp,
-            w_exc_scale=cfg["run.w_exc_scale"], timeout=cfg["run.timeout_seconds"],
-        )
-        suffix = ""
+    cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
+    metrics, (steps, gids), _, _ = distributed.run_simulation(
+        net, seconds=cfg["run.simulated_seconds"], stim=stim,
+        n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],
+        lif_params=lif, stdp_params=stdp, w_exc_scale=cfg["run.w_exc_scale"],
+        timeout=cfg["run.timeout_seconds"], rank=args.rank, cluster=cluster,
+    )
+    suffix = "" if args.rank is None else f"_rank{args.rank}"
 
     checksum = engine_mod.raster_checksum(steps, gids)
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
@@ -156,19 +169,8 @@ def cmd_run(args) -> int:
     _write_kv(metrics_path, _metrics_doc(cfg, metrics, checksum, equivalent))
 
     wrote = [raster_path, metrics_path]
-    labels = cfg.power_labels()
-    if labels and args.rank is None:
-        lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
-        for label in labels:
-            record = cfg.power_record(label)
-            if record.synaptic_events == 0:
-                record = dc_replace(record, synaptic_events=metrics.total_events)
-            report = energy_report(record, baseline_w=cfg[f"power.{label}.baseline_w"])
-            lines.append(format_energy_report(report, prefix=f"energy.{label}").rstrip())
-        energy_path = os.path.join(out_dir, "energy.kv")
-        with open(energy_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        wrote.append(energy_path)
+    if cfg.power_labels() and args.rank is None:
+        wrote.append(_write_energy(cfg, out_dir, metrics.total_events)[0])
 
     print(
         f"run complete: {metrics.total_spikes} spikes, "
@@ -236,25 +238,7 @@ def cmd_report(args) -> int:
         if "metrics.total_events" in doc:
             events_from_metrics = int(doc["metrics.total_events"])
 
-    records = {}
-    for label in labels:
-        record = cfg.power_record(label)
-        if record.synaptic_events == 0 and events_from_metrics:
-            record = dc_replace(record, synaptic_events=events_from_metrics)
-        if record.synaptic_events == 0:
-            raise UndefinedMetricError(
-                f"power.{label}.events is 0 and no --metrics document supplied one; "
-                "joule-per-event needs a positive event count"
-            )
-        records[label] = record
-
-    lines = []
-    for label, record in records.items():
-        report = energy_report(record, baseline_w=cfg[f"power.{label}.baseline_w"])
-        lines.append(format_energy_report(report, prefix=f"energy.{label}").rstrip())
-    energy_path = os.path.join(out_dir, "energy.kv")
-    with open(energy_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    energy_path, records = _write_energy(cfg, out_dir, events_from_metrics)
     print(f"wrote {energy_path}")
 
     if len(records) == 2:

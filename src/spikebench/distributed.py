@@ -1,4 +1,4 @@
-"""Partitioning, spike exchange, and run drivers.
+"""Partitioning, spike exchange, and running a simulation.
 
 Columns are assigned to ranks round-robin in row-major order.  Spikes
 travel as bare source ids; each rank holds, for every source that
@@ -21,6 +21,10 @@ Transports implement per-pair FIFO, reliable delivery: an in-memory
 queue fabric for ranks running as threads of one process, and a TCP
 stream transport (one duplex connection per coupled rank pair,
 rendezvoused from a `rank host:port` cluster file).
+
+Every run goes through `run_simulation`.  It runs every rank of a run
+as a thread of this process, or, given ``rank`` and ``cluster``, just
+that rank, talking TCP to the processes that run the others.
 """
 
 import queue
@@ -46,7 +50,6 @@ from .network import Network
 from .plasticity import StdpParams, StdpState
 
 __all__ = [
-    "PartitionMap",
     "RankPartition",
     "partition",
     "encode_frame",
@@ -58,28 +61,12 @@ __all__ = [
     "Communicator",
     "parse_cluster_file",
     "run_simulation",
-    "run_single_rank",
 ]
 
 FRAME_MAGIC = b"DPSN"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size  # 15 bytes
-
-
-@dataclass(frozen=True)
-class PartitionMap:
-    """Column -> rank assignment (round-robin over row-major column ids)."""
-
-    n_ranks: int
-    neurons_per_column: int
-    column_to_rank: np.ndarray
-
-    def rank_of_column(self, cid) -> np.ndarray:
-        return self.column_to_rank[np.asarray(cid)]
-
-    def rank_of_neuron(self, gid) -> np.ndarray:
-        return self.column_to_rank[np.asarray(gid) // self.neurons_per_column]
 
 
 @dataclass
@@ -113,8 +100,8 @@ class RankPartition:
 
 
 def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
-              ) -> Tuple[PartitionMap, List[RankPartition]]:
-    """Split the network over ``n_ranks`` ranks.
+              ) -> Tuple[np.ndarray, List[RankPartition]]:
+    """Split the network over ``n_ranks`` ranks -> (column_to_rank, parts).
 
     The union of the per-rank incoming tables is exactly the full synapse
     multiset, and every per-rank structure depends only on (network,
@@ -128,43 +115,28 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
         raise InfeasiblePartitionError(
             f"{n_ranks} ranks exceed the {spec.n_columns} available columns"
         )
-    npc = spec.neurons_per_column
     n = net.n_neurons
     column_to_rank = (np.arange(spec.n_columns) % n_ranks).astype(np.int32)
-    pmap = PartitionMap(n_ranks=n_ranks, neurons_per_column=npc,
-                        column_to_rank=column_to_rank)
     gids = np.arange(n, dtype=np.int64)
-    neuron_rank = column_to_rank[gids // npc]
+    neuron_rank = column_to_rank[gids // spec.neurons_per_column]
     exc = np.asarray(net.is_excitatory(gids))
-    scaled_weights = np.where(
-        np.repeat(exc, net.fanouts), net.weights * w_exc_scale, net.weights
-    )
     n_slots = int(net.delay_steps.max()) + 1 if net.total_synapses else 2
     # ring length is a global property; all ranks must agree
     delay_hi = int(round(spec.delay_max_ms / net.dt_ms))
     n_slots = max(n_slots, delay_hi + 1)
 
     target_rank = neuron_rank[net.targets]
-    source_of_syn = np.repeat(gids, net.fanouts)
-
     parts = []
     for r in range(n_ranks):
-        local_mask = neuron_rank == r
-        local_gids = gids[local_mask]
+        local_gids = np.flatnonzero(neuron_rank == r)
         gid_to_local = np.full(n, -1, dtype=np.int64)
         gid_to_local[local_gids] = np.arange(len(local_gids))
-
-        syn_mask = target_rank == r
-        syn_idx = np.flatnonzero(syn_mask)
-        src = source_of_syn[syn_idx]
-        # synapses are already source-ordered, so src is non-decreasing
-        counts = np.bincount(src, minlength=n)
-        in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=in_offsets[1:])
-        in_targets = gid_to_local[net.targets[syn_idx]].astype(np.int32)
-        in_weights = scaled_weights[syn_idx].copy()
-        in_delays = net.delay_steps[syn_idx].copy()
-
+        syn_idx = np.flatnonzero(target_rank == r)
+        # synapses are source-ordered, so each source's rank-r synapses
+        # are one run of syn_idx, starting where its global run starts
+        in_offsets = np.searchsorted(syn_idx, net.offsets)
+        in_weights = net.weights[syn_idx]
+        in_weights[np.repeat(exc, np.diff(in_offsets))] *= w_exc_scale
         parts.append(RankPartition(
             rank=r,
             model=net.model,
@@ -173,9 +145,9 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             local_excitatory=exc[local_gids],
             source_excitatory=exc,
             in_offsets=in_offsets,
-            in_targets=in_targets,
+            in_targets=gid_to_local[net.targets[syn_idx]].astype(np.int32),
             in_weights=in_weights,
-            in_delays=in_delays,
+            in_delays=net.delay_steps[syn_idx],
             gid_to_local=gid_to_local,
         ))
 
@@ -184,10 +156,9 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     # source s projects onto rank b; own-rank entries are cleared, since
     # local spikes never travel.
     if n_ranks > 1:
-        reach = np.zeros((n, n_ranks), dtype=bool)
-        reach[source_of_syn, target_rank] = True
+        reach = np.stack([np.diff(p.in_offsets) > 0 for p in parts], axis=1)
         reach[gids, neuron_rank] = False
-        for r, part in enumerate(parts):
+        for part in parts:
             local_reach = reach[part.local_gids]
             for peer in np.flatnonzero(local_reach.any(axis=0)):
                 part.out_peers.append(int(peer))
@@ -196,7 +167,7 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             part.in_peers = sorted(
                 p.rank for p in parts if r in p.out_peers
             )
-    return pmap, parts
+    return column_to_rank, parts
 
 
 def encode_frame(sender_rank: int, step: int, spikes) -> bytes:
@@ -450,10 +421,10 @@ class Communicator:
             )
 
 
-def _rank_loop(engine: Engine, comm: Optional[Communicator], n_steps: int) -> None:
+def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
     for t in range(n_steps):
         spiked = engine.step(t)
-        if comm is not None and (comm.part.out_peers or comm.part.in_peers):
+        if comm.part.out_peers or comm.part.in_peers:
             remote = comm.exchange(t, spiked)
             merged = np.sort(np.concatenate([spiked, remote])) if len(remote) else spiked
         else:
@@ -462,86 +433,82 @@ def _rank_loop(engine: Engine, comm: Optional[Communicator], n_steps: int) -> No
         engine.advance()
 
 
-def _make_engine(part: RankPartition, stim: StimulusSpec, dt_ms: float,
-                 lif_params: Optional[AdaptiveLifParams],
-                 stdp_params: Optional[StdpParams], record_raster: bool) -> Engine:
-    stdp = None
-    if stdp_params is not None and stdp_params.enabled:
-        stdp = StdpState(part, stdp_params, dt_ms)
-    return Engine(part, stim, dt_ms=dt_ms, lif_params=lif_params,
-                  stdp=stdp, record_raster=record_raster)
-
-
 def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
                    n_ranks: int = 1, transport: str = "memory",
                    lif_params: Optional[AdaptiveLifParams] = None,
                    stdp_params: Optional[StdpParams] = None,
-                   w_exc_scale: float = 1.0, record_raster: bool = True,
-                   timeout: float = 30.0, base_port: int = 0):
-    """Run the benchmark on this process with ``n_ranks`` ranks as threads.
+                   w_exc_scale: float = 1.0, timeout: float = 30.0,
+                   rank: Optional[int] = None,
+                   cluster: Optional[Dict[int, Tuple[str, int]]] = None):
+    """Run the benchmark with ``n_ranks`` ranks, each a thread of this process.
 
-    transport "memory" uses the loopback fabric; "tcp" opens real local
-    sockets (ports allocated automatically unless ``base_port`` is set).
-    Returns (merged RunMetrics, (steps, gids) raster sorted by (step, id),
-    per-rank metrics list, parts).
+    Without ``rank``, every rank runs here: transport "memory" uses the
+    loopback fabric, "tcp" opens real local sockets.  With ``rank``, only
+    that rank runs here, over TCP to the other processes of ``cluster``
+    ({rank: (host, port)}).  Each rank times its own loop; the merged
+    metrics take the slowest rank's time.  Returns (merged RunMetrics,
+    (steps, gids) raster sorted by (step, id), per-rank metrics list, and
+    the parts of the ranks run here).
     """
     if seconds <= 0:
         raise ConfigError([f"seconds must be > 0, got {seconds}"])
+    if transport not in ("memory", "tcp"):
+        raise ConfigError([f"unknown transport {transport!r}"])
+    if rank is not None and cluster is None:
+        raise ConfigError([f"rank {rank} needs a cluster (CLI: --cluster FILE)"])
+    if rank is not None and not 0 <= rank < n_ranks:
+        raise ConfigError([f"rank {rank} outside [0, {n_ranks})"])
     n_steps = int(round(seconds * 1000.0 / net.dt_ms))
-    pmap, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
+    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
+    if rank is not None:
+        parts = [parts[rank]]
+    plastic = stdp_params is not None and stdp_params.enabled
     engines = [
-        _make_engine(p, stim, net.dt_ms, lif_params, stdp_params, record_raster)
+        Engine(p, stim, dt_ms=net.dt_ms, lif_params=lif_params,
+               stdp=StdpState(p, stdp_params, net.dt_ms) if plastic else None)
         for p in parts
     ]
 
-    t0 = time.perf_counter()
-    if n_ranks == 1:
-        _rank_loop(engines[0], None, n_steps)
-        wall = time.perf_counter() - t0
-        per_rank = [engines[0].metrics(seconds, wall)]
+    if rank is not None:
+        endpoints = _open_tcp_endpoints(parts, cluster, timeout)
+    elif transport == "memory":
+        fabric = InMemoryFabric(n_ranks)
+        endpoints = [fabric.endpoint(r) for r in range(n_ranks)]
     else:
-        if transport == "memory":
-            fabric = InMemoryFabric(n_ranks)
-            endpoints = [fabric.endpoint(r) for r in range(n_ranks)]
-        elif transport == "tcp":
-            cluster = _local_cluster(n_ranks, base_port)
-            endpoints = _open_tcp_endpoints(parts, cluster, timeout)
-        else:
-            raise ConfigError([f"unknown transport {transport!r}"])
-        comms = [Communicator(p, ep, timeout=timeout) for p, ep in zip(parts, endpoints)]
-        failures = []
+        endpoints = _open_tcp_endpoints(parts, _local_cluster(n_ranks), timeout)
+    comms = [Communicator(p, ep, timeout=timeout) for p, ep in zip(parts, endpoints)]
+    walls = [0.0] * len(engines)
+    failures = []
 
-        def worker(engine, comm):
-            try:
-                _rank_loop(engine, comm, n_steps)
-            except BaseException as err:  # propagate to the caller
-                failures.append(err)
+    def worker(i):
+        try:
+            t0 = time.perf_counter()
+            _rank_loop(engines[i], comms[i], n_steps)
+            walls[i] = time.perf_counter() - t0
+        except BaseException as err:  # propagate to the caller
+            failures.append(err)
 
-        threads = [
-            threading.Thread(target=worker, args=(e, c), daemon=True)
-            for e, c in zip(engines, comms)
-        ]
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+               for i in range(len(engines))]
+    try:
         for th in threads:
             th.start()
         for th in threads:
             th.join()
+    finally:
         for ep in endpoints:
             ep.close()
-        if failures:
-            raise failures[0]
-        wall = time.perf_counter() - t0
-        per_rank = [e.metrics(seconds, wall) for e in engines]
+    if failures:
+        raise failures[0]
 
-    metrics = RunMetrics.merged(per_rank, net.n_neurons)
+    per_rank = [e.metrics(seconds, wall) for e, wall in zip(engines, walls)]
     steps = np.concatenate([e.raster()[0] for e in engines])
     gids = np.concatenate([e.raster()[1] for e in engines])
     order = np.lexsort((gids, steps))
-    return metrics, (steps[order], gids[order]), per_rank, parts
+    return RunMetrics.merged(per_rank), (steps[order], gids[order]), per_rank, parts
 
 
-def _local_cluster(n_ranks: int, base_port: int) -> Dict[int, Tuple[str, int]]:
-    if base_port:
-        return {r: ("127.0.0.1", base_port + r) for r in range(n_ranks)}
+def _local_cluster(n_ranks: int) -> Dict[int, Tuple[str, int]]:
     cluster = {}
     socks = []
     for r in range(n_ranks):
@@ -556,18 +523,19 @@ def _local_cluster(n_ranks: int, base_port: int) -> Dict[int, Tuple[str, int]]:
 
 def _open_tcp_endpoints(parts: List[RankPartition],
                         cluster: Dict[int, Tuple[str, int]], timeout: float):
-    """Open all ranks' TCP transports concurrently (they rendezvous)."""
+    """Open the given ranks' TCP transports concurrently (they rendezvous)."""
     endpoints = [None] * len(parts)
     errors = []
 
-    def opener(part):
+    def opener(i, part):
         peers = sorted(set(part.out_peers) | set(part.in_peers))
         try:
-            endpoints[part.rank] = TcpTransport(part.rank, cluster, peers, timeout=timeout)
+            endpoints[i] = TcpTransport(part.rank, cluster, peers, timeout=timeout)
         except BaseException as err:
             errors.append(err)
 
-    threads = [threading.Thread(target=opener, args=(p,), daemon=True) for p in parts]
+    threads = [threading.Thread(target=opener, args=(i, p), daemon=True)
+               for i, p in enumerate(parts)]
     for th in threads:
         th.start()
     for th in threads:
@@ -575,30 +543,3 @@ def _open_tcp_endpoints(parts: List[RankPartition],
     if errors:
         raise errors[0]
     return endpoints
-
-
-def run_single_rank(net: Network, *, rank: int, seconds: float, stim: StimulusSpec,
-                    n_ranks: int, cluster: Dict[int, Tuple[str, int]],
-                    lif_params: Optional[AdaptiveLifParams] = None,
-                    stdp_params: Optional[StdpParams] = None,
-                    w_exc_scale: float = 1.0, record_raster: bool = True,
-                    timeout: float = 30.0):
-    """Run exactly one rank of a multi-process TCP run (one CLI invocation
-    per rank).  Returns (rank metrics, rank raster, part)."""
-    if not 0 <= rank < n_ranks:
-        raise ConfigError([f"rank {rank} outside [0, {n_ranks})"])
-    n_steps = int(round(seconds * 1000.0 / net.dt_ms))
-    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
-    part = parts[rank]
-    engine = _make_engine(part, stim, net.dt_ms, lif_params, stdp_params, record_raster)
-    peers = sorted(set(part.out_peers) | set(part.in_peers))
-    transport = TcpTransport(rank, cluster, peers, timeout=timeout)
-    comm = Communicator(part, transport, timeout=timeout)
-    t0 = time.perf_counter()
-    try:
-        _rank_loop(engine, comm, n_steps)
-    finally:
-        transport.close()
-    wall = time.perf_counter() - t0
-    steps, gids = engine.raster()
-    return engine.metrics(seconds, wall), (steps, gids), part

@@ -118,10 +118,6 @@ class EnergyReport:
     synaptic_events: int
     baseline_w: float = 0.0
 
-    @property
-    def relative_error(self) -> float:
-        return self.power_err_w / self.power_w if self.power_w > 0 else 0.0
-
 
 def energy_report(record: PlatformRecord, baseline_w: float = 0.0) -> EnergyReport:
     """Full derived report for one platform.

@@ -38,9 +38,6 @@ __all__ = [
     "DelayRing",
     "RunMetrics",
     "Engine",
-    "poisson_external",
-    "poisson_external_batch",
-    "deliver_spike",
     "expected_event_count",
     "calibrate_rate",
     "save_raster_binary",
@@ -76,28 +73,6 @@ class StimulusSpec:
     def events_per_step(self, dt_ms: float) -> float:
         """Poisson mean per neuron per step."""
         return self.ext_synapses_per_neuron * self.ext_rate_hz * dt_ms / 1000.0
-
-
-def poisson_external(neuron: int, step: int, stim: StimulusSpec, dt_ms: float,
-                     seed: Optional[int] = None) -> int:
-    """External event count for one neuron at one step.
-
-    Counter-based and keyed by (seed, neuron, step): the same triple
-    always yields the same count, on any rank.
-    """
-    if dt_ms <= 0:
-        raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
-    lam = stim.events_per_step(dt_ms)
-    return rng.poisson_keyed(lam, stim.seed if seed is None else seed, neuron, step)
-
-
-def poisson_external_batch(neurons: np.ndarray, step: int, stim: StimulusSpec,
-                           dt_ms: float, seed: Optional[int] = None) -> np.ndarray:
-    """Vector form of :func:`poisson_external`; bit-identical per element."""
-    if dt_ms <= 0:
-        raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
-    lam = stim.events_per_step(dt_ms)
-    return rng.poisson_keyed_batch(lam, stim.seed if seed is None else seed, neurons, step)
 
 
 class DelayRing:
@@ -155,14 +130,6 @@ class DelayRing:
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
-def deliver_spike(ring: DelayRing, targets: np.ndarray, weights: np.ndarray,
-                  delays: np.ndarray) -> int:
-    """Deliver one neuron's synapse list into the ring; returns the number
-    of synaptic events (synapses touched)."""
-    ring.accumulate(np.asarray(delays), np.asarray(targets), np.asarray(weights))
-    return len(targets)
-
-
 @dataclass
 class RunMetrics:
     """Counters for one run (or one rank of a run)."""
@@ -192,10 +159,11 @@ class RunMetrics:
         return self.total_events / self.wall_seconds
 
     @staticmethod
-    def merged(parts: list, n_neurons: int) -> "RunMetrics":
-        """Combine per-rank metrics; wall time is the slowest rank's."""
+    def merged(parts: list) -> "RunMetrics":
+        """Combine per-rank metrics: neurons and counts add up, wall time
+        is the slowest rank's."""
         return RunMetrics(
-            n_neurons=n_neurons,
+            n_neurons=sum(p.n_neurons for p in parts),
             simulated_seconds=parts[0].simulated_seconds if parts else 0.0,
             wall_seconds=max((p.wall_seconds for p in parts), default=0.0),
             total_spikes=sum(p.total_spikes for p in parts),
@@ -220,7 +188,7 @@ class Engine:
 
     def __init__(self, part, stim: StimulusSpec, dt_ms: float = 1.0,
                  lif_params: Optional[AdaptiveLifParams] = None,
-                 stdp=None, record_raster: bool = True):
+                 stdp=None):
         if dt_ms <= 0:
             raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
         self.part = part
@@ -231,7 +199,6 @@ class Engine:
         self.n_local = len(part.local_gids)
         self.ring = DelayRing(part.n_slots, self.n_local)
         self.stdp = stdp
-        self.record_raster = record_raster
         self._lam = stim.events_per_step(dt_ms)
 
         if self.model == "izhikevich":
@@ -294,7 +261,7 @@ class Engine:
         n = len(spiked_local)
         self.total_spikes += n
         spiked_gids = self.local_gids[spiked_local]
-        if self.record_raster and n:
+        if n:
             self._raster_steps.append(np.full(n, t, dtype=np.uint32))
             self._raster_gids.append(spiked_gids.astype(np.uint32))
         return spiked_gids

@@ -31,7 +31,6 @@ from .errors import ConfigError, InfeasibleSpecError, SnapshotFormatError
 
 __all__ = [
     "GridSpec",
-    "Synapse",
     "Network",
     "connection_probability",
     "normalize_fanout",
@@ -107,15 +106,6 @@ class GridSpec:
             raise ConfigError(problems)
 
 
-@dataclass(frozen=True)
-class Synapse:
-    """One outgoing synapse: global target id, signed efficacy, delay in steps."""
-
-    target: int
-    weight: float
-    delay_steps: int
-
-
 @dataclass
 class Network:
     """Immutable built network in CSR layout ordered by source id.
@@ -141,26 +131,13 @@ class Network:
     def total_synapses(self) -> int:
         return int(self.offsets[-1])
 
-    def fanout(self, source: int) -> int:
-        return int(self.offsets[source + 1] - self.offsets[source])
-
     @property
     def fanouts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def synapses_of(self, source: int) -> list:
-        lo, hi = int(self.offsets[source]), int(self.offsets[source + 1])
-        return [
-            Synapse(int(t), float(w), int(d))
-            for t, w, d in zip(self.targets[lo:hi], self.weights[lo:hi], self.delay_steps[lo:hi])
-        ]
-
     def is_excitatory(self, gid) -> np.ndarray:
         """Vector-friendly excitatory test by id."""
         return (np.asarray(gid) % self.spec.neurons_per_column) < self.spec.n_exc_per_column
-
-    def column_of(self, gid) -> np.ndarray:
-        return np.asarray(gid) // self.spec.neurons_per_column
 
 
 def _column_distance_matrix(spec: GridSpec) -> np.ndarray:

@@ -77,7 +77,6 @@ def desk_seed_runs(desk_cfg, desk_net, desk_scale):
         metrics, _, _, _ = run_simulation(
             desk_net, seconds=desk_cfg["run.simulated_seconds"], stim=stim,
             lif_params=desk_cfg.lif_params(), w_exc_scale=desk_scale,
-            record_raster=False,
         )
         runs.append(metrics)
     return runs

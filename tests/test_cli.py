@@ -84,6 +84,8 @@ def test_run_invalid_config_exits_2(tmp_path):
     assert code == 2
     code = main(["run", "--out", str(tmp_path / "o2"), "--set=grid.x=bogus"])
     assert code == 2
+    code = main(["run", "--out", str(tmp_path / "o3"), "--rank", "0"] + _tiny_args())
+    assert code == 2  # --rank without --cluster
 
 
 def test_run_energy_report_from_measured_events(tmp_path):
@@ -234,6 +236,10 @@ def test_multiprocess_tcp_cluster_matches_memory(tmp_path):
         steps.append(s)
         gids.append(g)
     merged = raster_checksum(np.concatenate(steps), np.concatenate(gids))
+    # each rank reports its own neurons
+    n_local = [int(_read_kv(outs[r] / f"metrics_rank{r}.kv")["metrics.n_neurons"])
+               for r in range(2)]
+    assert sum(n_local) == 4 * 2 * 25
 
     ref = tmp_path / "ref"
     assert main(["run", "--out", str(ref)] + _tiny_args(["--set=run.simulated_seconds=0.3"])) == 0

@@ -45,8 +45,8 @@ def _stim(**kw):
 
 def test_partition_balance_and_errors():
     net = _net()
-    pmap, parts = partition(net, 4)
-    counts = np.bincount(pmap.column_to_rank, minlength=4)
+    column_to_rank, parts = partition(net, 4)
+    counts = np.bincount(column_to_rank, minlength=4)
     assert counts.max() - counts.min() <= 1
     assert sum(p.n_local for p in parts) == net.n_neurons
     with pytest.raises(InfeasiblePartitionError):
@@ -63,9 +63,11 @@ def test_partition_single_rank_all_local():
     assert len(part.in_targets) == net.total_synapses
 
 
-def test_partition_union_reproduces_network_multiset():
+@pytest.mark.parametrize("n_ranks", [1, 2, 4])
+@pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])
+def test_partition_union_reproduces_network_multiset(w_exc_scale, n_ranks):
     net = _net()
-    _, parts = partition(net, 4)
+    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
     rows = []
     n = net.n_neurons
     for part in parts:
@@ -77,9 +79,10 @@ def test_partition_union_reproduces_network_multiset():
         ], axis=1))
     union = np.concatenate(rows)
     src_full = np.repeat(np.arange(n), net.fanouts)
+    w_full = np.where(net.is_excitatory(src_full), net.weights * w_exc_scale, net.weights)
     full = np.stack([
         src_full, net.targets.astype(np.int64), net.delay_steps.astype(np.int64),
-        net.weights.view(np.int64),
+        w_full.view(np.int64),
     ], axis=1)
     order = lambda a: a[np.lexsort(a.T[::-1])]
     assert (order(union) == order(full)).all()

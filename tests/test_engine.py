@@ -13,12 +13,10 @@ from spikebench import (
     StimulusSpec,
     build_network,
     calibrate_rate,
-    deliver_spike,
     expected_event_count,
-    poisson_external,
-    poisson_external_batch,
     raster_checksum,
 )
+from spikebench import rng
 from spikebench.distributed import run_simulation
 from spikebench.engine import (
     Engine,
@@ -34,15 +32,8 @@ from spikebench.neurons import NeuronState, izhikevich_preset, step_izhikevich
 
 def test_poisson_external_zero_rate_always_zero():
     stim = StimulusSpec(ext_rate_hz=0.0)
-    assert all(poisson_external(n, t, stim, 1.0, seed=1) == 0
-               for n in range(50) for t in range(5))
-
-
-def test_poisson_external_deterministic():
-    stim = StimulusSpec()
-    a = poisson_external(17, 312, stim, 1.0, seed=9)
-    b = poisson_external(17, 312, stim, 1.0, seed=9)
-    assert a == b
+    lam = stim.events_per_step(1.0)
+    assert all(rng.poisson_keyed(lam, 1, n, t) == 0 for n in range(50) for t in range(5))
 
 
 def test_poisson_external_mean_within_one_percent():
@@ -51,25 +42,17 @@ def test_poisson_external_mean_within_one_percent():
     assert stim.events_per_step(1.0) == pytest.approx(1.782, rel=1e-12)
     neurons = np.arange(100_000)
     draws = np.concatenate([
-        poisson_external_batch(neurons, step, stim, 1.0, seed=3) for step in range(10)
+        rng.poisson_keyed_batch(stim.events_per_step(1.0), 3, neurons, step)
+        for step in range(10)
     ])
     assert abs(draws.mean() - 1.782) / 1.782 < 0.01
-
-
-def test_poisson_external_batch_matches_scalar():
-    stim = StimulusSpec()
-    neurons = np.arange(64)
-    batch = poisson_external_batch(neurons, 5, stim, 1.0, seed=11)
-    assert batch.tolist() == [poisson_external(int(n), 5, stim, 1.0, seed=11) for n in neurons]
 
 
 # ------------------------------------------------------------ delay ring
 
 def test_ring_drain_and_modulo_slots():
     ring = DelayRing(n_slots=4, n_local=3)
-    n = deliver_spike(ring, targets=np.array([1]), weights=np.array([2.5]),
-                      delays=np.array([3]))
-    assert n == 1
+    ring.accumulate(np.array([3]), np.array([1]), np.array([2.5]))
     assert ring.drain().tolist() == [0.0, 0.0, 0.0]
     ring.advance()
     assert ring.drain().tolist() == [0.0, 0.0, 0.0]
@@ -83,8 +66,8 @@ def test_ring_drain_and_modulo_slots():
 
 def test_ring_accumulates_additively():
     ring = DelayRing(n_slots=5, n_local=2)
-    deliver_spike(ring, np.array([0]), np.array([1.5]), np.array([2]))
-    deliver_spike(ring, np.array([0]), np.array([-0.5]), np.array([2]))
+    ring.accumulate(np.array([2]), np.array([0]), np.array([1.5]))
+    ring.accumulate(np.array([2]), np.array([0]), np.array([-0.5]))
     ring.advance(); ring.drain()
     ring.advance()
     assert ring.drain().tolist() == [1.0, 0.0]
@@ -93,15 +76,14 @@ def test_ring_accumulates_additively():
 def test_empty_synapse_list_changes_nothing():
     ring = DelayRing(n_slots=3, n_local=2)
     before = ring.buf.copy()
-    n = deliver_spike(ring, np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))
-    assert n == 0
+    ring.accumulate(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
     assert (ring.buf == before).all()
 
 
 def test_zero_delay_is_contract_violation():
     ring = DelayRing(n_slots=3, n_local=2)
     with pytest.raises(ContractViolationError):
-        deliver_spike(ring, np.array([0]), np.array([1.0]), np.array([0]))
+        ring.accumulate(np.array([0]), np.array([0]), np.array([1.0]))
 
 
 def test_ring_rotated_accumulate_matches_modulo_reference():
@@ -167,7 +149,7 @@ def test_single_neuron_engine_matches_scalar_oracle():
         state = NeuronState(v=rs.c, w=rs.b * rs.c)
         expected_steps = []
         for t in range(1000):
-            count = poisson_external(gid, t, stim, 1.0)
+            count = rng.poisson_keyed(stim.events_per_step(1.0), stim.seed, gid, t)
             # weights are zero so ring input is always 0
             i_syn = 0.0 + stim.ext_weight * count
             state, spiked = step_izhikevich(state, rs, i_syn, 1.0)
@@ -187,7 +169,8 @@ def test_event_conservation_and_raster_recount():
     assert metrics.internal_synaptic_events == recount
     # external events equal the sum of all keyed Poisson draws
     total_ext = sum(
-        int(poisson_external_batch(np.arange(net.n_neurons), t, stim, 1.0).sum())
+        int(rng.poisson_keyed_batch(stim.events_per_step(1.0), stim.seed,
+                                    np.arange(net.n_neurons), t).sum())
         for t in range(1000)
     )
     assert metrics.external_synaptic_events == total_ext
@@ -203,12 +186,15 @@ def test_run_determinism_bit_identical():
     assert m1.internal_synaptic_events == m2.internal_synaptic_events
 
 
-def test_divergence_error_names_neuron():
+@pytest.mark.parametrize("n_ranks,transport", [(1, "memory"), (2, "memory"), (2, "tcp")])
+def test_divergence_error_names_neuron(n_ranks, transport):
+    # the error raised in a rank thread reaches the caller
     net = _tiny_net(w_exc=0.0, w_inh=0.0)
     stim = StimulusSpec(ext_synapses_per_neuron=594, ext_rate_hz=3.0,
                         ext_weight=1e308, seed=2)
     with pytest.raises(NumericalDivergenceError) as exc_info:
-        run_simulation(net, seconds=0.05, stim=stim)
+        run_simulation(net, seconds=0.05, stim=stim, n_ranks=n_ranks,
+                       transport=transport, timeout=5.0)
     assert exc_info.value.neuron is not None
 
 
@@ -271,8 +257,7 @@ def test_calibrate_deterministic_given_seeds():
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)
 
     def probe(scale):
-        m, _, _, _ = run_simulation(net, seconds=0.25, stim=stim, w_exc_scale=scale,
-                                    record_raster=False)
+        m, _, _, _ = run_simulation(net, seconds=0.25, stim=stim, w_exc_scale=scale)
         return m.mean_rate_hz
 
     out1 = calibrate_rate(probe, target_hz=probe(1.0), band_hz=0.5)

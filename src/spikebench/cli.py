@@ -144,6 +144,8 @@ def _write_energy(cfg: RunConfig, out_dir: str, measured_events) -> tuple:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out_dir = args.out
+    cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
+    distributed.check_run_args(cfg["run.ranks"], cfg["run.transport"], args.rank, cluster)
     os.makedirs(out_dir, exist_ok=True)
     spec = cfg.grid_spec()
     net = network_mod.build_network(spec, dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
@@ -154,7 +156,6 @@ def cmd_run(args) -> int:
         net, cfg["stimulus.ext_synapses_per_neuron"]
     )
 
-    cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
     metrics, (steps, gids), _, _ = distributed.run_simulation(
         net, seconds=cfg["run.simulated_seconds"], stim=stim,
         n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],

@@ -60,6 +60,7 @@ __all__ = [
     "TcpTransport",
     "Communicator",
     "parse_cluster_file",
+    "check_run_args",
     "run_simulation",
 ]
 
@@ -236,7 +237,11 @@ class InMemoryTransport:
 def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
     """Read `rank host:port` lines into {rank: (host, port)}."""
     cluster = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError([f"cluster file {path}: {err.strerror}"]) from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -433,6 +438,32 @@ def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
         engine.advance()
 
 
+def check_run_args(n_ranks: int, transport: str, rank: Optional[int] = None,
+                   cluster: Optional[Dict[int, Tuple[str, int]]] = None) -> None:
+    """Reject bad driver arguments, one diagnostic each, before any work.
+
+    ``rank`` and ``cluster`` go together: a cluster names every rank's
+    address, and ``rank`` says which of them runs here.
+    """
+    problems = []
+    if n_ranks < 1:
+        problems.append(f"need at least one rank, got {n_ranks}")
+    if transport not in ("memory", "tcp"):
+        problems.append(f"unknown transport {transport!r}")
+    if rank is not None and cluster is None:
+        problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")
+    if cluster is not None and rank is None:
+        problems.append("a cluster needs the rank to run here (CLI: --rank R)")
+    if rank is not None and not 0 <= rank < n_ranks:
+        problems.append(f"rank {rank} outside [0, {n_ranks})")
+    if cluster is not None:
+        missing = [r for r in range(n_ranks) if r not in cluster]
+        if missing:
+            problems.append(f"cluster has no address for ranks {missing}")
+    if problems:
+        raise ConfigError(problems)
+
+
 def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
                    n_ranks: int = 1, transport: str = "memory",
                    lif_params: Optional[AdaptiveLifParams] = None,
@@ -452,12 +483,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     """
     if seconds <= 0:
         raise ConfigError([f"seconds must be > 0, got {seconds}"])
-    if transport not in ("memory", "tcp"):
-        raise ConfigError([f"unknown transport {transport!r}"])
-    if rank is not None and cluster is None:
-        raise ConfigError([f"rank {rank} needs a cluster (CLI: --cluster FILE)"])
-    if rank is not None and not 0 <= rank < n_ranks:
-        raise ConfigError([f"rank {rank} outside [0, {n_ranks})"])
+    check_run_args(n_ranks, transport, rank, cluster)
     n_steps = int(round(seconds * 1000.0 / net.dt_ms))
     _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
     if rank is not None:

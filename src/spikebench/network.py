@@ -216,55 +216,48 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     n_cols = spec.n_columns
     dist = _column_distance_matrix(spec)
     probs = np.clip(p0 * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
-    col_base = np.arange(n_cols, dtype=np.int64) * npc
+    col_ids = np.arange(n_cols, dtype=np.int64)
     n_exc = spec.n_exc_per_column
 
-    per_source_targets = []
-    per_source_delays = []
     counts_per_source = np.zeros(spec.n_neurons, dtype=np.int64)
-
-    eligible_row = np.full(n_cols, npc, dtype=np.int64)
-    for s in range(spec.n_neurons):
-        src_col = s // npc
-        gen = rng.philox_generator(spec.seed, s)
-        eligible = eligible_row.copy()
-        eligible[src_col] = npc - 1
-        counts = gen.binomial(eligible, probs[src_col])
-        k_total = int(counts.sum())
-        counts_per_source[s] = k_total
-        if k_total == 0:
-            per_source_targets.append(np.empty(0, dtype=np.int64))
-            per_source_delays.append(np.empty(0, dtype=np.int64))
-            continue
-        n_elig_rep = np.repeat(eligible, counts)
-        base_rep = np.repeat(col_base, counts)
-        u = gen.random(k_total)
-        local = np.floor(u * n_elig_rep).astype(np.int64)
+    col_targets = []
+    col_delays = []
+    # each source draws from its own stream (binomial counts per target
+    # column, then uniforms, then delays); the arithmetic that turns the
+    # uniforms into target ids runs once per source column
+    for c in range(n_cols):
+        eligible = np.full(n_cols, npc, dtype=np.int64)
+        eligible[c] = npc - 1
+        counts = np.zeros((npc, n_cols), dtype=np.int64)
+        uniforms = []
+        delays = []
+        for i in range(npc):
+            gen = rng.philox_generator(spec.seed, c * npc + i)
+            counts[i] = gen.binomial(eligible, probs[c])
+            k = int(counts[i].sum())
+            uniforms.append(gen.random(k))
+            delays.append(gen.integers(delay_lo, delay_hi + 1, size=k))
+        per_source = counts.sum(axis=1)
+        counts_per_source[c * npc:(c + 1) * npc] = per_source
+        tgt_col = np.repeat(np.tile(col_ids, npc), counts.ravel())
+        own = tgt_col == c
+        u = np.concatenate(uniforms)
+        u *= np.where(own, npc - 1, npc)
+        local = u.astype(np.int64)  # floor: u * n_eligible >= 0
         # skip the source's own slot inside its column
-        own = base_rep == col_base[src_col]
-        s_local = s - col_base[src_col]
-        local[own & (local >= s_local)] += 1
-        targets = base_rep + local
-        delays = gen.integers(delay_lo, delay_hi + 1, size=k_total)
-        per_source_targets.append(targets)
-        per_source_delays.append(delays)
+        local[own & (local >= np.repeat(np.arange(npc), per_source))] += 1
+        tgt_col *= npc
+        tgt_col += local
+        col_targets.append(tgt_col.astype(np.int32))
+        col_delays.append(np.concatenate(delays).astype(np.int16))
 
     offsets = np.zeros(spec.n_neurons + 1, dtype=np.int64)
     np.cumsum(counts_per_source, out=offsets[1:])
-    targets = (
-        np.concatenate(per_source_targets).astype(np.int32)
-        if per_source_targets
-        else np.empty(0, dtype=np.int32)
-    )
-    delay_steps = (
-        np.concatenate(per_source_delays).astype(np.int16)
-        if per_source_delays
-        else np.empty(0, dtype=np.int16)
-    )
-    weights = np.empty(int(offsets[-1]), dtype=np.float64)
+    targets = np.concatenate(col_targets)
+    delay_steps = np.concatenate(col_delays)
     gids = np.arange(spec.n_neurons)
-    w_by_source = np.where((gids % npc) < n_exc, spec.w_exc, -spec.w_inh)
-    weights[:] = np.repeat(w_by_source, counts_per_source)
+    w_by_source = np.where((gids % npc) < n_exc, float(spec.w_exc), -float(spec.w_inh))
+    weights = np.repeat(w_by_source, counts_per_source)
     return Network(
         spec=spec,
         dt_ms=dt_ms,

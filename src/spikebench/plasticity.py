@@ -94,22 +94,25 @@ class StdpState:
         n_global = len(part.in_offsets) - 1
         self.pre_trace = np.zeros(n_global, dtype=np.float64)
         self.post_trace = np.zeros(len(part.local_gids), dtype=np.float64)
-        # source gid per synapse entry, for potentiation lookups
+        # transpose of the plastic (excitatory-source) synapses: sorting the
+        # unique keys target * n_syn + synapse index groups them by local
+        # target, in table order within a target
+        n_syn = len(part.in_targets)
         counts = np.diff(part.in_offsets)
-        self._syn_source = np.repeat(np.arange(n_global, dtype=np.int64), counts)
-        self._syn_exc = part.source_excitatory[self._syn_source]
-        # transpose: synapse indices grouped by local target, exc sources only
-        exc_idx = np.flatnonzero(self._syn_exc)
-        order = np.argsort(part.in_targets[exc_idx], kind="stable")
-        self._by_target_idx = exc_idx[order]
-        tgt_sorted = part.in_targets[self._by_target_idx]
-        bounds = np.searchsorted(tgt_sorted, np.arange(len(part.local_gids) + 1))
-        self._by_target_bounds = bounds
-
-    def incoming_exc_synapses(self, local_target: int) -> np.ndarray:
-        """Synapse-table indices of plastic synapses onto a local neuron."""
-        lo, hi = self._by_target_bounds[local_target], self._by_target_bounds[local_target + 1]
-        return self._by_target_idx[lo:hi]
+        exc_idx = np.flatnonzero(np.repeat(part.source_excitatory, counts))
+        key = part.in_targets[exc_idx].astype(np.int64)
+        key *= n_syn
+        key += exc_idx
+        del exc_idx
+        key.sort()
+        n_local = len(part.local_gids)
+        self._by_target_bounds = np.searchsorted(
+            key, np.arange(n_local + 1, dtype=np.int64) * n_syn)
+        key %= n_syn
+        self._by_target_idx = key
+        # source gid of each transposed synapse, read as a contiguous slice
+        self._by_target_src = np.repeat(
+            np.arange(n_global, dtype=np.int32), counts)[self._by_target_idx]
 
     def process_step(self, pre_sources: np.ndarray, post_spiked_local: np.ndarray) -> None:
         """Advance one step: decay, depress, potentiate, bump traces.
@@ -134,11 +137,13 @@ class StdpState:
                     w[sl] - p.a_minus * self.post_trace[self.part.in_targets[sl]],
                     lo_clamp, p.w_max,
                 )
+        bounds = self._by_target_bounds
         for j in post_spiked_local:
-            idx = self.incoming_exc_synapses(int(j))
-            if len(idx):
+            lo, hi = bounds[j], bounds[j + 1]
+            if hi > lo:
+                idx = self._by_target_idx[lo:hi]
                 w[idx] = np.clip(
-                    w[idx] + p.a_plus * self.pre_trace[self._syn_source[idx]],
+                    w[idx] + p.a_plus * self.pre_trace[self._by_target_src[lo:hi]],
                     lo_clamp, p.w_max,
                 )
 

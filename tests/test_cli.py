@@ -86,6 +86,35 @@ def test_run_invalid_config_exits_2(tmp_path):
     assert code == 2
     code = main(["run", "--out", str(tmp_path / "o3"), "--rank", "0"] + _tiny_args())
     assert code == 2  # --rank without --cluster
+    cluster = tmp_path / "cluster.txt"
+    cluster.write_text("0 127.0.0.1:1\n1 127.0.0.1:2\n")
+    code = main(["run", "--out", str(tmp_path / "o4"), "--cluster", str(cluster),
+                 "--ranks", "2"] + _tiny_args())
+    assert code == 2  # --cluster without --rank
+    assert not (tmp_path / "o4" / "metrics.kv").exists()
+    code = main(["run", "--out", str(tmp_path / "o5"), "--cluster", str(cluster),
+                 "--rank", "2", "--ranks", "3"] + _tiny_args())
+    assert code == 2  # rank 2 has no address in the cluster file
+    code = main(["run", "--out", str(tmp_path / "o6"), "--rank", "0",
+                 "--cluster", str(tmp_path / "absent.txt")] + _tiny_args())
+    assert code == 2  # unreadable cluster file
+
+
+def test_run_rejects_driver_arguments_before_building(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built before the driver arguments were checked")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+    cluster = tmp_path / "cluster.txt"
+    cluster.write_text("0 127.0.0.1:1\n1 127.0.0.1:2\n")
+    bad = [
+        ["--rank", "0"],                                    # rank without cluster
+        ["--cluster", str(cluster), "--ranks", "2"],         # cluster without rank
+    ]
+    for extra in bad:
+        assert main(["run", "--out", str(tmp_path / "o")] + extra + _tiny_args()) == 2
+    err = capsys.readouterr().err
+    assert "needs a cluster" in err and "needs the rank" in err
 
 
 def test_run_energy_report_from_measured_events(tmp_path):

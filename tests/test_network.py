@@ -15,6 +15,7 @@ from spikebench import (
     normalize_fanout,
     save_network,
 )
+from spikebench import rng
 from spikebench.errors import SnapshotFormatError
 from spikebench.network import format_network_stats
 
@@ -191,3 +192,49 @@ def test_delay_min_below_dt_rejected():
     # but fine at dt = 0.5
     net = build_network(spec, dt_ms=0.5)
     assert net.delay_steps.min() >= 1
+
+
+def _reference_source(spec, dt_ms, s):
+    """Targets and delays of source ``s``, one synapse at a time, as the
+    module docstring describes them: per-source Philox stream, binomial
+    count per target column, a uniform slot per synapse that skips the
+    source itself, then a uniform integer delay per synapse."""
+    npc = spec.neurons_per_column
+    col = s // npc
+    cols = np.arange(spec.n_columns)
+    dx = cols % spec.grid_x - col % spec.grid_x
+    dy = cols // spec.grid_x - col // spec.grid_x
+    dist = np.sqrt((dx * dx + dy * dy).astype(np.float64))
+    probs = np.clip(normalize_fanout(spec) * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
+    eligible = np.full(spec.n_columns, npc)
+    eligible[col] = npc - 1
+    gen = rng.philox_generator(spec.seed, s)
+    counts = gen.binomial(eligible, probs)
+    uniforms = gen.random(int(counts.sum()))
+    targets = []
+    for c, k in enumerate(counts):
+        for _ in range(k):
+            slot = int(np.floor(uniforms[len(targets)] * eligible[c]))
+            if c == col and slot >= s - col * npc:
+                slot += 1
+            targets.append(c * npc + slot)
+    lo = round(spec.delay_min_ms / dt_ms)
+    hi = round(spec.delay_max_ms / dt_ms)
+    delays = gen.integers(lo, hi + 1, size=len(targets))
+    return np.array(targets), delays
+
+
+def test_build_matches_per_source_reference():
+    # 4x3 grid: column 0 is a corner, column 5 is interior
+    spec = GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0,
+                    decay_lambda=2.0, delay_max_ms=12.0, seed=9)
+    dt_ms = 0.5
+    net = build_network(spec, dt_ms=dt_ms)
+    npc = spec.neurons_per_column
+    for col in (0, 5):
+        for s in (col * npc, (col + 1) * npc - 1):
+            targets, delays = _reference_source(spec, dt_ms, s)
+            a, b = net.offsets[s], net.offsets[s + 1]
+            assert b - a == len(targets) > 0
+            assert np.array_equal(net.targets[a:b], targets)
+            assert np.array_equal(net.delay_steps[a:b], delays)

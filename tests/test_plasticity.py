@@ -203,3 +203,62 @@ def test_enabled_partition_invariant():
     _, r1, _, _ = run_simulation(net, seconds=0.5, stim=stim, stdp_params=params, n_ranks=1)
     _, r2, _, _ = run_simulation(net, seconds=0.5, stim=stim, stdp_params=params, n_ranks=2)
     assert raster_checksum(*r1) == raster_checksum(*r2)
+
+
+# ------------------------------------------- reference rule on small-1k
+
+def _reference_step(part, params, decay_plus, decay_minus, pre_trace, post_trace,
+                    pre_sources, post_local):
+    """The trace rule over the whole synapse table, one phase at a time.
+
+    Every synapse is visited through a mask over the full table, so this
+    reads only the rank's public CSR layout, never the state's transpose.
+    """
+    n_global = len(part.in_offsets) - 1
+    src = np.repeat(np.arange(n_global), np.diff(part.in_offsets))
+    plastic = part.source_excitatory[src]
+    lo, hi = max(params.w_min, 0.0), params.w_max
+    w = part.in_weights
+    pre_trace *= decay_plus
+    post_trace *= decay_minus
+    pre_mask = np.zeros(n_global, dtype=bool)
+    pre_mask[pre_sources] = True
+    post_mask = np.zeros(part.n_local, dtype=bool)
+    post_mask[post_local] = True
+    dep = plastic & pre_mask[src]
+    w[dep] = np.minimum(np.maximum(
+        w[dep] - params.a_minus * post_trace[part.in_targets[dep]], lo), hi)
+    pot = plastic & post_mask[part.in_targets]
+    w[pot] = np.minimum(np.maximum(
+        w[pot] + params.a_plus * pre_trace[src[pot]], lo), hi)
+    pre_trace[pre_sources] += 1.0
+    post_trace[post_local] += 1.0
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_process_step_matches_reference_rule_on_small_1k(n_ranks):
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=1.0)
+    # a narrow weight window so both clamps engage within 50 steps
+    params = StdpParams(a_plus=0.01, a_minus=0.05, tau_plus=20.0, tau_minus=15.0,
+                        w_min=0.0, w_max=0.42, enabled=True)
+    _, parts = partition(net, n_ranks)
+    _, ref_parts = partition(net, n_ranks)
+    for part, ref in zip(parts, ref_parts):
+        state = StdpState(part, params, dt_ms=1.0)
+        ref_pre = np.zeros(net.n_neurons)
+        ref_post = np.zeros(part.n_local)
+        spikes = np.random.default_rng(100 + part.rank)
+        for _ in range(50):
+            pre = np.flatnonzero(spikes.random(net.n_neurons) < 0.2)
+            post = np.flatnonzero(spikes.random(part.n_local) < 0.2)
+            state.process_step(pre, post)
+            _reference_step(ref, params, state.decay_plus, state.decay_minus,
+                            ref_pre, ref_post, pre, post)
+        assert np.array_equal(part.in_weights, ref.in_weights)
+        assert np.array_equal(state.pre_trace, ref_pre)
+        assert np.array_equal(state.post_trace, ref_post)
+        exc = part.in_weights[part.in_weights >= 0]
+        assert (exc == params.w_max).any() and (exc == 0.0).any()

@@ -24,7 +24,9 @@ rendezvoused from a `rank host:port` cluster file).
 
 Every run goes through `run_simulation`.  It runs every rank of a run
 as a thread of this process, or, given ``rank`` and ``cluster``, just
-that rank, talking TCP to the processes that run the others.
+that rank, talking TCP to the processes that run the others.  Each rank
+opens and closes its own transport; closing is the stop signal, so the
+peers of a failed rank fail at their next receive.
 """
 
 import queue
@@ -223,20 +225,31 @@ class InMemoryTransport:
 
     def recv(self, from_rank: int, timeout: float) -> bytes:
         try:
-            return self.fabric._queues[(from_rank, self.rank)].get(timeout=timeout)
+            frame = self.fabric._queues[(from_rank, self.rank)].get(timeout=timeout)
         except queue.Empty:
             raise ExchangeError(
                 f"rank {self.rank} timed out waiting for rank {from_rank}",
                 rank=from_rank,
             ) from None
+        if frame is None:  # the close marker
+            raise ExchangeError(
+                f"rank {from_rank} closed its link to rank {self.rank}", rank=from_rank)
+        return frame
 
     def close(self) -> None:
-        pass
+        for dst in range(self.fabric.n_ranks):
+            if dst != self.rank:
+                self.fabric._queues[(self.rank, dst)].put(None)
 
 
 def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
-    """Read `rank host:port` lines into {rank: (host, port)}."""
+    """Read `rank host:port` lines into {rank: (host, port)}.
+
+    Every bad line gets its own diagnostic: a malformed line, a port
+    outside 1-65535, a rank named twice.
+    """
     cluster = {}
+    problems = []
     try:
         fh = open(path)
     except OSError as err:
@@ -246,14 +259,21 @@ def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rank_s, addr = line.split()
                 host, port_s = addr.rsplit(":", 1)
-                cluster[int(rank_s)] = (host, int(port_s))
+                rank, port = int(rank_s), int(port_s)
             except ValueError:
-                raise ConfigError(
-                    [f"{path}:{lineno}: expected 'rank host:port', got {line!r}"]
-                ) from None
+                problems.append(f"{where}: expected 'rank host:port', got {line!r}")
+                continue
+            if not 1 <= port <= 65535:
+                problems.append(f"{where}: port {port} outside [1, 65535]")
+            if rank in cluster:
+                problems.append(f"{where}: rank {rank} given twice")
+            cluster[rank] = (host, port)
+    if problems:
+        raise ConfigError(problems)
     return cluster
 
 
@@ -262,30 +282,28 @@ class TcpTransport:
 
     For each pair (a, b) with a < b, b connects to a's listen address and
     announces itself with a u16 rank hello.  Frames are length-delimited
-    by the header's count field.
+    by the header's count field.  ``listener``, if given, is this rank's
+    socket, already bound and listening, used instead of binding
+    ``cluster[rank]``; it is closed once the peers are in.
     """
 
     def __init__(self, rank: int, cluster: Dict[int, Tuple[str, int]],
-                 peers: List[int], timeout: float = 30.0):
+                 peers: List[int], timeout: float = 30.0,
+                 listener: Optional[socket.socket] = None):
         self.rank = rank
         self.timeout = timeout
         self._socks: Dict[int, socket.socket] = {}
         accept_from = sorted(p for p in peers if p > rank)
         connect_to = sorted(p for p in peers if p < rank)
 
-        listener = None
-        if accept_from:
-            host, port = cluster[rank]
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(len(accept_from))
-            listener.settimeout(timeout)
+        if listener is None and accept_from:
+            listener = socket.create_server(cluster[rank], backlog=len(accept_from))
         try:
             for peer in connect_to:
                 self._socks[peer] = self._connect(cluster[peer], peer)
             remaining = set(accept_from)
             while remaining:
+                listener.settimeout(timeout)
                 try:
                     conn, _ = listener.accept()
                 except socket.timeout:
@@ -334,6 +352,8 @@ class TcpTransport:
                 chunk = sock.recv(count - got)
             except socket.timeout:
                 raise ExchangeError(f"timed out reading {context}") from None
+            except OSError as err:
+                raise ExchangeError(f"{err} while reading {context}") from None
             if not chunk:
                 raise ExchangeError(f"peer disconnected while reading {context}")
             chunks.append(chunk)
@@ -341,14 +361,19 @@ class TcpTransport:
         return b"".join(chunks)
 
     def send(self, to_rank: int, frame: bytes) -> None:
-        self._socks[to_rank].sendall(frame)
+        try:
+            self._socks[to_rank].sendall(frame)
+        except OSError as err:
+            raise ExchangeError(
+                f"rank {self.rank} lost rank {to_rank}: {err}", rank=to_rank
+            ) from None
 
     def recv(self, from_rank: int, timeout: float) -> bytes:
         sock = self._socks[from_rank]
         sock.settimeout(timeout)
         try:
             header = self._read_exact(sock, HEADER_SIZE)
-            count = struct.unpack_from("<I", header, 11)[0]
+            count = _HEADER.unpack_from(header)[4]
             payload = self._read_exact(sock, 4 * count) if count else b""
         except ExchangeError as err:
             raise ExchangeError(
@@ -495,35 +520,43 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         for p in parts
     ]
 
-    if rank is not None:
-        endpoints = _open_tcp_endpoints(parts, cluster, timeout)
-    elif transport == "memory":
-        fabric = InMemoryFabric(n_ranks)
-        endpoints = [fabric.endpoint(r) for r in range(n_ranks)]
-    else:
-        endpoints = _open_tcp_endpoints(parts, _local_cluster(n_ranks), timeout)
-    comms = [Communicator(p, ep, timeout=timeout) for p, ep in zip(parts, endpoints)]
+    fabric = InMemoryFabric(n_ranks) if rank is None and transport == "memory" else None
+    listeners = {}
+    if rank is None and transport == "tcp":
+        # bound and listening before any rank connects: no port can be lost
+        listeners = {r: socket.create_server(("127.0.0.1", 0), backlog=n_ranks)
+                     for r in range(n_ranks)}
+        cluster = {r: sock.getsockname() for r, sock in listeners.items()}
     walls = [0.0] * len(engines)
     failures = []
 
     def worker(i):
+        # the rank's one owner: opens its link, runs, and closes the link
+        # on the way out, which stops any peer waiting on it
+        part, endpoint = parts[i], None
         try:
+            if fabric is not None:
+                endpoint = fabric.endpoint(part.rank)
+            else:
+                endpoint = TcpTransport(part.rank, cluster,
+                                        sorted(set(part.out_peers) | set(part.in_peers)),
+                                        timeout, listener=listeners.get(part.rank))
+            comm = Communicator(part, endpoint, timeout=timeout)
             t0 = time.perf_counter()
-            _rank_loop(engines[i], comms[i], n_steps)
+            _rank_loop(engines[i], comm, n_steps)
             walls[i] = time.perf_counter() - t0
         except BaseException as err:  # propagate to the caller
             failures.append(err)
+        finally:
+            if endpoint is not None:
+                endpoint.close()
 
     threads = [threading.Thread(target=worker, args=(i,), daemon=True)
                for i in range(len(engines))]
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-    finally:
-        for ep in endpoints:
-            ep.close()
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
     if failures:
         raise failures[0]
 
@@ -533,39 +566,3 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     order = np.lexsort((gids, steps))
     return RunMetrics.merged(per_rank), (steps[order], gids[order]), per_rank, parts
 
-
-def _local_cluster(n_ranks: int) -> Dict[int, Tuple[str, int]]:
-    cluster = {}
-    socks = []
-    for r in range(n_ranks):
-        s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        s.bind(("127.0.0.1", 0))
-        cluster[r] = ("127.0.0.1", s.getsockname()[1])
-        socks.append(s)
-    for s in socks:
-        s.close()
-    return cluster
-
-
-def _open_tcp_endpoints(parts: List[RankPartition],
-                        cluster: Dict[int, Tuple[str, int]], timeout: float):
-    """Open the given ranks' TCP transports concurrently (they rendezvous)."""
-    endpoints = [None] * len(parts)
-    errors = []
-
-    def opener(i, part):
-        peers = sorted(set(part.out_peers) | set(part.in_peers))
-        try:
-            endpoints[i] = TcpTransport(part.rank, cluster, peers, timeout=timeout)
-        except BaseException as err:
-            errors.append(err)
-
-    threads = [threading.Thread(target=opener, args=(i, p), daemon=True)
-               for i, p in enumerate(parts)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    return endpoints

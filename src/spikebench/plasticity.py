@@ -123,7 +123,6 @@ class StdpState:
         """
         p = self.params
         w = self.part.in_weights
-        lo_clamp = max(p.w_min, 0.0)
         self.pre_trace *= self.decay_plus
         self.post_trace *= self.decay_minus
 
@@ -133,19 +132,13 @@ class StdpState:
             a, b = self.part.in_offsets[s], self.part.in_offsets[s + 1]
             if b > a:
                 sl = slice(int(a), int(b))
-                w[sl] = np.clip(
-                    w[sl] - p.a_minus * self.post_trace[self.part.in_targets[sl]],
-                    lo_clamp, p.w_max,
-                )
+                w[sl] = depress(w[sl], self.post_trace[self.part.in_targets[sl]], p)
         bounds = self._by_target_bounds
         for j in post_spiked_local:
             lo, hi = bounds[j], bounds[j + 1]
             if hi > lo:
                 idx = self._by_target_idx[lo:hi]
-                w[idx] = np.clip(
-                    w[idx] + p.a_plus * self.pre_trace[self._by_target_src[lo:hi]],
-                    lo_clamp, p.w_max,
-                )
+                w[idx] = potentiate(w[idx], self.pre_trace[self._by_target_src[lo:hi]], p)
 
         self.pre_trace[pre_sources] += 1.0
         if len(post_spiked_local):

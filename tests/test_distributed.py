@@ -1,6 +1,8 @@
 """Partitioning, wire protocol, transports, and partition transparency."""
 
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from spikebench.distributed import (
     FRAME_MAGIC,
     HEADER_SIZE,
     InMemoryFabric,
+    TcpTransport,
     decode_frame,
     encode_frame,
     parse_cluster_file,
     partition,
     run_simulation,
 )
-from spikebench.errors import ExchangeError
+from spikebench.engine import Engine
+from spikebench.errors import ConfigError, ExchangeError
 
 
 def _net(seed=5, **kw):
@@ -284,6 +288,99 @@ def test_cluster_file_parsing(tmp_path):
     assert cluster == {0: ("127.0.0.1", 9000), 1: ("127.0.0.1", 9001)}
     bad = tmp_path / "bad.txt"
     bad.write_text("0 localhost\n")
-    from spikebench.errors import ConfigError
     with pytest.raises(ConfigError):
         parse_cluster_file(bad)
+    # one diagnostic per bad line: port 0 would bind a port no peer can
+    # find, and a repeated rank must not silently win
+    worse = tmp_path / "worse.txt"
+    worse.write_text("0 localhost\n1 127.0.0.1:0\n2 127.0.0.1:65536\n"
+                     "3 127.0.0.1:9003\n3 127.0.0.1:9004\n4 127.0.0.1:65535\n")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_cluster_file(worse)
+    problems = exc_info.value.problems
+    assert len(problems) == 4
+    assert [p.split(":")[1] for p in problems] == ["1", "2", "3", "5"]
+    assert "port 0 " in problems[1] and "port 65536 " in problems[2]
+    assert "rank 3 " in problems[3]
+
+
+# ------------------------------------------------------ failing ranks
+
+def test_closed_memory_transport_ends_peer_recv_at_once():
+    fabric = InMemoryFabric(3)
+    ep0, ep1 = fabric.endpoint(0), fabric.endpoint(1)
+    ep1.send(0, b"last")
+    ep1.close()
+    assert ep0.recv(1, timeout=10.0) == b"last"  # frames sent before close arrive
+    t0 = time.perf_counter()
+    with pytest.raises(ExchangeError) as exc_info:
+        ep0.recv(1, timeout=10.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc_info.value.rank == 1
+    with pytest.raises(ExchangeError) as exc_info:
+        fabric.endpoint(2).recv(1, timeout=10.0)
+    assert exc_info.value.rank == 1
+
+
+def _tcp_pair(timeout=5.0):
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    cluster = {r: sock.getsockname() for r, sock in enumerate(listeners)}
+    ends = {}
+
+    def open_end(r):
+        ends[r] = TcpTransport(r, cluster, [1 - r], timeout, listener=listeners[r])
+
+    threads = [threading.Thread(target=open_end, args=(r,)) for r in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    return ends[0], ends[1]
+
+
+@pytest.mark.parametrize("unread", [False, True])
+def test_tcp_closed_peer_raises_exchange_error_naming_rank(unread):
+    # closing with a frame left unread resets the connection instead of
+    # ending it cleanly; either way the survivor's error names the peer
+    ep0, ep1 = _tcp_pair()
+    try:
+        frame = encode_frame(0, 0, np.arange(1000, dtype=np.uint32))
+        ep1.send(0, frame)
+        assert ep0.recv(1, timeout=5.0) == frame
+        if unread:
+            ep0.send(1, frame)
+            time.sleep(0.05)
+        ep1.close()
+        with pytest.raises(ExchangeError) as exc_info:
+            ep0.recv(1, timeout=5.0)
+        assert exc_info.value.rank == 1
+        # the first send after the peer closed may still be buffered; one of
+        # the next ones meets the reset
+        with pytest.raises(ExchangeError) as exc_info:
+            for _ in range(100):
+                ep0.send(1, frame)
+                time.sleep(0.01)
+        assert exc_info.value.rank == 1
+    finally:
+        ep0.close()
+        ep1.close()
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_rank_failure_ends_run_promptly_with_its_own_error(monkeypatch, transport):
+    # rank 1 dies at step 2; rank 0 must stop at its next receive, and the
+    # run must raise rank 1's error, not rank 0's lost-peer error
+    net = _net()
+    step = Engine.step
+
+    def failing_step(self, t):
+        if self.part.rank == 1 and t == 2:
+            raise RuntimeError("injected failure on rank 1")
+        return step(self, t)
+
+    monkeypatch.setattr(Engine, "step", failing_step)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="injected failure on rank 1"):
+        run_simulation(net, seconds=0.5, stim=_stim(), n_ranks=2,
+                       transport=transport, timeout=10.0)
+    assert time.perf_counter() - t0 < 2.0

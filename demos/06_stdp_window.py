@@ -30,9 +30,7 @@ class OneSynapse:
     in_offsets = np.array([0, 1, 1], dtype=np.int64)
     in_targets = np.array([0], dtype=np.int32)
     in_delays = np.array([1], dtype=np.int16)
-
-    def __init__(self):
-        self.in_weights = np.array([1.0])
+    source_weights = np.array([1.0, 1.0])  # StdpState expands these into in_weights
 
 
 print("\ntrace machinery vs closed form, isolated pre->post pair:")

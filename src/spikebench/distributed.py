@@ -78,8 +78,9 @@ class RankPartition:
 
     ``in_offsets[s]:in_offsets[s+1]`` indexes, for ANY global source s,
     the synapses of s that target neurons owned by this rank; targets are
-    rank-local indices into ``local_gids``.  ``peer_sources[r]`` lists,
-    per outgoing peer, which local sources must be announced to rank r.
+    rank-local indices into ``local_gids``, weights ``source_weights[s]``.
+    ``peer_sources[r]`` lists, per outgoing peer, which local sources must
+    be announced to rank r.
     """
 
     rank: int
@@ -90,8 +91,9 @@ class RankPartition:
     source_excitatory: np.ndarray     # bool per global neuron
     in_offsets: np.ndarray            # int64, n_global + 1
     in_targets: np.ndarray            # int32, local indices
-    in_weights: np.ndarray            # float64
+    source_weights: np.ndarray        # float64 per global neuron, scaled
     in_delays: np.ndarray             # int16
+    in_weights: Optional[np.ndarray] = None  # float64 per synapse, STDP only
     out_peers: List[int] = field(default_factory=list)
     in_peers: List[int] = field(default_factory=list)
     peer_sources: Dict[int, np.ndarray] = field(default_factory=dict)
@@ -123,10 +125,9 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     gids = np.arange(n, dtype=np.int64)
     neuron_rank = column_to_rank[gids // spec.neurons_per_column]
     exc = np.asarray(net.is_excitatory(gids))
-    n_slots = int(net.delay_steps.max()) + 1 if net.total_synapses else 2
-    # ring length is a global property; all ranks must agree
-    delay_hi = int(round(spec.delay_max_ms / net.dt_ms))
-    n_slots = max(n_slots, delay_hi + 1)
+    source_weights = net.source_weights(w_exc_scale)
+    # ring length is a global property; build and loader bound the delays
+    n_slots = int(round(spec.delay_max_ms / net.dt_ms)) + 1
 
     target_rank = neuron_rank[net.targets]
     parts = []
@@ -138,8 +139,6 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
         # synapses are source-ordered, so each source's rank-r synapses
         # are one run of syn_idx, starting where its global run starts
         in_offsets = np.searchsorted(syn_idx, net.offsets)
-        in_weights = net.weights[syn_idx]
-        in_weights[np.repeat(exc, np.diff(in_offsets))] *= w_exc_scale
         parts.append(RankPartition(
             rank=r,
             model=net.model,
@@ -149,7 +148,7 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             source_excitatory=exc,
             in_offsets=in_offsets,
             in_targets=gid_to_local[net.targets[syn_idx]].astype(np.int32),
-            in_weights=in_weights,
+            source_weights=source_weights,
             in_delays=net.delay_steps[syn_idx],
             gid_to_local=gid_to_local,
         ))

@@ -279,8 +279,10 @@ class Engine:
                 # concatenated [start, start + length) spans, in source order
                 idx = np.repeat(starts - (ends - lengths), lengths)
                 idx += np.arange(total)
-                self.ring.accumulate(part.in_delays[idx], part.in_targets[idx],
-                                     part.in_weights[idx])
+                # a per-synapse weight table exists only where STDP writes one
+                w = (part.in_weights[idx] if part.in_weights is not None
+                     else np.repeat(part.source_weights[sources_sorted], lengths))
+                self.ring.accumulate(part.in_delays[idx], part.in_targets[idx], w)
                 self.internal_events += total
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)

@@ -21,7 +21,7 @@ round(exc_fraction*npc) ids are excitatory.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,8 +110,9 @@ class GridSpec:
 class Network:
     """Immutable built network in CSR layout ordered by source id.
 
-    ``offsets[s]:offsets[s+1]`` indexes targets/weights/delay_steps of
-    source s.  ``model`` selects the neuron family simulated on it.
+    ``offsets[s]:offsets[s+1]`` indexes targets/delay_steps of source s,
+    each of weight ``source_weights()[s]``.  ``model`` selects the neuron
+    family simulated on it.
     """
 
     spec: GridSpec
@@ -119,7 +120,6 @@ class Network:
     model: str
     offsets: np.ndarray          # int64, n_neurons + 1
     targets: np.ndarray          # int32
-    weights: np.ndarray          # float64, signed by source class
     delay_steps: np.ndarray      # int16
     p0: float = field(default=0.0)
 
@@ -135,9 +135,20 @@ class Network:
     def fanouts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-synapse weights, derived; no run reads them."""
+        return np.repeat(self.source_weights(), self.fanouts)
+
     def is_excitatory(self, gid) -> np.ndarray:
         """Vector-friendly excitatory test by id."""
         return (np.asarray(gid) % self.spec.neurons_per_column) < self.spec.n_exc_per_column
+
+    def source_weights(self, w_exc_scale: float = 1.0) -> np.ndarray:
+        """The weight of every synapse of each source, one float64 per
+        source: ``w_exc * w_exc_scale`` if it is excitatory, else ``-w_inh``."""
+        exc = self.is_excitatory(np.arange(self.n_neurons))
+        return np.where(exc, float(self.spec.w_exc) * w_exc_scale, -float(self.spec.w_inh))
 
 
 def _column_distance_matrix(spec: GridSpec) -> np.ndarray:
@@ -217,9 +228,9 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     dist = _column_distance_matrix(spec)
     probs = np.clip(p0 * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
     col_ids = np.arange(n_cols, dtype=np.int64)
-    n_exc = spec.n_exc_per_column
 
     counts_per_source = np.zeros(spec.n_neurons, dtype=np.int64)
+    gen = rng.philox_generator(spec.seed, 0)
     col_targets = []
     col_delays = []
     # each source draws from its own stream (binomial counts per target
@@ -232,7 +243,7 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
         uniforms = []
         delays = []
         for i in range(npc):
-            gen = rng.philox_generator(spec.seed, c * npc + i)
+            rng.philox_rekey(gen, spec.seed, c * npc + i)
             counts[i] = gen.binomial(eligible, probs[c])
             k = int(counts[i].sum())
             uniforms.append(gen.random(k))
@@ -255,16 +266,12 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     np.cumsum(counts_per_source, out=offsets[1:])
     targets = np.concatenate(col_targets)
     delay_steps = np.concatenate(col_delays)
-    gids = np.arange(spec.n_neurons)
-    w_by_source = np.where((gids % npc) < n_exc, float(spec.w_exc), -float(spec.w_inh))
-    weights = np.repeat(w_by_source, counts_per_source)
     return Network(
         spec=spec,
         dt_ms=dt_ms,
         model=model,
         offsets=offsets,
         targets=targets,
-        weights=weights,
         delay_steps=delay_steps,
         p0=p0,
     )
@@ -325,40 +332,21 @@ def format_network_stats(stats: dict) -> str:
 
 
 _SNAP_MAGIC = b"SBNW"
-_SNAP_VERSION = 1
-# snapshot header: spec scalars, dt, model tag, array lengths; all little-endian
+_SNAP_VERSION = 2  # 2: no weight section; weights follow from the spec
+# snapshot header: the GridSpec fields in declaration order, dt, model tag,
+# p0, array lengths; all little-endian
 _SNAP_HEAD = struct.Struct("<4sH iii d d d d d d d Q d B d Q Q")
 _MODEL_TAGS = {name: i for i, name in enumerate(MODEL_KINDS)}
 
 
 def save_network(path, net: Network) -> None:
     """Write a versioned little-endian binary snapshot."""
-    spec = net.spec
-    head = _SNAP_HEAD.pack(
-        _SNAP_MAGIC,
-        _SNAP_VERSION,
-        spec.grid_x,
-        spec.grid_y,
-        spec.neurons_per_column,
-        spec.exc_fraction,
-        spec.target_fanout,
-        spec.decay_lambda,
-        spec.delay_min_ms,
-        spec.delay_max_ms,
-        spec.w_exc,
-        spec.w_inh,
-        spec.seed,
-        net.dt_ms,
-        _MODEL_TAGS[net.model],
-        net.p0,
-        net.n_neurons,
-        net.total_synapses,
-    )
+    head = _SNAP_HEAD.pack(_SNAP_MAGIC, _SNAP_VERSION, *astuple(net.spec), net.dt_ms,
+                           _MODEL_TAGS[net.model], net.p0, net.n_neurons, net.total_synapses)
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(net.offsets.astype("<i8").tobytes())
         fh.write(net.targets.astype("<i4").tobytes())
-        fh.write(net.weights.astype("<f8").tobytes())
         fh.write(net.delay_steps.astype("<i2").tobytes())
 
 
@@ -374,13 +362,8 @@ def load_network(path) -> Network:
             raise SnapshotFormatError(f"bad snapshot magic {magic!r}")
         if version != _SNAP_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        (gx, gy, npc, exc_frac, fanout, lam, dmin, dmax, w_exc, w_inh, seed,
-         dt_ms, model_tag, p0, n_neurons, n_synapses) = fields[2:]
-        spec = GridSpec(
-            grid_x=gx, grid_y=gy, neurons_per_column=npc, exc_fraction=exc_frac,
-            target_fanout=fanout, decay_lambda=lam, delay_min_ms=dmin,
-            delay_max_ms=dmax, w_exc=w_exc, w_inh=w_inh, seed=seed,
-        )
+        spec = GridSpec(*fields[2:13])
+        dt_ms, model_tag, p0, n_neurons, n_synapses = fields[13:]
         if spec.n_neurons != n_neurons:
             raise SnapshotFormatError("snapshot header is inconsistent")
         model = MODEL_KINDS[model_tag] if model_tag < len(MODEL_KINDS) else None
@@ -395,13 +378,35 @@ def load_network(path) -> Network:
 
         offsets = read_array("<i8", n_neurons + 1).astype(np.int64)
         targets = read_array("<i4", n_synapses).astype(np.int32)
-        weights = read_array("<f8", n_synapses).astype(np.float64)
         delay_steps = read_array("<i2", n_synapses).astype(np.int16)
         if fh.read(1):
             raise SnapshotFormatError("trailing bytes after snapshot payload")
-    if int(offsets[-1]) != n_synapses:
-        raise SnapshotFormatError("snapshot offsets do not match synapse count")
+    # a snapshot comes from outside: check every field a run relies on
+    problems = spec.validate()
+    offsets_ok = offsets[0] == 0 and not (np.diff(offsets) < 0).any()
+    if not offsets_ok:
+        problems.append("offsets must start at 0 and never decrease")
+    elif int(offsets[-1]) != n_synapses:
+        offsets_ok = False
+        problems.append(f"offsets end at {int(offsets[-1])}, not at the {n_synapses} synapses")
+    n_bad = int(((targets < 0) | (targets >= n_neurons)).sum())
+    if n_bad:
+        problems.append(f"{n_bad} targets outside [0, {n_neurons})")
+    if offsets_ok:
+        sources = np.repeat(np.arange(n_neurons, dtype=np.int32), np.diff(offsets))
+        n_self = int((sources == targets).sum())
+        if n_self:
+            problems.append(f"{n_self} synapses target their own source")
+    if not dt_ms > 0:
+        problems.append(f"dt_ms must be > 0, got {dt_ms}")
+    else:
+        lo, hi = int(round(spec.delay_min_ms / dt_ms)), int(round(spec.delay_max_ms / dt_ms))
+        n_bad = int(((delay_steps < lo) | (delay_steps > hi)).sum())
+        if n_bad:
+            problems.append(f"{n_bad} delays outside [{lo}, {hi}] steps")
+    if problems:
+        raise SnapshotFormatError("invalid snapshot: " + "; ".join(problems))
     return Network(
         spec=spec, dt_ms=dt_ms, model=model, offsets=offsets,
-        targets=targets, weights=weights, delay_steps=delay_steps, p0=p0,
+        targets=targets, delay_steps=delay_steps, p0=p0,
     )

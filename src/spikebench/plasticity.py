@@ -78,10 +78,10 @@ def depress(weights: np.ndarray, post_traces: np.ndarray, params: StdpParams) ->
 class StdpState:
     """Trace state bound to one rank's incoming synapse table.
 
-    Mutates ``part.in_weights`` in place.  Pre traces are kept for every
-    source that projects onto this rank (indexed by global id), post
-    traces for local neurons.  Only synapses from excitatory sources are
-    plastic.
+    Creates the per-synapse table ``part.in_weights`` and mutates it in
+    place.  Pre traces are kept for every source that projects onto this
+    rank (indexed by global id), post traces for local neurons.  Only
+    synapses from excitatory sources are plastic.
     """
 
     def __init__(self, part, params: StdpParams, dt_ms: float):
@@ -99,6 +99,7 @@ class StdpState:
         # target, in table order within a target
         n_syn = len(part.in_targets)
         counts = np.diff(part.in_offsets)
+        part.in_weights = np.repeat(part.source_weights, counts)
         exc_idx = np.flatnonzero(np.repeat(part.source_excitatory, counts))
         key = part.in_targets[exc_idx].astype(np.int64)
         key *= n_syn

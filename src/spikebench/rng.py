@@ -138,3 +138,18 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     """Philox4x64-10 generator keyed by (seed, stream)."""
     key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
+    """Rewind ``gen`` (a Generator over Philox) to the start of stream (seed,
+    stream).  It then draws what a fresh :func:`philox_generator` would, but
+    skips the OS-entropy seeding that creating a bit generator costs."""
+    key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer used up: the next draw computes block 0
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

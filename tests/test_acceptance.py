@@ -276,9 +276,7 @@ def test_criterion_7_stdp():
         in_offsets = np.array([0, 1, 1], dtype=np.int64)
         in_targets = np.array([0], dtype=np.int32)
         in_delays = np.array([1], dtype=np.int16)
-
-        def __init__(self):
-            self.in_weights = np.array([1.0])
+        source_weights = np.array([1.0, 1.0])
 
     lag_grid = [0, 2, 5, 11, 23]
     horizon = max(lag_grid) + 2
@@ -308,10 +306,11 @@ def test_criterion_7_stdp():
     net = build_network(spec, dt_ms=1.0)
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0,
                         ext_weight=2.0, seed=13)
-    before = net.weights.copy()
     _, _, _, parts = run_simulation(net, seconds=0.5, stim=stim,
                                     stdp_params=StdpParams(enabled=False))
-    assert (parts[0].in_weights == before).all()
+    assert parts[0].in_weights is None
+    assert np.array_equal(parts[0].source_weights.view(np.int64),
+                          net.source_weights().view(np.int64))
     _pass(7, f"all <=3x3 patterns within 1e-12 of the pairwise sum "
              f"(worst {worst:.2e}); disabled run left weights bit-identical")
 

@@ -79,7 +79,7 @@ def test_partition_union_reproduces_network_multiset(w_exc_scale, n_ranks):
         tgt = part.local_gids[part.in_targets]
         rows.append(np.stack([
             src, tgt, part.in_delays.astype(np.int64),
-            part.in_weights.view(np.int64),
+            np.repeat(part.source_weights, np.diff(part.in_offsets)).view(np.int64),
         ], axis=1))
     union = np.concatenate(rows)
     src_full = np.repeat(np.arange(n), net.fanouts)
@@ -90,6 +90,50 @@ def test_partition_union_reproduces_network_multiset(w_exc_scale, n_ranks):
     ], axis=1)
     order = lambda a: a[np.lexsort(a.T[::-1])]
     assert (order(union) == order(full)).all()
+
+
+@pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])
+def test_partition_keeps_one_weight_per_source(w_exc_scale):
+    net = _net()
+    exc = net.is_excitatory(np.arange(net.n_neurons))
+    rule = np.where(exc, net.spec.w_exc * w_exc_scale, -net.spec.w_inh)
+    _, parts = partition(net, 2, w_exc_scale=w_exc_scale)
+    for part in parts:
+        assert part.in_weights is None
+        assert np.array_equal(part.source_weights.view(np.int64),
+                              net.source_weights(w_exc_scale).view(np.int64))
+        assert np.array_equal(part.source_weights.view(np.int64), rule.view(np.int64))
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_per_source_and_per_synapse_delivery_agree(n_ranks):
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    stim = cfg.stimulus()
+    _, per_source = partition(net, n_ranks)
+    _, per_synapse = partition(net, n_ranks)
+    for part in per_synapse:
+        part.in_weights = np.repeat(part.source_weights, np.diff(part.in_offsets))
+    engines = [[Engine(p, stim, dt_ms=net.dt_ms) for p in parts]
+               for parts in (per_source, per_synapse)]
+    for t in range(200):
+        # every rank sees every spike of the step; sources without
+        # synapses on a rank deliver nothing there
+        merged = [np.sort(np.concatenate([e.step(t) for e in side])) for side in engines]
+        assert np.array_equal(merged[0], merged[1])
+        for a, b in zip(*engines):
+            a.deliver(t, merged[0])
+            b.deliver(t, merged[1])
+            assert np.array_equal(a.ring.buf.view(np.int64), b.ring.buf.view(np.int64))
+            a.advance()
+            b.advance()
+    rasters = [np.concatenate([np.stack(e.raster()) for e in side], axis=1)
+               for side in engines]
+    assert rasters[0].shape[1] > 0
+    assert np.array_equal(rasters[0], rasters[1])
+    assert sum(e.internal_events for e in engines[0]) > 0
 
 
 def test_partition_communication_graph_consistency():

@@ -1,5 +1,9 @@
 """Network construction: normalization, determinism, statistics, snapshots."""
 
+import dataclasses
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -84,7 +88,6 @@ def test_build_deterministic(small_spec, small_net):
 
 
 def test_seed_change_alters_wiring_not_statistics(small_spec, small_net):
-    import dataclasses
     other = build_network(dataclasses.replace(small_spec, seed=small_spec.seed + 1), dt_ms=1.0)
     assert not (
         len(other.targets) == len(small_net.targets)
@@ -169,6 +172,16 @@ def test_snapshot_roundtrip(tmp_path, small_net):
     assert (back.delay_steps == small_net.delay_steps).all()
 
 
+def _corrupt_snapshot(tmp_path, net, name, **arrays):
+    """A snapshot of ``net`` with some of its arrays replaced."""
+    fields = dict(offsets=net.offsets, targets=net.targets, delay_steps=net.delay_steps)
+    fields.update(arrays)
+    bad = dataclasses.replace(net, **fields)
+    path = tmp_path / f"{name}.snap"
+    save_network(path, bad)
+    return path
+
+
 def test_snapshot_rejects_corruption(tmp_path, small_net):
     path = tmp_path / "net.snap"
     save_network(path, small_net)
@@ -182,6 +195,40 @@ def test_snapshot_rejects_corruption(tmp_path, small_net):
     (tmp_path / "trailing.snap").write_bytes(raw + b"\x00")
     with pytest.raises(SnapshotFormatError):
         load_network(tmp_path / "trailing.snap")
+    # version 1 carried a per-synapse weight section
+    (tmp_path / "v1.snap").write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(SnapshotFormatError, match="version 1"):
+        load_network(tmp_path / "v1.snap")
+    # one case per payload check
+    n = small_net.n_neurons
+    targets = small_net.targets.copy()
+    targets[3] = -1
+    targets[5] = n
+    offsets = small_net.offsets.copy()
+    offsets[10] = offsets[11] + 1
+    shifted = small_net.offsets + 1
+    shifted[-1] -= 1
+    own = small_net.targets.copy()
+    own[small_net.offsets[7]] = 7
+    delays = small_net.delay_steps.copy()
+    delays[0], delays[1] = 500, 0
+    cases = {
+        "target": (dict(targets=targets), "2 targets outside [0, 1000)"),
+        "decreasing": (dict(offsets=offsets), "never decrease"),
+        "start": (dict(offsets=shifted), "start at 0"),
+        "self": (dict(targets=own), "1 synapses target their own source"),
+        "delay": (dict(delay_steps=delays), "2 delays outside [1, 20] steps"),
+    }
+    for name, (arrays, message) in cases.items():
+        path = _corrupt_snapshot(tmp_path, small_net, name, **arrays)
+        with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+            load_network(path)
+    # every problem is named at once
+    path = _corrupt_snapshot(tmp_path, small_net, "all", targets=targets,
+                             delay_steps=delays)
+    with pytest.raises(SnapshotFormatError) as err:
+        load_network(path)
+    assert "targets outside" in str(err.value) and "delays outside" in str(err.value)
 
 
 def test_delay_min_below_dt_rejected():

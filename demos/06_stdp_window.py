@@ -28,8 +28,7 @@ class OneSynapse:
     local_excitatory = np.array([True])
     source_excitatory = np.array([True, True])
     in_offsets = np.array([0, 1, 1], dtype=np.int64)
-    in_targets = np.array([0], dtype=np.int32)
-    in_delays = np.array([1], dtype=np.int16)
+    in_words = np.array([1], dtype=np.int32)  # delay 1 * n_local 1 + target 0
     source_weights = np.array([1.0, 1.0])  # StdpState expands these into in_weights
 
 

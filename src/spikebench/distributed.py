@@ -77,10 +77,12 @@ class RankPartition:
     """One rank's view of the network.
 
     ``in_offsets[s]:in_offsets[s+1]`` indexes, for ANY global source s,
-    the synapses of s that target neurons owned by this rank; targets are
-    rank-local indices into ``local_gids``, weights ``source_weights[s]``.
-    ``peer_sources[r]`` lists, per outgoing peer, which local sources must
-    be announced to rank r.
+    the synapses of s that target neurons owned by this rank.  Each is one
+    int32 word ``delay * n_local + target``: ``target`` is a rank-local
+    index into ``local_gids``, ``delay`` is in steps, and the word is the
+    synapse's cell in a delay ring read from its cursor.  Its weight is
+    ``source_weights[s]``.  ``peer_sources[r]`` lists, per outgoing peer,
+    which local sources must be announced to rank r.
     """
 
     rank: int
@@ -90,18 +92,27 @@ class RankPartition:
     local_excitatory: np.ndarray      # bool per local neuron
     source_excitatory: np.ndarray     # bool per global neuron
     in_offsets: np.ndarray            # int64, n_global + 1
-    in_targets: np.ndarray            # int32, local indices
+    in_words: np.ndarray              # int32, delay * n_local + local target
     source_weights: np.ndarray        # float64 per global neuron, scaled
-    in_delays: np.ndarray             # int16
     in_weights: Optional[np.ndarray] = None  # float64 per synapse, STDP only
     out_peers: List[int] = field(default_factory=list)
     in_peers: List[int] = field(default_factory=list)
     peer_sources: Dict[int, np.ndarray] = field(default_factory=dict)
-    gid_to_local: Optional[np.ndarray] = None
+    gid_to_local: Optional[np.ndarray] = None  # int32 per global neuron, -1 off-rank
 
     @property
     def n_local(self) -> int:
         return len(self.local_gids)
+
+    @property
+    def in_targets(self) -> np.ndarray:
+        """Rank-local target of each synapse (int32), derived; no run reads it."""
+        return self.in_words % self.n_local
+
+    @property
+    def in_delays(self) -> np.ndarray:
+        """Delay of each synapse in steps (int16), derived; no run reads it."""
+        return (self.in_words // self.n_local).astype(np.int16)
 
 
 def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
@@ -129,16 +140,30 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     # ring length is a global property; build and loader bound the delays
     n_slots = int(round(spec.delay_max_ms / net.dt_ms)) + 1
 
+    # every word delay * n_local + target is below n_slots * n_local; check
+    # once that this fits int32 (the ring of that size may allocate lazily)
+    n_local_max = int(np.bincount(neuron_rank, minlength=n_ranks).max())
+    if n_slots * n_local_max >= 2**31:
+        raise InfeasiblePartitionError(
+            f"{n_slots} ring slots x {n_local_max} neurons on one rank is "
+            f"{n_slots * n_local_max} cells, beyond the int32 synapse word "
+            f"(2**31); use more ranks or a shorter delay_max_ms"
+        )
+
     target_rank = neuron_rank[net.targets]
     parts = []
     for r in range(n_ranks):
         local_gids = np.flatnonzero(neuron_rank == r)
-        gid_to_local = np.full(n, -1, dtype=np.int64)
-        gid_to_local[local_gids] = np.arange(len(local_gids))
+        n_local = len(local_gids)
+        gid_to_local = np.full(n, -1, dtype=np.int32)
+        gid_to_local[local_gids] = np.arange(n_local, dtype=np.int32)
         syn_idx = np.flatnonzero(target_rank == r)
         # synapses are source-ordered, so each source's rank-r synapses
         # are one run of syn_idx, starting where its global run starts
         in_offsets = np.searchsorted(syn_idx, net.offsets)
+        words = gid_to_local[net.targets[syn_idx]]
+        words += np.multiply(net.delay_steps[syn_idx], n_local, dtype=np.int32)
+        del syn_idx
         parts.append(RankPartition(
             rank=r,
             model=net.model,
@@ -147,9 +172,8 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             local_excitatory=exc[local_gids],
             source_excitatory=exc,
             in_offsets=in_offsets,
-            in_targets=gid_to_local[net.targets[syn_idx]].astype(np.int32),
+            in_words=words,
             source_weights=source_weights,
-            in_delays=net.delay_steps[syn_idx],
             gid_to_local=gid_to_local,
         ))
 
@@ -283,14 +307,20 @@ class TcpTransport:
     announces itself with a u16 rank hello.  Frames are length-delimited
     by the header's count field.  ``listener``, if given, is this rank's
     socket, already bound and listening, used instead of binding
-    ``cluster[rank]``; it is closed once the peers are in.
+    ``cluster[rank]``; it is closed once the peers are in.  ``stop``, if
+    given, is set when another rank of the same process has failed; the
+    rendezvous then gives up instead of waiting out ``timeout``.
     """
+
+    _POLL_S = 0.05  # how often a waiting rendezvous looks at ``stop``
 
     def __init__(self, rank: int, cluster: Dict[int, Tuple[str, int]],
                  peers: List[int], timeout: float = 30.0,
-                 listener: Optional[socket.socket] = None):
+                 listener: Optional[socket.socket] = None,
+                 stop: Optional[threading.Event] = None):
         self.rank = rank
         self.timeout = timeout
+        self._stop = stop
         self._socks: Dict[int, socket.socket] = {}
         accept_from = sorted(p for p in peers if p > rank)
         connect_to = sorted(p for p in peers if p < rank)
@@ -301,15 +331,20 @@ class TcpTransport:
             for peer in connect_to:
                 self._socks[peer] = self._connect(cluster[peer], peer)
             remaining = set(accept_from)
+            deadline = time.monotonic() + timeout
             while remaining:
-                listener.settimeout(timeout)
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
+                self._check_stop(remaining)
+                left = deadline - time.monotonic()
+                if left <= 0:
                     raise ExchangeError(
                         f"rank {self.rank} timed out accepting peers {sorted(remaining)}",
                         rank=sorted(remaining)[0],
-                    ) from None
+                    )
+                listener.settimeout(min(left, self._POLL_S))
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
                 conn.settimeout(timeout)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 hello = self._read_exact(conn, 2, context="rank hello")
@@ -324,10 +359,19 @@ class TcpTransport:
             if listener is not None:
                 listener.close()
 
+    def _check_stop(self, waiting_for) -> None:
+        if self._stop is not None and self._stop.is_set():
+            raise ExchangeError(
+                f"rank {self.rank} stopped waiting for ranks {sorted(waiting_for)}: "
+                "another rank of this run failed",
+                rank=sorted(waiting_for)[0],
+            )
+
     def _connect(self, addr, peer: int) -> socket.socket:
         deadline = time.monotonic() + self.timeout
         last_err = None
         while time.monotonic() < deadline:
+            self._check_stop([peer])
             try:
                 sock = socket.create_connection(addr, timeout=self.timeout)
                 sock.settimeout(self.timeout)
@@ -528,6 +572,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         cluster = {r: sock.getsockname() for r, sock in listeners.items()}
     walls = [0.0] * len(engines)
     failures = []
+    failed = threading.Event()  # ends the rendezvous of the other ranks
 
     def worker(i):
         # the rank's one owner: opens its link, runs, and closes the link
@@ -539,13 +584,15 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
             else:
                 endpoint = TcpTransport(part.rank, cluster,
                                         sorted(set(part.out_peers) | set(part.in_peers)),
-                                        timeout, listener=listeners.get(part.rank))
+                                        timeout, listener=listeners.get(part.rank),
+                                        stop=failed)
             comm = Communicator(part, endpoint, timeout=timeout)
             t0 = time.perf_counter()
             _rank_loop(engines[i], comm, n_steps)
             walls[i] = time.perf_counter() - t0
         except BaseException as err:  # propagate to the caller
             failures.append(err)
+            failed.set()
         finally:
             if endpoint is not None:
                 endpoint.close()

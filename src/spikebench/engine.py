@@ -97,13 +97,13 @@ class DelayRing:
         self.buf[self.cursor].fill(0.0)
         return row
 
-    def accumulate(self, delays: np.ndarray, local_targets: np.ndarray,
-                   weights: np.ndarray) -> None:
-        """Add ``weights`` at slots (cursor + delays) mod length.
+    def accumulate(self, words: np.ndarray, weights: np.ndarray) -> None:
+        """Add ``weights[i]`` at delay ``words[i] // n_local`` (slot
+        (cursor + delay) mod length), target ``words[i] % n_local``.
 
-        The weights are binned by the cursor-relative index ``delay *
-        n_local + target``, and the binned rows are added into the ring
-        as two rotated slices: delay rows ``[0, S - c)`` land on slots
+        The weights are binned by the cursor-relative word ``delay *
+        n_local + target`` itself, and the binned rows are added into the
+        ring as two rotated slices: delay rows ``[0, S - c)`` land on slots
         ``[c, S)`` and rows ``[S - c, S)`` wrap onto slots ``[0, c)``.
         For a fixed cursor, (delay, target) and (slot, target) name the
         same cell, so each cell's bin sums the same weights in input order
@@ -111,15 +111,12 @@ class DelayRing:
         absolute slot would.  Callers control the float addition order by
         ordering their inputs.
         """
-        if len(delays) == 0:
+        if len(words) == 0:
             return
-        if int(delays.min()) < 1:
-            raise ContractViolationError("synaptic delay below the 1-step minimum")
         n_slots, n_local, c = self.n_slots, self.n_local, self.cursor
-        flat = delays.astype(np.int64)
-        flat *= n_local
-        flat += local_targets
-        acc = np.bincount(flat, weights=weights, minlength=n_slots * n_local)
+        if int(words.min()) < n_local:
+            raise ContractViolationError("synaptic delay below the 1-step minimum")
+        acc = np.bincount(words, weights=weights, minlength=n_slots * n_local)
         if len(acc) > n_slots * n_local:
             raise ContractViolationError("synaptic delay beyond the ring length")
         acc = acc.reshape(n_slots, n_local)
@@ -177,8 +174,8 @@ class Engine:
 
     ``part`` supplies the rank's view of the network (see
     distributed.RankPartition): sorted local ids, per-source incoming
-    synapse lists in CSR form with rank-local target indices, and the
-    ring length.  The caller drives the loop:
+    synapse lists in CSR form, one packed ``delay * n_local + target``
+    word per synapse, and the ring length.  The caller drives the loop:
 
         spikes = engine.step(t)
         ... exchange spikes ...
@@ -272,18 +269,18 @@ class Engine:
         part = self.part
         if len(sources_sorted):
             starts = part.in_offsets[sources_sorted]
-            lengths = part.in_offsets[sources_sorted + 1] - starts
-            ends = np.cumsum(lengths)
-            total = int(ends[-1])
-            if total:
-                # concatenated [start, start + length) spans, in source order
-                idx = np.repeat(starts - (ends - lengths), lengths)
-                idx += np.arange(total)
+            ends = part.in_offsets[sources_sorted + 1]
+            # each source's synapses are one contiguous span of the table;
+            # joining the spans in source order copies each word once
+            spans = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+            words = np.concatenate([part.in_words[s] for s in spans])
+            if len(words):
                 # a per-synapse weight table exists only where STDP writes one
-                w = (part.in_weights[idx] if part.in_weights is not None
-                     else np.repeat(part.source_weights[sources_sorted], lengths))
-                self.ring.accumulate(part.in_delays[idx], part.in_targets[idx], w)
-                self.internal_events += total
+                w = (np.concatenate([part.in_weights[s] for s in spans])
+                     if part.in_weights is not None
+                     else np.repeat(part.source_weights[sources_sorted], ends - starts))
+                self.ring.accumulate(words, w)
+                self.internal_events += len(words)
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)
 

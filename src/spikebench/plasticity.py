@@ -97,16 +97,18 @@ class StdpState:
         # transpose of the plastic (excitatory-source) synapses: sorting the
         # unique keys target * n_syn + synapse index groups them by local
         # target, in table order within a target
-        n_syn = len(part.in_targets)
+        n_syn = len(part.in_words)
+        n_local = self._n_local = len(part.local_gids)
         counts = np.diff(part.in_offsets)
-        part.in_weights = np.repeat(part.source_weights, counts)
         exc_idx = np.flatnonzero(np.repeat(part.source_excitatory, counts))
-        key = part.in_targets[exc_idx].astype(np.int64)
+        targets = part.in_words[exc_idx]
+        targets %= n_local  # in int32 before widening; the remainder is the slow pass
+        key = targets.astype(np.int64)
+        del targets
         key *= n_syn
         key += exc_idx
         del exc_idx
         key.sort()
-        n_local = len(part.local_gids)
         self._by_target_bounds = np.searchsorted(
             key, np.arange(n_local + 1, dtype=np.int64) * n_syn)
         key %= n_syn
@@ -114,6 +116,8 @@ class StdpState:
         # source gid of each transposed synapse, read as a contiguous slice
         self._by_target_src = np.repeat(
             np.arange(n_global, dtype=np.int32), counts)[self._by_target_idx]
+        # created last, so the transpose's temporaries never coexist with it
+        part.in_weights = np.repeat(part.source_weights, counts)
 
     def process_step(self, pre_sources: np.ndarray, post_spiked_local: np.ndarray) -> None:
         """Advance one step: decay, depress, potentiate, bump traces.
@@ -133,7 +137,8 @@ class StdpState:
             a, b = self.part.in_offsets[s], self.part.in_offsets[s + 1]
             if b > a:
                 sl = slice(int(a), int(b))
-                w[sl] = depress(w[sl], self.post_trace[self.part.in_targets[sl]], p)
+                targets = self.part.in_words[sl] % self._n_local
+                w[sl] = depress(w[sl], self.post_trace[targets], p)
         bounds = self._by_target_bounds
         for j in post_spiked_local:
             lo, hi = bounds[j], bounds[j + 1]

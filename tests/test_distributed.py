@@ -11,6 +11,7 @@ from spikebench import (
     FrameCorruptionError,
     GridSpec,
     InfeasiblePartitionError,
+    Network,
     ProtocolViolationError,
     StimulusSpec,
     build_network,
@@ -134,6 +135,59 @@ def test_per_source_and_per_synapse_delivery_agree(n_ranks):
     assert rasters[0].shape[1] > 0
     assert np.array_equal(rasters[0], rasters[1])
     assert sum(e.internal_events for e in engines[0]) > 0
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_packed_delivery_matches_three_table_reference(n_ranks):
+    # the reference bins each synapse by delay * n_local + target, rebuilt
+    # from separate delay and target tables as before the packed word, and
+    # adds the binned ring at the engine's cursor
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    _, parts = partition(net, n_ranks)
+    engines = [Engine(p, cfg.stimulus(), dt_ms=net.dt_ms) for p in parts]
+    tables = [(p.in_delays.astype(np.int64), p.in_targets.astype(np.int64),
+               np.zeros((p.n_slots, p.n_local))) for p in parts]
+    for t in range(200):
+        for e, (_, _, ref) in zip(engines, tables):
+            ref[e.ring.cursor] = 0.0  # the step drains this slot
+        merged = np.sort(np.concatenate([e.step(t) for e in engines]))
+        for e, (delays, targets, ref) in zip(engines, tables):
+            part, ring = e.part, e.ring
+            e.deliver(t, merged)
+            idx = np.concatenate([np.arange(part.in_offsets[s], part.in_offsets[s + 1])
+                                  for s in merged] + [np.empty(0, dtype=np.int64)])
+            w = part.source_weights[np.searchsorted(part.in_offsets, idx, side="right") - 1]
+            flat = delays[idx] * part.n_local + targets[idx]
+            acc = np.bincount(flat, weights=w, minlength=ring.n_slots * part.n_local)
+            acc = acc.reshape(ring.n_slots, part.n_local)
+            c = ring.cursor
+            ref[c:] += acc[:ring.n_slots - c]
+            ref[:c] += acc[ring.n_slots - c:]
+            assert np.array_equal(ring.buf.view(np.int64), ref.view(np.int64)), t
+            e.advance()
+    assert sum(e.internal_events for e in engines) > 0
+
+
+def test_partition_rejects_ring_beyond_int32_word():
+    # 2 columns of 32,768 neurons and a 32,767-step delay: 32,768 slots.
+    # On one rank the ring has 2**31 cells, one too many for an int32
+    # word; on two ranks it has 2**30.  One synapse keeps this cheap.
+    spec = GridSpec(grid_x=2, grid_y=1, neurons_per_column=32768, target_fanout=1.0,
+                    delay_max_ms=32767.0)
+    offsets = np.ones(spec.n_neurons + 1, dtype=np.int64)
+    offsets[0] = 0
+    net = Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
+                  targets=np.array([40000], dtype=np.int32),
+                  delay_steps=np.array([32767], dtype=np.int16))
+    with pytest.raises(InfeasiblePartitionError, match=r"32768 .*65536"):
+        partition(net, 1)
+    _, parts = partition(net, 2)
+    assert parts[1].in_words.tolist() == [32767 * 32768 + 40000 - 32768]
+    assert parts[1].in_delays.tolist() == [32767]
+    assert parts[1].in_targets.tolist() == [40000 - 32768]
 
 
 def test_partition_communication_graph_consistency():
@@ -325,6 +379,51 @@ def test_tcp_transport_matches_memory():
     assert m_mem.internal_synaptic_events == m_tcp.internal_synaptic_events
 
 
+def test_tcp_step_where_every_neuron_spikes_matches_memory():
+    # a stimulus that fires all of small-1k at once puts every source id
+    # of each rank into one frame
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    stim = StimulusSpec(ext_synapses_per_neuron=594, ext_rate_hz=30.0, ext_weight=20.0,
+                        seed=7)
+    runs = {tr: run_simulation(net, seconds=0.01, stim=stim, n_ranks=2, transport=tr,
+                               timeout=20.0)[1]
+            for tr in ("memory", "tcp")}
+    steps, gids = runs["tcp"]
+    mem_steps, mem_gids = runs["memory"]
+    full = np.flatnonzero(np.bincount(steps) == net.n_neurons)
+    assert len(full) > 0
+    for t in full:
+        assert gids[steps == t].tolist() == list(range(net.n_neurons))
+        assert np.array_equal(gids[steps == t], mem_gids[mem_steps == t])
+    assert raster_checksum(*runs["tcp"]) == raster_checksum(*runs["memory"])
+
+
+def test_concurrent_tcp_runs_in_one_process_do_not_collide():
+    net = _net()
+    stim = _stim()
+    results, errors = {}, []
+
+    def run(i):
+        try:
+            results[i] = run_simulation(net, seconds=0.3, stim=stim, n_ranks=2,
+                                        transport="tcp", timeout=20.0)[1]
+        except BaseException as err:
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60.0)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert raster_checksum(*results[0]) == raster_checksum(*results[1])
+    assert len(results[0][0]) > 0
+
+
 def test_cluster_file_parsing(tmp_path):
     path = tmp_path / "cluster.txt"
     path.write_text("# comment\n0 127.0.0.1:9000\n1 127.0.0.1:9001\n")
@@ -410,21 +509,34 @@ def test_tcp_closed_peer_raises_exchange_error_naming_rank(unread):
         ep1.close()
 
 
-@pytest.mark.parametrize("transport", ["memory", "tcp"])
+@pytest.mark.parametrize("transport", ["memory", "tcp", "tcp-connect"])
 def test_rank_failure_ends_run_promptly_with_its_own_error(monkeypatch, transport):
-    # rank 1 dies at step 2; rank 0 must stop at its next receive, and the
-    # run must raise rank 1's error, not rank 0's lost-peer error
+    # rank 1 dies at step 2, or ("tcp-connect") while it connects to rank
+    # 0; rank 0 must stop at its next receive, or stop waiting to accept,
+    # and the run must raise rank 1's error, not rank 0's lost-peer error
     net = _net()
-    step = Engine.step
+    if transport == "tcp-connect":
+        transport, error = "tcp", OSError
+        connect = TcpTransport._connect
 
-    def failing_step(self, t):
-        if self.part.rank == 1 and t == 2:
-            raise RuntimeError("injected failure on rank 1")
-        return step(self, t)
+        def failing_connect(self, addr, peer):
+            if self.rank == 1:
+                raise OSError("injected failure on rank 1")
+            return connect(self, addr, peer)
 
-    monkeypatch.setattr(Engine, "step", failing_step)
+        monkeypatch.setattr(TcpTransport, "_connect", failing_connect)
+    else:
+        error = RuntimeError
+        step = Engine.step
+
+        def failing_step(self, t):
+            if self.part.rank == 1 and t == 2:
+                raise RuntimeError("injected failure on rank 1")
+            return step(self, t)
+
+        monkeypatch.setattr(Engine, "step", failing_step)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="injected failure on rank 1"):
+    with pytest.raises(error, match="injected failure on rank 1"):
         run_simulation(net, seconds=0.5, stim=_stim(), n_ranks=2,
                        transport=transport, timeout=10.0)
     assert time.perf_counter() - t0 < 2.0

@@ -50,9 +50,15 @@ def test_poisson_external_mean_within_one_percent():
 
 # ------------------------------------------------------------ delay ring
 
+def _accumulate(ring, delays, targets, weights):
+    """Deliver (delay, target) pairs through the ring's packed word."""
+    words = np.asarray(delays, dtype=np.int32) * ring.n_local + np.asarray(targets)
+    ring.accumulate(words.astype(np.int32), np.asarray(weights, dtype=np.float64))
+
+
 def test_ring_drain_and_modulo_slots():
     ring = DelayRing(n_slots=4, n_local=3)
-    ring.accumulate(np.array([3]), np.array([1]), np.array([2.5]))
+    _accumulate(ring, [3], [1], [2.5])
     assert ring.drain().tolist() == [0.0, 0.0, 0.0]
     ring.advance()
     assert ring.drain().tolist() == [0.0, 0.0, 0.0]
@@ -66,8 +72,8 @@ def test_ring_drain_and_modulo_slots():
 
 def test_ring_accumulates_additively():
     ring = DelayRing(n_slots=5, n_local=2)
-    ring.accumulate(np.array([2]), np.array([0]), np.array([1.5]))
-    ring.accumulate(np.array([2]), np.array([0]), np.array([-0.5]))
+    _accumulate(ring, [2], [0], [1.5])
+    _accumulate(ring, [2], [0], [-0.5])
     ring.advance(); ring.drain()
     ring.advance()
     assert ring.drain().tolist() == [1.0, 0.0]
@@ -76,14 +82,14 @@ def test_ring_accumulates_additively():
 def test_empty_synapse_list_changes_nothing():
     ring = DelayRing(n_slots=3, n_local=2)
     before = ring.buf.copy()
-    ring.accumulate(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+    ring.accumulate(np.empty(0, dtype=np.int32), np.empty(0))
     assert (ring.buf == before).all()
 
 
 def test_zero_delay_is_contract_violation():
     ring = DelayRing(n_slots=3, n_local=2)
     with pytest.raises(ContractViolationError):
-        ring.accumulate(np.array([0]), np.array([0]), np.array([1.0]))
+        _accumulate(ring, [0], [0], [1.0])
 
 
 def test_ring_rotated_accumulate_matches_modulo_reference():
@@ -100,7 +106,7 @@ def test_ring_rotated_accumulate_matches_modulo_reference():
             delays = gen.integers(1, n_slots, size).astype(np.int16)
             targets = gen.integers(0, 2, size).astype(np.int32)  # repeated targets
             weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
-            ring.accumulate(delays, targets, weights)
+            _accumulate(ring, delays, targets, weights)
             slots = (ring.cursor + delays.astype(np.int64)) % n_slots
             ref += np.bincount(slots * n_local + targets, weights=weights,
                                minlength=n_slots * n_local).reshape(n_slots, n_local)
@@ -113,7 +119,7 @@ def test_ring_rotated_accumulate_matches_modulo_reference():
 def test_delay_beyond_ring_is_contract_violation():
     ring = DelayRing(n_slots=3, n_local=2)
     with pytest.raises(ContractViolationError):
-        ring.accumulate(np.array([3]), np.array([0]), np.array([1.0]))
+        _accumulate(ring, [3], [0], [1.0])
 
 
 # ----------------------------------------------------------- engine runs

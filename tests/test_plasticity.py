@@ -33,9 +33,8 @@ class _ToyPart:
         self.local_excitatory = np.array([True])
         self.source_excitatory = np.array([True, True])
         self.in_offsets = np.array([0, 1, 1], dtype=np.int64)
-        self.in_targets = np.array([0], dtype=np.int32)
+        self.in_words = np.array([1], dtype=np.int32)  # delay 1 * n_local 1 + target 0
         self.source_weights = np.array([w0, w0], dtype=np.float64)
-        self.in_delays = np.array([1], dtype=np.int16)
 
 
 def run_trace_toy(pre_steps, post_steps, params, n_steps, w0=1.0):

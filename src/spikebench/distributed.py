@@ -72,6 +72,11 @@ _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size  # 15 bytes
 
 
+# synapses per block of whole sources that `partition` converts at once:
+# its temporaries stay a few hundred kB for any network, and stay in cache
+_BLOCK_SYNAPSES = 1 << 16
+
+
 @dataclass
 class RankPartition:
     """One rank's view of the network.
@@ -82,7 +87,9 @@ class RankPartition:
     index into ``local_gids``, ``delay`` is in steps, and the word is the
     synapse's cell in a delay ring read from its cursor.  Its weight is
     ``source_weights[s]``.  ``peer_sources[r]`` lists, per outgoing peer,
-    which local sources must be announced to rank r.
+    which local sources must be announced to rank r.  ``partition`` fills
+    ``in_words`` in place, allocated once at its final length; the other
+    per-synapse views below are derived from it on demand.
     """
 
     rank: int
@@ -98,7 +105,6 @@ class RankPartition:
     out_peers: List[int] = field(default_factory=list)
     in_peers: List[int] = field(default_factory=list)
     peer_sources: Dict[int, np.ndarray] = field(default_factory=dict)
-    gid_to_local: Optional[np.ndarray] = None  # int32 per global neuron, -1 off-rank
 
     @property
     def n_local(self) -> int:
@@ -114,6 +120,26 @@ class RankPartition:
         """Delay of each synapse in steps (int16), derived; no run reads it."""
         return (self.in_words // self.n_local).astype(np.int16)
 
+    @property
+    def gid_to_local(self) -> np.ndarray:
+        """Rank-local index of each global neuron (int32, -1 off-rank),
+        derived; no run reads it."""
+        out = np.full(len(self.in_offsets) - 1, -1, dtype=np.int32)
+        out[self.local_gids] = np.arange(self.n_local, dtype=np.int32)
+        return out
+
+
+def _source_blocks(offsets: np.ndarray):
+    """Yield (s0, s1): consecutive runs of whole sources that together
+    hold at most ``_BLOCK_SYNAPSES`` synapses (or one larger source)."""
+    n = len(offsets) - 1
+    s0 = 0
+    while s0 < n:
+        s1 = int(np.searchsorted(offsets, offsets[s0] + _BLOCK_SYNAPSES, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), n)
+        yield s0, s1
+        s0 = s1
+
 
 def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
               ) -> Tuple[np.ndarray, List[RankPartition]]:
@@ -123,6 +149,11 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     multiset, and every per-rank structure depends only on (network,
     n_ranks), never on construction order.  ``w_exc_scale`` multiplies
     excitatory weights (the calibration knob).
+
+    Each rank's ``in_words`` is allocated once at its final length (the
+    in-degree summed over its neurons), then filled in one pass over
+    blocks of whole sources, in source order; no temporary is sized to
+    the network's synapse count.
     """
     spec = net.spec
     if n_ranks < 1:
@@ -150,32 +181,56 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             f"(2**31); use more ranks or a shorter delay_max_ms"
         )
 
-    target_rank = neuron_rank[net.targets]
-    parts = []
-    for r in range(n_ranks):
-        local_gids = np.flatnonzero(neuron_rank == r)
-        n_local = len(local_gids)
-        gid_to_local = np.full(n, -1, dtype=np.int32)
-        gid_to_local[local_gids] = np.arange(n_local, dtype=np.int32)
-        syn_idx = np.flatnonzero(target_rank == r)
-        # synapses are source-ordered, so each source's rank-r synapses
-        # are one run of syn_idx, starting where its global run starts
-        in_offsets = np.searchsorted(syn_idx, net.offsets)
-        words = gid_to_local[net.targets[syn_idx]]
-        words += np.multiply(net.delay_steps[syn_idx], n_local, dtype=np.int32)
-        del syn_idx
-        parts.append(RankPartition(
+    local_gids = [np.flatnonzero(neuron_rank == r) for r in range(n_ranks)]
+    # each gid is local to exactly one rank, so one table serves them all
+    gid_to_local = np.empty(n, dtype=np.int32)
+    for lg in local_gids:
+        gid_to_local[lg] = np.arange(len(lg), dtype=np.int32)
+    offsets, targets, delays = net.offsets, net.targets, net.delay_steps
+    if n_ranks == 1:
+        lengths = [net.total_synapses]
+    else:
+        in_degree = np.zeros(n, dtype=np.int64)
+        for a in range(0, len(targets), _BLOCK_SYNAPSES):
+            in_degree += np.bincount(targets[a:a + _BLOCK_SYNAPSES], minlength=n)
+        lengths = [int(in_degree[lg].sum()) for lg in local_gids]
+    in_words = [np.empty(length, dtype=np.int32) for length in lengths]
+    in_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in range(n_ranks)]
+    filled = [0] * n_ranks
+    for s0, s1 in _source_blocks(offsets):
+        a, b = int(offsets[s0]), int(offsets[s1])
+        ends = offsets[s0 + 1:s1 + 1] - a   # block-relative end of each source
+        local = gid_to_local.take(targets[a:b])
+        block_rank = neuron_rank.take(targets[a:b]) if n_ranks > 1 else None
+        for r in range(n_ranks):
+            n_local, pos = len(local_gids[r]), filled[r]
+            if block_rank is None:  # one rank holds every synapse
+                words, block_delays, rank_ends = local, delays[a:b], ends
+            else:
+                # synapses are source-ordered, so the rank-r synapses of
+                # each source are the entries of sel up to its block end
+                sel = np.flatnonzero(block_rank == r)
+                words, block_delays = local.take(sel), delays[a:b].take(sel)
+                rank_ends = np.searchsorted(sel, ends)
+            words += np.multiply(block_delays, n_local, dtype=np.int32)
+            in_words[r][pos:pos + len(words)] = words
+            in_offsets[r][s0 + 1:s1 + 1] = pos + rank_ends
+            filled[r] = pos + len(words)
+
+    parts = [
+        RankPartition(
             rank=r,
             model=net.model,
             n_slots=n_slots,
-            local_gids=local_gids,
-            local_excitatory=exc[local_gids],
+            local_gids=local_gids[r],
+            local_excitatory=exc[local_gids[r]],
             source_excitatory=exc,
-            in_offsets=in_offsets,
-            in_words=words,
+            in_offsets=in_offsets[r],
+            in_words=in_words[r],
             source_weights=source_weights,
-            gid_to_local=gid_to_local,
-        ))
+        )
+        for r in range(n_ranks)
+    ]
 
     # communication graph: rank a sends to rank b if some a-local source
     # has a synapse whose target lives on b.  reach[s, b] records that
@@ -473,22 +528,23 @@ class Communicator:
                 )
             self._last_step_from[peer] = got_step
             if len(spikes):
+                spikes = spikes.astype(np.int64)
                 self._validate_remote(peer, spikes)
-                remote.append(spikes.astype(np.int64))
+                remote.append(spikes)
         if not remote:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(remote)
 
     def _validate_remote(self, peer: int, spikes: np.ndarray) -> None:
+        """Check received source ids (int64) against this rank's table."""
         part = self.part
         n_global = len(part.in_offsets) - 1
-        s64 = spikes.astype(np.int64)
-        if (s64 >= n_global).any():
-            bad = int(s64[s64 >= n_global][0])
+        if (spikes >= n_global).any():
+            bad = int(spikes[spikes >= n_global][0])
             raise ProtocolViolationError(f"unknown source id {bad} from rank {peer}")
-        has_local = part.in_offsets[s64 + 1] > part.in_offsets[s64]
+        has_local = part.in_offsets[spikes + 1] > part.in_offsets[spikes]
         if not has_local.all():
-            bad = int(s64[~has_local][0])
+            bad = int(spikes[~has_local][0])
             raise ProtocolViolationError(
                 f"source {bad} from rank {peer} has no synapses on rank {part.rank}"
             )

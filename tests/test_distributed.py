@@ -3,6 +3,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spikebench import (
     build_network,
     raster_checksum,
 )
+from spikebench import distributed
 from spikebench.distributed import (
     Communicator,
     FRAME_MAGIC,
@@ -91,6 +93,80 @@ def test_partition_union_reproduces_network_multiset(w_exc_scale, n_ranks):
     ], axis=1)
     order = lambda a: a[np.lexsort(a.T[::-1])]
     assert (order(union) == order(full)).all()
+
+
+def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
+    """A network with the given per-source fanouts, random targets and
+    delays in [1, 20] steps; cheap enough to span many source blocks."""
+    fanouts = np.asarray(fanouts, dtype=np.int64)
+    spec = GridSpec(grid_x=grid_x, grid_y=grid_y,
+                    neurons_per_column=len(fanouts) // (grid_x * grid_y))
+    assert spec.n_neurons == len(fanouts)
+    offsets = np.zeros(len(fanouts) + 1, dtype=np.int64)
+    np.cumsum(fanouts, out=offsets[1:])
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, spec.n_neurons, int(offsets[-1]), dtype=np.int32)
+    delays = rng.integers(1, 21, int(offsets[-1]), dtype=np.int16)
+    return Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
+                   targets=targets, delay_steps=delays)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3])
+def test_partition_table_order_with_empty_sources_at_block_edges(n_ranks):
+    # 64 sources of block/64 synapses fill a block exactly, so the empty
+    # sources right after them (65 and 66, 131) close their block; source
+    # 0 and the last source are empty, and source 300 alone exceeds a block
+    block = distributed._BLOCK_SYNAPSES
+    fanout = block // 64
+    fanouts = np.full(600, fanout)
+    fanouts[[0, 65, 66, 131, 200, 599]] = 0
+    fanouts[300] = block + 7
+    net = _hand_net(fanouts)
+    blocks = list(distributed._source_blocks(net.offsets))
+    assert len(blocks) >= 6
+    assert blocks[0][0] == 0 and blocks[-1][1] == net.n_neurons
+    assert any(fanouts[s1 - 1] == 0 for _, s1 in blocks[:-1])  # an empty block edge
+    assert (300, 301) in blocks
+
+    # per-source brute force: each source's synapses in table order, kept
+    # when the target lives on rank r, packed as delay * n_local + target
+    npc = net.spec.neurons_per_column
+    owner = (np.arange(net.n_neurons) // npc) % n_ranks
+    _, parts = partition(net, n_ranks)
+    for r, part in enumerate(parts):
+        local_gids = np.flatnonzero(owner == r)
+        local_of = {int(g): i for i, g in enumerate(local_gids)}
+        offsets, words = [0], []
+        for s in range(net.n_neurons):
+            a, b = net.offsets[s], net.offsets[s + 1]
+            for tgt, delay in zip(net.targets[a:b].tolist(), net.delay_steps[a:b].tolist()):
+                if owner[tgt] == r:
+                    words.append(delay * len(local_gids) + local_of[tgt])
+            offsets.append(len(words))
+        assert np.array_equal(part.local_gids, local_gids)
+        assert part.gid_to_local.tolist() == [local_of.get(g, -1) for g in range(net.n_neurons)]
+        assert part.in_offsets.dtype == np.int64 and part.in_words.dtype == np.int32
+        assert part.in_offsets.tolist() == offsets
+        assert part.in_words.tolist() == words
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_partition_builds_no_network_sized_temporary(n_ranks):
+    # 4M synapses span 64 source blocks; the tables are 16 MB of words.
+    # Whole-network temporaries (a target rank per synapse, a synapse
+    # index, gathers through it) reach 2.7-4.5 times the tables; one
+    # block's temporaries are a few hundred kB.
+    net = _hand_net(np.full(3000, 4 * 2**20 // 3000), grid_x=5, grid_y=6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, parts = partition(net, n_ranks)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(p.in_words.nbytes + p.in_offsets.nbytes for p in parts)
+    assert retained - before >= table_bytes
+    assert peak - retained < table_bytes / 2
 
 
 @pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])

@@ -156,7 +156,7 @@ def cmd_run(args) -> int:
         net, cfg["stimulus.ext_synapses_per_neuron"]
     )
 
-    metrics, (steps, gids), _, _ = distributed.run_simulation(
+    metrics, (steps, gids), per_rank, parts = distributed.run_simulation(
         net, seconds=cfg["run.simulated_seconds"], stim=stim,
         n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],
         lif_params=lif, stdp_params=stdp, w_exc_scale=cfg["run.w_exc_scale"],
@@ -167,7 +167,16 @@ def cmd_run(args) -> int:
     checksum = engine_mod.raster_checksum(steps, gids)
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
     metrics_path = os.path.join(out_dir, f"metrics{suffix}.kv")
-    _write_kv(metrics_path, _metrics_doc(cfg, metrics, checksum, equivalent))
+    doc = _metrics_doc(cfg, metrics, checksum, equivalent)
+    for part, m in zip(parts, per_rank):  # the ranks run in this process
+        key = f"metrics.rank{part.rank}"
+        doc.update({
+            f"{key}.wall_seconds": repr(m.wall_seconds),
+            f"{key}.total_spikes": m.total_spikes,
+            f"{key}.internal_synaptic_events": m.internal_synaptic_events,
+            f"{key}.external_synaptic_events": m.external_synaptic_events,
+        })
+    _write_kv(metrics_path, doc)
 
     wrote = [raster_path, metrics_path]
     if cfg.power_labels() and args.rank is None:

@@ -614,7 +614,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         parts = [parts[rank]]
     plastic = stdp_params is not None and stdp_params.enabled
     engines = [
-        Engine(p, stim, dt_ms=net.dt_ms, lif_params=lif_params,
+        Engine(p, stim, dt_ms=net.dt_ms, lif_params=lif_params, n_steps=n_steps,
                stdp=StdpState(p, stdp_params, net.dt_ms) if plastic else None)
         for p in parts
     ]

@@ -48,6 +48,10 @@ __all__ = [
     "rate_in_window",
 ]
 
+# Poisson lanes (neurons x steps) drawn per stimulus block: large enough that
+# the Knuth loop's per-pass numpy overhead is spread over many lanes
+_STIMULUS_BLOCK_LANES = 1 << 16
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
@@ -175,7 +179,8 @@ class Engine:
     ``part`` supplies the rank's view of the network (see
     distributed.RankPartition): sorted local ids, per-source incoming
     synapse lists in CSR form, one packed ``delay * n_local + target``
-    word per synapse, and the ring length.  The caller drives the loop:
+    word per synapse, and the ring length.  The caller drives the loop
+    over ``t in range(n_steps)``:
 
         spikes = engine.step(t)
         ... exchange spikes ...
@@ -185,7 +190,7 @@ class Engine:
 
     def __init__(self, part, stim: StimulusSpec, dt_ms: float = 1.0,
                  lif_params: Optional[AdaptiveLifParams] = None,
-                 stdp=None):
+                 stdp=None, *, n_steps: int):
         if dt_ms <= 0:
             raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
         self.part = part
@@ -197,6 +202,13 @@ class Engine:
         self.ring = DelayRing(part.n_slots, self.n_local)
         self.stdp = stdp
         self._lam = stim.events_per_step(dt_ms)
+        self.n_steps = n_steps
+        # the stimulus is keyed by (neuron, step), so a block of future steps
+        # is drawn in one call, bit for bit, and never past the last step;
+        # the block is allocated here, before the loop, and refilled in place
+        self._block_steps = max(1, _STIMULUS_BLOCK_LANES // max(1, self.n_local))
+        self._block = np.zeros((self._block_steps, self.n_local), dtype=np.int64)
+        self._block_t0 = -1
 
         if self.model == "izhikevich":
             exc = part.local_excitatory
@@ -227,9 +239,17 @@ class Engine:
     def step(self, t: int) -> np.ndarray:
         """Integrate one step; returns this step's spiking global ids
         (ascending).  Spikes are not delivered here -- see deliver()."""
+        if not 0 <= t < self.n_steps:
+            raise ContractViolationError(f"step {t} outside the run's [0, {self.n_steps})")
         i_syn = self.ring.drain()
         if self._lam > 0.0:
-            counts = rng.poisson_keyed_batch(self._lam, self.stim.seed, self.local_gids, t)
+            t0 = t - t % self._block_steps
+            if t0 != self._block_t0:
+                steps = np.arange(t0, min(t0 + self._block_steps, self.n_steps))
+                self._block[:len(steps)] = rng.poisson_keyed_batch(
+                    self._lam, self.stim.seed, self.local_gids, steps[:, None])
+                self._block_t0 = t0
+            counts = self._block[t - t0]
             with np.errstate(over="ignore"):
                 i_syn = i_syn + self.stim.ext_weight * counts
             self.external_events += int(counts.sum())

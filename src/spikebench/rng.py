@@ -102,8 +102,10 @@ def poisson_keyed(lam: float, seed: int, stream: int, step: int) -> int:
             return k - 1
 
 
-def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step: int) -> np.ndarray:
-    """Vector of Poisson(lam) draws, one per entry of ``streams``.
+def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step) -> np.ndarray:
+    """Poisson(lam) draws keyed by ``streams`` and ``step``, which broadcast
+    together: a ``(T, 1)`` array of steps against a vector of streams
+    draws T steps at once, one row per step.
 
     Bit-identical to calling :func:`poisson_keyed` per element.  The
     Knuth loop runs over a shrinking active set: each pass draws uniform k
@@ -114,10 +116,10 @@ def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step: int) -
     and stops at the same pass; the work is about E[N] + 1 passes over the
     lanes instead of max(N) + 1 passes over the full array.
     """
-    streams = np.asarray(streams)
-    if lam <= 0.0 or streams.size == 0:
-        return np.zeros(streams.shape, dtype=np.int64)
-    base = hash_words_arr(seed, [streams.ravel(), step])
+    shape = np.broadcast_shapes(np.shape(streams), np.shape(step))
+    if lam <= 0.0 or math.prod(shape) == 0:
+        return np.zeros(shape, dtype=np.int64)
+    base = hash_words_arr(seed, [streams, step]).ravel()
     limit = math.exp(-lam)
     counts = np.zeros(base.size, dtype=np.int64)
     lane = np.arange(base.size)
@@ -131,7 +133,7 @@ def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step: int) -
         if keep.size < lane.size:
             lane, base, p = lane[keep], base[keep], p[keep]
         counts[lane] = k
-    return counts.reshape(streams.shape)
+    return counts.reshape(shape)
 
 
 def philox_generator(seed: int, stream: int) -> np.random.Generator:

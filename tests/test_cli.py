@@ -226,6 +226,23 @@ def test_bundled_config_by_name(tmp_path):
     assert (out / "metrics.kv").exists()
 
 
+def test_run_writes_per_rank_rows_that_sum_to_the_merged_counts(tmp_path):
+    out = tmp_path / "out"
+    code = main([
+        "run", "--config", "small-1k", "--out", str(out), "--ranks", "2",
+        "--set=run.simulated_seconds=0.2",
+    ])
+    assert code == 0
+    doc = _read_kv(out / "metrics.kv")
+    for key in ("total_spikes", "internal_synaptic_events", "external_synaptic_events"):
+        rows = [int(doc[f"metrics.rank{r}.{key}"]) for r in (0, 1)]
+        assert all(n > 0 for n in rows)
+        assert sum(rows) == int(doc[f"metrics.{key}"])
+    walls = [float(doc[f"metrics.rank{r}.wall_seconds"]) for r in (0, 1)]
+    assert float(doc["metrics.wall_seconds"]) == max(walls) > 0
+    assert "metrics.rank2.wall_seconds" not in doc
+
+
 def _free_ports(n):
     socks, ports = [], []
     for _ in range(n):

@@ -193,7 +193,7 @@ def test_per_source_and_per_synapse_delivery_agree(n_ranks):
     _, per_synapse = partition(net, n_ranks)
     for part in per_synapse:
         part.in_weights = np.repeat(part.source_weights, np.diff(part.in_offsets))
-    engines = [[Engine(p, stim, dt_ms=net.dt_ms) for p in parts]
+    engines = [[Engine(p, stim, dt_ms=net.dt_ms, n_steps=200) for p in parts]
                for parts in (per_source, per_synapse)]
     for t in range(200):
         # every rank sees every spike of the step; sources without
@@ -223,7 +223,7 @@ def test_packed_delivery_matches_three_table_reference(n_ranks):
     cfg = load_bundled_config("small-1k")
     net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
     _, parts = partition(net, n_ranks)
-    engines = [Engine(p, cfg.stimulus(), dt_ms=net.dt_ms) for p in parts]
+    engines = [Engine(p, cfg.stimulus(), dt_ms=net.dt_ms, n_steps=200) for p in parts]
     tables = [(p.in_delays.astype(np.int64), p.in_targets.astype(np.int64),
                np.zeros((p.n_slots, p.n_local))) for p in parts]
     for t in range(200):

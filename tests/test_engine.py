@@ -182,6 +182,36 @@ def test_event_conservation_and_raster_recount():
     assert metrics.external_synaptic_events == total_ext
 
 
+def test_stimulus_blocks_stop_at_the_last_step(monkeypatch):
+    # 1,000 local neurons draw blocks of 65 steps; 200 steps end on a block of 5
+    from spikebench.config import load_bundled_config
+    from spikebench.distributed import partition
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    _, (part,) = partition(net, 1)
+    n_steps = 200
+    drawn_steps, drawn_events = [], []
+    inner = rng.poisson_keyed_batch
+
+    def counted(lam, seed, streams, step):  # as the trace counts the stimulus
+        counts = inner(lam, seed, streams, step)
+        drawn_steps.append(np.ravel(step).tolist())
+        drawn_events.append(int(counts.sum()))
+        return counts
+
+    monkeypatch.setattr(rng, "poisson_keyed_batch", counted)
+    eng = Engine(part, cfg.stimulus(), dt_ms=net.dt_ms, n_steps=n_steps)
+    for t in range(n_steps):
+        eng.deliver(t, eng.step(t))
+        eng.advance()
+    assert [len(s) for s in drawn_steps] == [65, 65, 65, 5]
+    assert sum(drawn_steps, []) == list(range(n_steps))
+    assert sum(drawn_events) == eng.external_events > 0
+    with pytest.raises(ContractViolationError):
+        eng.step(n_steps)
+
+
 def test_run_determinism_bit_identical():
     net = _tiny_net()
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)

@@ -103,6 +103,29 @@ def test_poisson_batch_empty_and_zero_rate():
     assert empty.shape == (0,)
     zeros = rng.poisson_keyed_batch(0.0, 7, np.arange(10), 0)
     assert (zeros == 0).all()
+    # with a (T, 1) block of steps: zeros of the broadcast shape
+    steps = np.arange(4)[:, None]
+    empty = rng.poisson_keyed_batch(1.5, 7, np.empty(0, dtype=np.int64), steps)
+    assert empty.dtype == np.int64 and empty.shape == (4, 0)
+    zeros = rng.poisson_keyed_batch(0.0, 7, np.arange(10), steps)
+    assert zeros.dtype == np.int64 and zeros.shape == (4, 10) and not zeros.any()
+    none = rng.poisson_keyed_batch(1.5, 7, np.arange(10), np.empty((0, 1), dtype=np.int64))
+    assert none.shape == (0, 10)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.782, 12.0])
+def test_poisson_batch_step_block_stacks_per_step_calls(lam):
+    # a (T, 1) array of steps draws T rows, each the scalar-step call bit for bit
+    steps = np.arange(37, 37 + 9)
+    for streams in (np.arange(250, dtype=np.int64),
+                    np.array([[41, 3, 977], [0, 41, 12]], dtype=np.int64)):
+        column = steps.reshape((-1,) + (1,) * streams.ndim)  # (T, 1) or (T, 1, 1)
+        block = rng.poisson_keyed_batch(lam, 11, streams, column)
+        assert block.dtype == np.int64 and block.shape == (len(steps),) + streams.shape
+        stacked = np.stack([rng.poisson_keyed_batch(lam, 11, streams, int(t)) for t in steps])
+        assert np.array_equal(block, stacked)
+    flat = rng.poisson_keyed_batch(lam, 11, np.arange(5), steps[:, None])
+    assert flat[2].tolist() == [rng.poisson_keyed(lam, 11, s, int(steps[2])) for s in range(5)]
 
 
 def test_poisson_mean_and_distribution():

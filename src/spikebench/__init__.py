@@ -52,10 +52,8 @@ from .network import (
     build_network,
     connection_probability,
     count_equivalent_synapses,
-    load_network,
     network_stats,
     normalize_fanout,
-    save_network,
 )
 from .neurons import (
     AdaptiveLifParams,

@@ -20,7 +20,6 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 import argparse
 import os
 import sys
-from dataclasses import replace as dc_replace
 
 from . import distributed, engine as engine_mod, network as network_mod
 from .config import (
@@ -117,16 +116,25 @@ def _write_raster(cfg: RunConfig, out_dir: str, steps, gids, suffix: str = "") -
     return path
 
 
-def _write_energy(cfg: RunConfig, out_dir: str, measured_events) -> tuple:
+def _write_energy(cfg: RunConfig, out_dir: str, measured_events, measured_wall) -> tuple:
     """Write energy.kv for every configured power record, after the
-    provenance header; a zero ``power.<label>.events`` takes
-    ``measured_events``.  Returns (path, {label: record})."""
+    provenance header.  A zero ``power.<label>.events`` takes
+    ``measured_events``; a zero ``power.<label>.wall_seconds`` takes
+    ``measured_wall``, the run's ``metrics.wall_seconds``, and energy.kv
+    names the key each time came from.  Returns (path, {label: record})."""
     lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
     records = {}
     for label in cfg.power_labels():
-        record = cfg.power_record(label)
-        if record.synaptic_events == 0 and measured_events:
-            record = dc_replace(record, synaptic_events=measured_events)
+        wall_key = f"power.{label}.wall_seconds"
+        if cfg[wall_key] == 0:
+            if not measured_wall:
+                raise ConfigError([
+                    f"{wall_key} is 0 and no run supplied its time; set it, or "
+                    "pass the run's metrics (report --metrics FILE)"
+                ])
+            wall_key = "metrics.wall_seconds"
+        record = cfg.power_record(label, wall_seconds=measured_wall or 0.0,
+                                  events=measured_events or 0)
         if record.synaptic_events == 0:
             raise UndefinedMetricError(
                 f"power.{label}.events is 0 and no measured event count supplied one; "
@@ -134,6 +142,7 @@ def _write_energy(cfg: RunConfig, out_dir: str, measured_events) -> tuple:
             )
         report = energy_report(record, baseline_w=cfg[f"power.{label}.baseline_w"])
         lines.append(format_energy_report(report, prefix=f"energy.{label}").rstrip())
+        lines.append(f"energy.{label}.wall_seconds_from = {wall_key}")
         records[label] = record
     path = os.path.join(out_dir, "energy.kv")
     with open(path, "w") as fh:
@@ -180,7 +189,8 @@ def cmd_run(args) -> int:
 
     wrote = [raster_path, metrics_path]
     if cfg.power_labels() and args.rank is None:
-        wrote.append(_write_energy(cfg, out_dir, metrics.total_events)[0])
+        wrote.append(_write_energy(cfg, out_dir, metrics.total_events,
+                                   metrics.wall_seconds)[0])
 
     print(
         f"run complete: {metrics.total_spikes} spikes, "
@@ -242,13 +252,11 @@ def cmd_report(args) -> int:
         raise ConfigError(
             ["no power records configured; set power.<label>.current (labels: server, embedded)"]
         )
-    events_from_metrics = None
-    if args.metrics:
-        doc = _read_kv(args.metrics)
-        if "metrics.total_events" in doc:
-            events_from_metrics = int(doc["metrics.total_events"])
+    doc = _read_kv(args.metrics) if args.metrics else {}
+    events = int(doc["metrics.total_events"]) if "metrics.total_events" in doc else None
+    wall = float(doc["metrics.wall_seconds"]) if "metrics.wall_seconds" in doc else None
 
-    energy_path, records = _write_energy(cfg, out_dir, events_from_metrics)
+    energy_path, records = _write_energy(cfg, out_dir, events, wall)
     print(f"wrote {energy_path}")
 
     if len(records) == 2:
@@ -301,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="energy report from measured inputs")
     common(p_rep)
-    p_rep.add_argument("--metrics", help="metrics.kv document supplying the event count")
+    p_rep.add_argument("--metrics",
+                       help="metrics.kv document supplying the event count and loop time")
     p_rep.set_defaults(func=cmd_report)
 
     return parser

@@ -7,8 +7,8 @@ written with repr, which round-trips exactly).
 
 Platform power records (for the energy report) live under
 ``power.<label>.*``; a record is considered present when its current is
-positive.  ``events = 0`` means "use the event count measured by the
-run this config drives".
+positive.  ``events = 0`` and ``wall_seconds = 0`` mean "use the event
+count and the loop time measured by the run this config drives".
 """
 
 import importlib.resources
@@ -162,9 +162,11 @@ class RunConfig:
             enabled=v["stdp.enabled"],
         )
 
-    def power_record(self, label: str) -> Optional[PlatformRecord]:
+    def power_record(self, label: str, wall_seconds: float = 0.0,
+                     events: int = 0) -> Optional[PlatformRecord]:
         """The platform record under power.<label>.*, or None if absent
-        (absence = non-positive current)."""
+        (absence = non-positive current).  A configured time or event
+        count of 0 takes the run's measured ``wall_seconds`` or ``events``."""
         v = self.values
         current = v[f"power.{label}.current"]
         if current <= 0:
@@ -176,8 +178,8 @@ class RunConfig:
                 voltage=v[f"power.{label}.voltage"],
                 current_error=v[f"power.{label}.current_error"],
             ),
-            wall_seconds=v[f"power.{label}.wall_seconds"],
-            synaptic_events=v[f"power.{label}.events"],
+            wall_seconds=v[f"power.{label}.wall_seconds"] or wall_seconds,
+            synaptic_events=v[f"power.{label}.events"] or events,
         )
 
     def power_labels(self) -> List[str]:
@@ -225,8 +227,8 @@ class RunConfig:
                 f"run.timeout_seconds: must be > 0, got {v['run.timeout_seconds']}"
             )
         for label in self.power_labels():
-            try:
-                self.power_record(label)
+            try:  # a time of 0 is the run's own, known only once it has run
+                self.power_record(label, wall_seconds=1.0)
             except ConfigError as err:
                 problems.extend(f"power.{label}: {p}" for p in err.problems)
         return problems

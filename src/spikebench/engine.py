@@ -209,6 +209,10 @@ class Engine:
         self._block_steps = max(1, _STIMULUS_BLOCK_LANES // max(1, self.n_local))
         self._block = np.zeros((self._block_steps, self.n_local), dtype=np.int64)
         self._block_t0 = -1
+        # delivery scratch, reused every step: the joined words (int64, so
+        # bincount takes them without a copy) and, with STDP, their weights
+        self._words = np.empty(0, dtype=np.int64)
+        self._weights = np.empty(0, dtype=np.float64)
 
         if self.model == "izhikevich":
             exc = part.local_excitatory
@@ -287,20 +291,29 @@ class Engine:
         """Expand this step's spikes (ascending source id, local and remote
         merged) through the rank's incoming synapse lists."""
         part = self.part
-        if len(sources_sorted):
-            starts = part.in_offsets[sources_sorted]
-            ends = part.in_offsets[sources_sorted + 1]
+        starts = part.in_offsets[sources_sorted]
+        lengths = part.in_offsets[sources_sorted + 1] - starts
+        n = int(lengths.sum())
+        if n:
+            if n > len(self._words):  # grow geometrically; never shrink
+                size = max(n, 2 * len(self._words))
+                self._words = np.empty(size, dtype=np.int64)
+                self._weights = np.empty(size, dtype=np.float64)
+            # exact-length views: accumulate sees this step's synapses only
+            words = self._words[:n]
             # each source's synapses are one contiguous span of the table;
             # joining the spans in source order copies each word once
-            spans = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
-            words = np.concatenate([part.in_words[s] for s in spans])
-            if len(words):
-                # a per-synapse weight table exists only where STDP writes one
-                w = (np.concatenate([part.in_weights[s] for s in spans])
-                     if part.in_weights is not None
-                     else np.repeat(part.source_weights[sources_sorted], ends - starts))
-                self.ring.accumulate(words, w)
-                self.internal_events += len(words)
+            spans = [slice(a, a + k) for a, k in zip(starts.tolist(), lengths.tolist())]
+            np.concatenate([part.in_words[s] for s in spans], out=words)
+            # a per-synapse weight table exists only where STDP writes one
+            if part.in_weights is not None:
+                w = self._weights[:n]
+                np.concatenate([part.in_weights[s] for s in spans], out=w)
+            else:  # np.repeat has no out=; a Python loop filling the
+                # buffer span by span held the GIL and slowed thread ranks
+                w = np.repeat(part.source_weights[sources_sorted], lengths)
+            self.ring.accumulate(words, w)
+            self.internal_events += n
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)
 

@@ -66,6 +66,3 @@ class CalibrationError(SpikebenchError):
 class UndefinedMetricError(SpikebenchError):
     """A derived metric is undefined for the given inputs (e.g. zero events)."""
 
-
-class SnapshotFormatError(SpikebenchError):
-    """A binary network snapshot failed structural validation."""

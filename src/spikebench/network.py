@@ -20,14 +20,13 @@ round(exc_fraction*npc) ids are excitatory.
 """
 
 import math
-import struct
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, InfeasibleSpecError, SnapshotFormatError
+from .errors import ConfigError, InfeasibleSpecError
 
 __all__ = [
     "GridSpec",
@@ -38,8 +37,6 @@ __all__ = [
     "count_equivalent_synapses",
     "network_stats",
     "format_network_stats",
-    "save_network",
-    "load_network",
 ]
 
 MODEL_KINDS = ("izhikevich", "adaptive_lif")
@@ -110,17 +107,18 @@ class GridSpec:
 class Network:
     """Immutable built network in CSR layout ordered by source id.
 
-    ``offsets[s]:offsets[s+1]`` indexes targets/delay_steps of source s,
-    each of weight ``source_weights()[s]``.  ``model`` selects the neuron
-    family simulated on it.
+    ``offsets[s]:offsets[s+1]`` indexes the synapses of source s, each one
+    int32 word ``delay * n_neurons + target`` (delay in steps) of weight
+    ``source_weights()[s]``.  These two arrays are the table of a 1-rank
+    run, which uses them as they are.  ``model`` selects the neuron family
+    simulated on it.
     """
 
     spec: GridSpec
     dt_ms: float
     model: str
     offsets: np.ndarray          # int64, n_neurons + 1
-    targets: np.ndarray          # int32
-    delay_steps: np.ndarray      # int16
+    words: np.ndarray            # int32, delay * n_neurons + target
     p0: float = field(default=0.0)
 
     @property
@@ -134,6 +132,16 @@ class Network:
     @property
     def fanouts(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Target of each synapse (int32), derived; no run reads it."""
+        return self.words % self.n_neurons
+
+    @property
+    def delay_steps(self) -> np.ndarray:
+        """Delay of each synapse in steps (int16), derived; no run reads it."""
+        return (self.words // self.n_neurons).astype(np.int16)
 
     @property
     def weights(self) -> np.ndarray:
@@ -202,11 +210,22 @@ def connection_probability(d: float, spec: GridSpec, p0: Optional[float] = None)
     return min(max(p, 0.0), 1.0)
 
 
+def _table_capacity(spec: GridSpec) -> int:
+    """Words preallocated for the build: the expected synapse count
+    ``target_fanout * n`` (exact by construction of p0) plus eight standard
+    deviations of the sum of binomial draws, so the grow path almost never
+    runs."""
+    expected = spec.target_fanout * spec.n_neurons
+    return int(expected + 8.0 * math.sqrt(expected)) + 1
+
+
 def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif") -> Network:
     """Build the full network deterministically from spec.seed.
 
     Every source's synapse list is a pure function of (seed, source id,
     spec), so the result does not depend on build order or partitioning.
+    Each column's words are written straight into one table allocated
+    before the first draw.
     """
     spec.require_valid()
     if model not in MODEL_KINDS:
@@ -221,6 +240,15 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
         )
     if delay_hi >= 2**15:
         raise ConfigError([f"delay_max_ms/dt ({delay_hi}) exceeds the int16 delay range"])
+    n = spec.n_neurons
+    # every word delay * n + target is below (delay_hi + 1) * n, the cells
+    # of a 1-rank delay ring; a rank of a larger run holds fewer neurons
+    if (delay_hi + 1) * n >= 2**31:
+        raise ConfigError([
+            f"{delay_hi + 1} ring slots x {n} neurons is {(delay_hi + 1) * n} "
+            "synapse words, beyond int32 (2**31); use fewer neurons or a "
+            "shorter delay_max_ms"
+        ])
 
     p0 = normalize_fanout(spec)
     npc = spec.neurons_per_column
@@ -229,10 +257,10 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     probs = np.clip(p0 * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
     col_ids = np.arange(n_cols, dtype=np.int64)
 
-    counts_per_source = np.zeros(spec.n_neurons, dtype=np.int64)
+    counts_per_source = np.zeros(n, dtype=np.int64)
     gen = rng.philox_generator(spec.seed, 0)
-    col_targets = []
-    col_delays = []
+    words = np.empty(_table_capacity(spec), dtype=np.int32)
+    filled = 0
     # each source draws from its own stream (binomial counts per target
     # column, then uniforms, then delays); the arithmetic that turns the
     # uniforms into target ids runs once per source column
@@ -259,22 +287,22 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
         local[own & (local >= np.repeat(np.arange(npc), per_source))] += 1
         tgt_col *= npc
         tgt_col += local
-        col_targets.append(tgt_col.astype(np.int32))
-        col_delays.append(np.concatenate(delays).astype(np.int16))
+        col_words = np.concatenate(delays)
+        col_words *= n
+        col_words += tgt_col
+        end = filled + len(col_words)
+        if end > len(words):  # more synapses than expected: grow, keep the words
+            grown = np.empty(max(end, 2 * len(words)), dtype=np.int32)
+            grown[:filled] = words[:filled]
+            words = grown
+        words[filled:end] = col_words
+        filled = end
 
-    offsets = np.zeros(spec.n_neurons + 1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts_per_source, out=offsets[1:])
-    targets = np.concatenate(col_targets)
-    delay_steps = np.concatenate(col_delays)
-    return Network(
-        spec=spec,
-        dt_ms=dt_ms,
-        model=model,
-        offsets=offsets,
-        targets=targets,
-        delay_steps=delay_steps,
-        p0=p0,
-    )
+    # a view: the unused tail was never written, so it holds no pages
+    return Network(spec=spec, dt_ms=dt_ms, model=model, offsets=offsets,
+                   words=words[:filled], p0=p0)
 
 
 def count_equivalent_synapses(net: Network, ext_per_neuron: int) -> int:
@@ -330,83 +358,3 @@ def format_network_stats(stats: dict) -> str:
         lines.append(f"network.delay_hist.{steps} = {count}")
     return "\n".join(lines) + "\n"
 
-
-_SNAP_MAGIC = b"SBNW"
-_SNAP_VERSION = 2  # 2: no weight section; weights follow from the spec
-# snapshot header: the GridSpec fields in declaration order, dt, model tag,
-# p0, array lengths; all little-endian
-_SNAP_HEAD = struct.Struct("<4sH iii d d d d d d d Q d B d Q Q")
-_MODEL_TAGS = {name: i for i, name in enumerate(MODEL_KINDS)}
-
-
-def save_network(path, net: Network) -> None:
-    """Write a versioned little-endian binary snapshot."""
-    head = _SNAP_HEAD.pack(_SNAP_MAGIC, _SNAP_VERSION, *astuple(net.spec), net.dt_ms,
-                           _MODEL_TAGS[net.model], net.p0, net.n_neurons, net.total_synapses)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(net.offsets.astype("<i8").tobytes())
-        fh.write(net.targets.astype("<i4").tobytes())
-        fh.write(net.delay_steps.astype("<i2").tobytes())
-
-
-def load_network(path) -> Network:
-    """Read a snapshot written by :func:`save_network`."""
-    with open(path, "rb") as fh:
-        head = fh.read(_SNAP_HEAD.size)
-        if len(head) < _SNAP_HEAD.size:
-            raise SnapshotFormatError("snapshot truncated before header end")
-        fields = _SNAP_HEAD.unpack(head)
-        magic, version = fields[0], fields[1]
-        if magic != _SNAP_MAGIC:
-            raise SnapshotFormatError(f"bad snapshot magic {magic!r}")
-        if version != _SNAP_VERSION:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        spec = GridSpec(*fields[2:13])
-        dt_ms, model_tag, p0, n_neurons, n_synapses = fields[13:]
-        if spec.n_neurons != n_neurons:
-            raise SnapshotFormatError("snapshot header is inconsistent")
-        model = MODEL_KINDS[model_tag] if model_tag < len(MODEL_KINDS) else None
-        if model is None:
-            raise SnapshotFormatError(f"unknown model tag {model_tag}")
-
-        def read_array(dtype, count):
-            raw = fh.read(np.dtype(dtype).itemsize * count)
-            if len(raw) != np.dtype(dtype).itemsize * count:
-                raise SnapshotFormatError("snapshot truncated inside array data")
-            return np.frombuffer(raw, dtype=dtype)
-
-        offsets = read_array("<i8", n_neurons + 1).astype(np.int64)
-        targets = read_array("<i4", n_synapses).astype(np.int32)
-        delay_steps = read_array("<i2", n_synapses).astype(np.int16)
-        if fh.read(1):
-            raise SnapshotFormatError("trailing bytes after snapshot payload")
-    # a snapshot comes from outside: check every field a run relies on
-    problems = spec.validate()
-    offsets_ok = offsets[0] == 0 and not (np.diff(offsets) < 0).any()
-    if not offsets_ok:
-        problems.append("offsets must start at 0 and never decrease")
-    elif int(offsets[-1]) != n_synapses:
-        offsets_ok = False
-        problems.append(f"offsets end at {int(offsets[-1])}, not at the {n_synapses} synapses")
-    n_bad = int(((targets < 0) | (targets >= n_neurons)).sum())
-    if n_bad:
-        problems.append(f"{n_bad} targets outside [0, {n_neurons})")
-    if offsets_ok:
-        sources = np.repeat(np.arange(n_neurons, dtype=np.int32), np.diff(offsets))
-        n_self = int((sources == targets).sum())
-        if n_self:
-            problems.append(f"{n_self} synapses target their own source")
-    if not dt_ms > 0:
-        problems.append(f"dt_ms must be > 0, got {dt_ms}")
-    else:
-        lo, hi = int(round(spec.delay_min_ms / dt_ms)), int(round(spec.delay_max_ms / dt_ms))
-        n_bad = int(((delay_steps < lo) | (delay_steps > hi)).sum())
-        if n_bad:
-            problems.append(f"{n_bad} delays outside [{lo}, {hi}] steps")
-    if problems:
-        raise SnapshotFormatError("invalid snapshot: " + "; ".join(problems))
-    return Network(
-        spec=spec, dt_ms=dt_ms, model=model, offsets=offsets,
-        targets=targets, delay_steps=delay_steps, p0=p0,
-    )

@@ -21,6 +21,7 @@ key word w is absorbed as ``x = mix64(x + GOLDEN + w * WORD_MULT)`` where
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -60,13 +61,15 @@ def unit_from_u64(x: int) -> float:
     return (x >> 11) * _U53
 
 
-def _mix64_arr(x: np.ndarray) -> np.ndarray:
-    """Splitmix64 finalizer over a uint64 array, in place; returns ``x``."""
-    x ^= x >> np.uint64(30)
+def _mix64_arr(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """Splitmix64 finalizer over a uint64 array, in place; returns ``x``.
+    ``t``, a uint64 array of x's shape, holds the shifts if given."""
+    t = np.empty_like(x) if t is None else t
+    x ^= np.right_shift(x, np.uint64(30), out=t)
     x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
     x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -120,19 +123,36 @@ def poisson_keyed_batch(lam: float, seed: int, streams: np.ndarray, step) -> np.
     if lam <= 0.0 or math.prod(shape) == 0:
         return np.zeros(shape, dtype=np.int64)
     base = hash_words_arr(seed, [streams, step]).ravel()
+    n = base.size
     limit = math.exp(-lam)
-    counts = np.zeros(base.size, dtype=np.int64)
-    lane = np.arange(base.size)
-    p = np.ones(base.size, dtype=np.float64)
-    k = 0
-    while lane.size:
-        x = _mix64_arr(base + np.uint64((k + 1) * _GOLDEN & _MASK))
-        p *= (x >> np.uint64(11)) * _U53
+    counts = np.zeros(n, dtype=np.int64)
+    # scratch allocated once and refilled in place: the active lanes are a
+    # prefix, and each compaction moves them into the prefix of the spare
+    # array of their pair, so no pass allocates more than the kept index
+    x = np.empty(n, dtype=np.uint64)
+    p, q = np.ones(n, dtype=np.float64), np.empty(n, dtype=np.float64)
+    lane, spare = np.arange(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    alive = np.empty(n, dtype=bool)
+    m, k = n, 0
+    while m:
+        xs, ps, qs = x[:m], p[:m], q[:m]
+        np.add(base[:m], np.uint64((k + 1) * _GOLDEN & _MASK), out=xs)
+        _mix64_arr(xs, qs.view(np.uint64))
+        xs >>= np.uint64(11)
+        np.multiply(xs, _U53, out=qs)  # the uniform, exact: x >> 11 < 2**53
+        ps *= qs
         k += 1
-        keep = np.flatnonzero(p > limit)
-        if keep.size < lane.size:
-            lane, base, p = lane[keep], base[keep], p[keep]
-        counts[lane] = k
+        np.greater(ps, limit, out=alive[:m])
+        keep = np.flatnonzero(alive[:m])
+        if keep.size < m:
+            # mode "clip" writes into ``out`` directly ("raise" buffers it);
+            # every index is in range
+            np.take(base[:m], keep, out=x[:keep.size], mode="clip")
+            np.take(ps, keep, out=q[:keep.size], mode="clip")
+            np.take(lane[:m], keep, out=spare[:keep.size], mode="clip")
+            base, x, p, q, lane, spare = x, base, q, p, spare, lane
+            m = keep.size
+        counts[lane[:m]] = k
     return counts.reshape(shape)
 
 

@@ -128,6 +128,30 @@ def test_run_energy_report_from_measured_events(tmp_path):
     metrics = _read_kv(out / "metrics.kv")
     expected_jpe = 2302.3 / int(metrics["metrics.total_events"])
     assert float(doc["energy.server.joule_per_event"]) == pytest.approx(expected_jpe, rel=1e-9)
+    assert doc["energy.server.wall_seconds_from"] == "power.server.wall_seconds"
+
+
+def test_energy_from_the_runs_own_time_reproduces_metrics(tmp_path, capsys):
+    # power.server.wall_seconds stays 0: run and report --metrics take the
+    # loop time from the run, so energy.kv follows from metrics.kv alone
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out)] + _tiny_args(["--set=power.server.current=1.0"])) == 0
+    metrics = _read_kv(out / "metrics.kv")
+    wall = float(metrics["metrics.wall_seconds"])
+    expected_jpe = 220.0 * 1.0 * wall / int(metrics["metrics.total_events"])
+    rep = tmp_path / "rep"
+    assert main(["report", "--out", str(rep), "--metrics", str(out / "metrics.kv"),
+                 "--set=power.server.current=1.0"]) == 0
+    for doc in (_read_kv(out / "energy.kv"), _read_kv(rep / "energy.kv")):
+        assert doc["energy.server.wall_seconds_from"] == "metrics.wall_seconds"
+        assert float(doc["energy.server.wall_seconds"]) == wall
+        assert float(doc["energy.server.joule_per_event"]) == pytest.approx(expected_jpe, rel=1e-12)
+    # without a run's metrics the time is unknown: one diagnostic, exit 2
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "bad"), "--set=power.server.current=1.0",
+                 "--set=power.server.events=1000"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "power.server.wall_seconds is 0" in err[0], err
 
 
 def test_report_reproduces_measured_table(tmp_path, capsys):

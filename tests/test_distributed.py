@@ -1,5 +1,6 @@
 """Partitioning, wire protocol, transports, and partition transparency."""
 
+import hashlib
 import socket
 import threading
 import time
@@ -18,7 +19,7 @@ from spikebench import (
     build_network,
     raster_checksum,
 )
-from spikebench import distributed
+from spikebench import distributed, network
 from spikebench.distributed import (
     Communicator,
     FRAME_MAGIC,
@@ -68,6 +69,7 @@ def test_partition_single_rank_all_local():
     part = parts[0]
     assert part.out_peers == [] and part.in_peers == []
     assert len(part.in_targets) == net.total_synapses
+    assert part.in_words is net.words and part.in_offsets is net.offsets
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
@@ -107,8 +109,10 @@ def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, spec.n_neurons, int(offsets[-1]), dtype=np.int32)
     delays = rng.integers(1, 21, int(offsets[-1]), dtype=np.int16)
+    # each synapse packed as build_network stores it: delay * n + target
+    words = delays.astype(np.int64) * spec.n_neurons + targets
     return Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
-                   targets=targets, delay_steps=delays)
+                   words=words.astype(np.int32))
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
@@ -165,8 +169,44 @@ def test_partition_builds_no_network_sized_temporary(n_ranks):
     finally:
         tracemalloc.stop()
     table_bytes = sum(p.in_words.nbytes + p.in_offsets.nbytes for p in parts)
-    assert retained - before >= table_bytes
-    assert peak - retained < table_bytes / 2
+    if n_ranks == 1:
+        # the network's arrays are the table: nothing sized to it is made
+        assert parts[0].in_words is net.words and parts[0].in_offsets is net.offsets
+        assert peak - before < table_bytes / 2
+    else:
+        assert retained - before >= table_bytes
+        assert peak - retained < table_bytes / 2
+
+
+# sha256 over each rank's in_offsets bytes then in_words bytes, rank by
+# rank, computed before build_network stored packed words
+_TABLE_SHA256 = {
+    ("small-1k", 1): "3e225581dadb58747ae38d66fd834f726e60eddbf90521003230eee5b4b54a35",
+    ("small-1k", 2): "c6f661e537def13bfce12dfcb4ac6e74aec13faaf40238ca50af5f198e4dd68d",
+    ("small-1k", 3): "205c47bf00be4c725896f5e74253fbef6b1a7f0cd456e67b6888be7d68e85f27",
+    ("small-1k", 4): "4eb8723d994134f9ecde0c63e1c4d290572749d21cbf4d8d49553f1bd79e4b31",
+    ("paper-desk", 1): "f4f9a1a925199b5210b8d951729a6726d5f6cb3a7728a8bbdbc3e0ab6e0049b9",
+    ("paper-desk", 2): "fd50691df6fa07717f133e1a8593534c6e336e79f6fddb26df40146151329794",
+    ("paper-desk", 3): "c11536a99cbd0fbee9faefed672783268a4f7c7d9a8670ada9b662681f9143eb",
+    ("paper-desk", 4): "d4de3ceae8a56a02f376b15600d5146e6a6f44ff422d6b5dfb2d4a04379165da",
+}
+
+
+@pytest.mark.parametrize("config", ["small-1k", "paper-desk"])
+def test_rank_tables_match_pinned_digests(config):
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config(config)
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
+    # the build's preallocation holds these networks without growing
+    assert net.total_synapses <= network._table_capacity(net.spec)
+    for n_ranks in (1, 2, 3, 4):
+        _, parts = partition(net, n_ranks)
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part.in_offsets.tobytes())
+            digest.update(part.in_words.tobytes())
+        assert digest.hexdigest() == _TABLE_SHA256[config, n_ranks], n_ranks
 
 
 @pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])
@@ -245,25 +285,6 @@ def test_packed_delivery_matches_three_table_reference(n_ranks):
             assert np.array_equal(ring.buf.view(np.int64), ref.view(np.int64)), t
             e.advance()
     assert sum(e.internal_events for e in engines) > 0
-
-
-def test_partition_rejects_ring_beyond_int32_word():
-    # 2 columns of 32,768 neurons and a 32,767-step delay: 32,768 slots.
-    # On one rank the ring has 2**31 cells, one too many for an int32
-    # word; on two ranks it has 2**30.  One synapse keeps this cheap.
-    spec = GridSpec(grid_x=2, grid_y=1, neurons_per_column=32768, target_fanout=1.0,
-                    delay_max_ms=32767.0)
-    offsets = np.ones(spec.n_neurons + 1, dtype=np.int64)
-    offsets[0] = 0
-    net = Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
-                  targets=np.array([40000], dtype=np.int32),
-                  delay_steps=np.array([32767], dtype=np.int16))
-    with pytest.raises(InfeasiblePartitionError, match=r"32768 .*65536"):
-        partition(net, 1)
-    _, parts = partition(net, 2)
-    assert parts[1].in_words.tolist() == [32767 * 32768 + 40000 - 32768]
-    assert parts[1].in_delays.tolist() == [32767]
-    assert parts[1].in_targets.tolist() == [40000 - 32768]
 
 
 def test_partition_communication_graph_consistency():

@@ -212,6 +212,35 @@ def test_stimulus_blocks_stop_at_the_last_step(monkeypatch):
         eng.step(n_steps)
 
 
+def test_loop_page_faults_do_not_depend_on_what_was_freed_before():
+    # glibc keeps or returns freed heap by thresholds that earlier frees
+    # move; a loop that allocated its per-step arrays afresh took a number
+    # of page faults, and a speed, set by what setup happened to free
+    import resource
+
+    from spikebench.config import load_bundled_config
+    from spikebench.distributed import partition
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    _, (part,) = partition(net, 1)
+
+    def loop_faults():
+        eng = Engine(part, cfg.stimulus(), dt_ms=net.dt_ms, n_steps=300)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for t in range(300):
+            eng.deliver(t, eng.step(t))
+            eng.advance()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    plain = loop_faults()
+    freed = np.ones(4 << 20)  # 32 MB, touched, then freed
+    del freed
+    after_free = loop_faults()
+    # bound: 1,000 faults, 4 MB of pages; both loops here take 0-6,200
+    assert abs(after_free - plain) < 1000, (plain, after_free)
+
+
 def test_run_determinism_bit_identical():
     net = _tiny_net()
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)

@@ -1,8 +1,6 @@
-"""Network construction: normalization, determinism, statistics, snapshots."""
+"""Network construction: normalization, determinism, statistics, packed words."""
 
 import dataclasses
-import re
-import struct
 
 import numpy as np
 import pytest
@@ -14,13 +12,10 @@ from spikebench import (
     build_network,
     connection_probability,
     count_equivalent_synapses,
-    load_network,
     network_stats,
     normalize_fanout,
-    save_network,
 )
-from spikebench import rng
-from spikebench.errors import SnapshotFormatError
+from spikebench import network, rng
 from spikebench.network import format_network_stats
 
 
@@ -159,76 +154,33 @@ def test_network_stats_and_formatting(small_net):
     assert "network.delay_hist.1" in text
 
 
-def test_snapshot_roundtrip(tmp_path, small_net):
-    path = tmp_path / "net.snap"
-    save_network(path, small_net)
-    back = load_network(path)
-    assert back.spec == small_net.spec
-    assert back.model == small_net.model
-    assert back.dt_ms == small_net.dt_ms
-    assert (back.offsets == small_net.offsets).all()
-    assert (back.targets == small_net.targets).all()
-    assert (back.weights == small_net.weights).all()
-    assert (back.delay_steps == small_net.delay_steps).all()
+def test_build_grow_path_gives_identical_words(monkeypatch, small_spec, small_net):
+    # a one-word table makes the build grow it at every column, by the
+    # column's words or by doubling, whichever is more
+    monkeypatch.setattr(network, "_table_capacity", lambda spec: 1)
+    grown = build_network(small_spec, dt_ms=1.0)
+    assert np.array_equal(grown.offsets, small_net.offsets)
+    assert grown.words.dtype == np.int32
+    assert np.array_equal(grown.words, small_net.words)
 
 
-def _corrupt_snapshot(tmp_path, net, name, **arrays):
-    """A snapshot of ``net`` with some of its arrays replaced."""
-    fields = dict(offsets=net.offsets, targets=net.targets, delay_steps=net.delay_steps)
-    fields.update(arrays)
-    bad = dataclasses.replace(net, **fields)
-    path = tmp_path / f"{name}.snap"
-    save_network(path, bad)
-    return path
+def test_build_rejects_ring_beyond_int32_word(monkeypatch):
+    # 2 columns of 32,768 neurons and a 32,767-step delay: 32,768 slots.
+    # A 1-rank ring then has 2**31 cells, one too many for an int32 word.
+    # The check comes before any draw.
+    def no_draw(*args):
+        raise RuntimeError("drew a synapse")
 
-
-def test_snapshot_rejects_corruption(tmp_path, small_net):
-    path = tmp_path / "net.snap"
-    save_network(path, small_net)
-    raw = path.read_bytes()
-    (tmp_path / "bad_magic.snap").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(SnapshotFormatError):
-        load_network(tmp_path / "bad_magic.snap")
-    (tmp_path / "trunc.snap").write_bytes(raw[:-8])
-    with pytest.raises(SnapshotFormatError):
-        load_network(tmp_path / "trunc.snap")
-    (tmp_path / "trailing.snap").write_bytes(raw + b"\x00")
-    with pytest.raises(SnapshotFormatError):
-        load_network(tmp_path / "trailing.snap")
-    # version 1 carried a per-synapse weight section
-    (tmp_path / "v1.snap").write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
-    with pytest.raises(SnapshotFormatError, match="version 1"):
-        load_network(tmp_path / "v1.snap")
-    # one case per payload check
-    n = small_net.n_neurons
-    targets = small_net.targets.copy()
-    targets[3] = -1
-    targets[5] = n
-    offsets = small_net.offsets.copy()
-    offsets[10] = offsets[11] + 1
-    shifted = small_net.offsets + 1
-    shifted[-1] -= 1
-    own = small_net.targets.copy()
-    own[small_net.offsets[7]] = 7
-    delays = small_net.delay_steps.copy()
-    delays[0], delays[1] = 500, 0
-    cases = {
-        "target": (dict(targets=targets), "2 targets outside [0, 1000)"),
-        "decreasing": (dict(offsets=offsets), "never decrease"),
-        "start": (dict(offsets=shifted), "start at 0"),
-        "self": (dict(targets=own), "1 synapses target their own source"),
-        "delay": (dict(delay_steps=delays), "2 delays outside [1, 20] steps"),
-    }
-    for name, (arrays, message) in cases.items():
-        path = _corrupt_snapshot(tmp_path, small_net, name, **arrays)
-        with pytest.raises(SnapshotFormatError, match=re.escape(message)):
-            load_network(path)
-    # every problem is named at once
-    path = _corrupt_snapshot(tmp_path, small_net, "all", targets=targets,
-                             delay_steps=delays)
-    with pytest.raises(SnapshotFormatError) as err:
-        load_network(path)
-    assert "targets outside" in str(err.value) and "delays outside" in str(err.value)
+    monkeypatch.setattr(rng, "philox_generator", no_draw)
+    spec = GridSpec(grid_x=2, grid_y=1, neurons_per_column=32768, target_fanout=1.0,
+                    delay_max_ms=32767.0)
+    with pytest.raises(ConfigError) as err:
+        build_network(spec, dt_ms=1.0)
+    assert len(err.value.problems) == 1
+    assert "32768 ring slots x 65536 neurons is 2147483648 synapse words" in err.value.problems[0]
+    # one slot fewer fits int32: the build goes on to draw
+    with pytest.raises(RuntimeError, match="drew a synapse"):
+        build_network(dataclasses.replace(spec, delay_max_ms=32766.0), dt_ms=1.0)
 
 
 def test_delay_min_below_dt_rejected():

@@ -20,6 +20,7 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 import argparse
 import os
 import sys
+import time
 
 from . import distributed, engine as engine_mod, network as network_mod
 from .config import (
@@ -157,7 +158,9 @@ def cmd_run(args) -> int:
     distributed.check_run_args(cfg["run.ranks"], cfg["run.transport"], args.rank, cluster)
     os.makedirs(out_dir, exist_ok=True)
     spec = cfg.grid_spec()
+    build_ns = time.perf_counter_ns()
     net = network_mod.build_network(spec, dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
+    build_ns = time.perf_counter_ns() - build_ns
     stim = cfg.stimulus()
     lif = cfg.lif_params()
     stdp = cfg.stdp_params()
@@ -177,6 +180,7 @@ def cmd_run(args) -> int:
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
     metrics_path = os.path.join(out_dir, f"metrics{suffix}.kv")
     doc = _metrics_doc(cfg, metrics, checksum, equivalent)
+    doc["metrics.build_seconds"] = repr(build_ns / 1e9)
     for part, m in zip(parts, per_rank):  # the ranks run in this process
         key = f"metrics.rank{part.rank}"
         doc.update({

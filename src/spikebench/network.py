@@ -255,48 +255,74 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     n_cols = spec.n_columns
     dist = _column_distance_matrix(spec)
     probs = np.clip(p0 * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
-    col_ids = np.arange(n_cols, dtype=np.int64)
+    col_starts = np.tile(np.arange(n_cols, dtype=np.int32) * np.int32(npc), npc)
+    span = delay_hi - delay_lo + 1
+    # numpy's bounded integers (Lemire's method) reject a 32-bit half h, and
+    # draw another, when (h * span) mod 2**32 is below this
+    reject_below = (2**32 - span) % span
 
     counts_per_source = np.zeros(n, dtype=np.int64)
     gen = rng.philox_generator(spec.seed, 0)
+    rewind = rng.philox_rewinder(gen, spec.seed)
     words = np.empty(_table_capacity(spec), dtype=np.int32)
     filled = 0
-    # each source draws from its own stream (binomial counts per target
-    # column, then uniforms, then delays); the arithmetic that turns the
-    # uniforms into target ids runs once per source column
+    uw = hw = np.empty(0, dtype=np.uint64)  # column scratch, one item per synapse
+    # each source draws from its own stream: binomial counts per target
+    # column, then one block of raw words, k words for the uniforms and k
+    # 32-bit halves for the delays; they are decoded once per source column
     for c in range(n_cols):
         eligible = np.full(n_cols, npc, dtype=np.int64)
         eligible[c] = npc - 1
-        counts = np.zeros((npc, n_cols), dtype=np.int64)
-        uniforms = []
-        delays = []
+        counts = np.empty((npc, n_cols), dtype=np.int64)
+        pos = 0
         for i in range(npc):
-            rng.philox_rekey(gen, spec.seed, c * npc + i)
+            rewind(c * npc + i)
             counts[i] = gen.binomial(eligible, probs[c])
             k = int(counts[i].sum())
-            uniforms.append(gen.random(k))
-            delays.append(gen.integers(delay_lo, delay_hi + 1, size=k))
+            r = gen.bit_generator.random_raw(k + (k + 1) // 2)
+            if pos + k > len(uw):  # grow, keeping the column's items so far
+                uw, hw = np.resize(uw, 2 * (pos + k)), np.resize(hw, 2 * (pos + k))
+            uw[pos:pos + k] = r[:k]
+            hw[pos:pos + k] = r[k:].astype("<u8", copy=False).view("<u4")[:k]  # low half first
+            pos += k
         per_source = counts.sum(axis=1)
         counts_per_source[c * npc:(c + 1) * npc] = per_source
-        tgt_col = np.repeat(np.tile(col_ids, npc), counts.ravel())
-        own = tgt_col == c
-        u = np.concatenate(uniforms)
-        u *= np.where(own, npc - 1, npc)
-        local = u.astype(np.int64)  # floor: u * n_eligible >= 0
-        # skip the source's own slot inside its column
-        local[own & (local >= np.repeat(np.arange(npc), per_source))] += 1
-        tgt_col *= npc
-        tgt_col += local
-        col_words = np.concatenate(delays)
-        col_words *= n
-        col_words += tgt_col
-        end = filled + len(col_words)
+        src_end = np.cumsum(per_source)
+        end = filled + pos
         if end > len(words):  # more synapses than expected: grow, keep the words
             grown = np.empty(max(end, 2 * len(words)), dtype=np.int32)
             grown[:filled] = words[:filled]
             words = grown
-        words[filled:end] = col_words
+        u, h, t = uw[:pos], hw[:pos], words[filled:end]
         filled = end
+
+        # targets: the uniform (w >> 11) * 2**-53 times the eligible count,
+        # floored; only the own column's synapses take npc - 1 and skip the
+        # source's own slot
+        u >>= np.uint64(11)  # below 2**53: converts to float exactly
+        col_base = np.repeat(col_starts, counts.ravel())
+        own_at = np.flatnonzero(col_base == c * npc)
+        own = (u[own_at] * ((npc - 1) * 2.0**-53)).astype(np.int32)
+        own += own >= np.searchsorted(src_end, own_at, side="right")
+        np.multiply(u.view(np.int64), npc * 2.0**-53, out=u.view(np.float64))
+        np.copyto(t, u.view(np.float64), casting="unsafe")  # floor: >= 0
+        t[own_at] = own
+        t += col_base
+
+        # delays: a half h gives lo + (h * span) >> 32, as in numpy; a source
+        # with a half that numpy would reject takes numpy's own delays
+        h *= np.uint64(span)
+        rejected = np.flatnonzero(np.bitwise_and(h, np.uint64(0xFFFFFFFF), out=u) < reject_below)
+        h >>= np.uint64(32)
+        h += np.uint64(delay_lo)
+        for i in np.unique(np.searchsorted(src_end, rejected, side="right")).tolist():
+            rewind(c * npc + i)
+            gen.binomial(eligible, probs[c])
+            gen.random(per_source[i])
+            h[src_end[i] - per_source[i]:src_end[i]] = gen.integers(
+                delay_lo, delay_hi + 1, size=per_source[i])
+        h *= np.uint64(n)
+        np.add(t, h.view(np.int64), out=t, casting="unsafe")  # fits int32, checked above
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts_per_source, out=offsets[1:])

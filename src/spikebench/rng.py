@@ -21,7 +21,7 @@ key word w is absorbed as ``x = mix64(x + GOLDEN + w * WORD_MULT)`` where
 """
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -162,16 +162,23 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def philox_rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
-    """Rewind ``gen`` (a Generator over Philox) to the start of stream (seed,
-    stream).  It then draws what a fresh :func:`philox_generator` would, but
-    skips the OS-entropy seeding that creating a bit generator costs."""
-    key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
-    gen.bit_generator.state = {
+def philox_rewinder(gen: np.random.Generator, seed: int) -> Callable[[int], None]:
+    """Return ``rewind(stream)``: it puts ``gen`` (a Generator over Philox)
+    where a fresh :func:`philox_generator` for (seed, stream) starts, without
+    its OS-entropy seeding, by reassigning one state dict with a new key."""
+    key = [seed & _MASK, 0]
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # buffer used up: the next draw computes block 0
         "has_uint32": 0,
         "uinteger": 0,
     }
+    bitgen = gen.bit_generator
+
+    def rewind(stream: int) -> None:
+        key[1] = stream & _MASK
+        bitgen.state = state
+
+    return rewind

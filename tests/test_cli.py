@@ -55,6 +55,12 @@ def test_run_writes_artifacts_with_provenance(tmp_path):
     assert any(line.startswith("# config.grid.seed = 5") for line in header)
 
 
+def test_run_records_network_build_time(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)] + _tiny_args()) == 0
+    assert float(_read_kv(out / "metrics.kv")["metrics.build_seconds"]) > 0
+
+
 def test_run_rank_count_does_not_change_checksum(tmp_path):
     out1, out4 = tmp_path / "p1", tmp_path / "p4"
     assert main(["run", "--out", str(out1), "--ranks", "1"] + _tiny_args()) == 0

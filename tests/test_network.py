@@ -194,7 +194,7 @@ def test_delay_min_below_dt_rejected():
 
 
 def _reference_source(spec, dt_ms, s):
-    """Targets and delays of source ``s``, one synapse at a time, as the
+    """Targets and delays of source ``s`` from numpy's own calls, as the
     module docstring describes them: per-source Philox stream, binomial
     count per target column, a uniform slot per synapse that skips the
     source itself, then a uniform integer delay per synapse."""
@@ -208,32 +208,79 @@ def _reference_source(spec, dt_ms, s):
     eligible = np.full(spec.n_columns, npc)
     eligible[col] = npc - 1
     gen = rng.philox_generator(spec.seed, s)
-    counts = gen.binomial(eligible, probs)
-    uniforms = gen.random(int(counts.sum()))
-    targets = []
-    for c, k in enumerate(counts):
-        for _ in range(k):
-            slot = int(np.floor(uniforms[len(targets)] * eligible[c]))
-            if c == col and slot >= s - col * npc:
-                slot += 1
-            targets.append(c * npc + slot)
+    tgt_col = np.repeat(cols, gen.binomial(eligible, probs))
+    slots = np.floor(gen.random(len(tgt_col)) * eligible[tgt_col]).astype(np.int64)
+    slots[(tgt_col == col) & (slots >= s - col * npc)] += 1
     lo = round(spec.delay_min_ms / dt_ms)
     hi = round(spec.delay_max_ms / dt_ms)
-    delays = gen.integers(lo, hi + 1, size=len(targets))
-    return np.array(targets), delays
+    delays = gen.integers(lo, hi + 1, size=len(tgt_col))
+    return tgt_col * npc + slots, delays
+
+
+def _assert_every_source_matches_reference(net):
+    spec = net.spec
+    sources = [_reference_source(spec, net.dt_ms, s) for s in range(spec.n_neurons)]
+    offsets = np.cumsum([0] + [len(targets) for targets, _ in sources])
+    words = np.concatenate([d * spec.n_neurons + t for t, d in sources]).astype(np.int32)
+    assert net.offsets.tobytes() == offsets.astype(np.int64).tobytes()
+    assert net.words.tobytes() == words.tobytes()
 
 
 def test_build_matches_per_source_reference():
-    # 4x3 grid: column 0 is a corner, column 5 is interior
+    # 4x3 grid at dt 0.5: corner, edge and interior columns
     spec = GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0,
-                    decay_lambda=2.0, delay_max_ms=12.0, seed=9)
-    dt_ms = 0.5
-    net = build_network(spec, dt_ms=dt_ms)
-    npc = spec.neurons_per_column
-    for col in (0, 5):
-        for s in (col * npc, (col + 1) * npc - 1):
-            targets, delays = _reference_source(spec, dt_ms, s)
-            a, b = net.offsets[s], net.offsets[s + 1]
-            assert b - a == len(targets) > 0
-            assert np.array_equal(net.targets[a:b], targets)
-            assert np.array_equal(net.delay_steps[a:b], delays)
+                    decay_lambda=2.0, delay_max_ms=12.0)
+    for seed in (9, 7, 3):
+        _assert_every_source_matches_reference(
+            build_network(dataclasses.replace(spec, seed=seed), dt_ms=0.5))
+
+
+@pytest.mark.parametrize("spec", [
+    # small-1k's shape: the own column's binomial has n * p = 43 > 30,
+    # where numpy switches from inversion to BTPE
+    GridSpec(grid_x=5, grid_y=2, neurons_per_column=100, target_fanout=200.0,
+             decay_lambda=2.0),
+    # one neuron per column: the own column has no eligible target, and
+    # numpy draws nothing for its binomial
+    GridSpec(grid_x=6, grid_y=5, neurons_per_column=1, target_fanout=4.0,
+             decay_lambda=2.0),
+], ids=["small-1k", "one-per-column"])
+def test_build_matches_reference_for_every_source(spec):
+    for seed in (42, 7, 3):
+        _assert_every_source_matches_reference(
+            build_network(dataclasses.replace(spec, seed=seed), dt_ms=1.0))
+
+
+class _CountingGenerator:
+    """A Philox Generator that counts its ``integers`` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.integers_calls = gen, 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+def test_build_redraws_sources_numpy_would_reject(monkeypatch):
+    # a 30,000-step delay span: numpy rejects a 32-bit half below
+    # 2**32 mod 30,000 = 17,296, about 4e-6 per delay; seed 1 rejects
+    # halves of two sources among 1M delays
+    spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=500, target_fanout=500.0,
+                    delay_max_ms=30000.0, seed=1)
+    made = []
+    real = rng.philox_generator
+
+    def counting_generator(seed, stream):
+        made.append(_CountingGenerator(real(seed, stream)))
+        return made[-1]
+
+    monkeypatch.setattr(rng, "philox_generator", counting_generator)
+    net = build_network(spec, dt_ms=1.0)
+    monkeypatch.undo()
+    assert net.total_synapses >= 1_000_000
+    assert made[0].integers_calls == 2  # one per redrawn source
+    _assert_every_source_matches_reference(net)

@@ -15,17 +15,20 @@ def test_philox_rekey_draws_as_a_fresh_generator():
     streams = list(range(3000)) + [2**40 + 5, 2**63 + 7]
     reused = rng.philox_generator(seed, 0)
     reused.random(3)  # leave a partly used buffer behind
+    rewind = rng.philox_rewinder(reused, seed)
     n = np.array([99, 100, 100, 100])
     p = np.array([0.9, 0.05, 0.3, 0.0])
     for s in streams:
         fresh = rng.philox_generator(seed, s)
-        rng.philox_rekey(reused, seed, s)
+        rewind(s)
         assert np.array_equal(fresh.binomial(n, p), reused.binomial(n, p))
         assert np.array_equal(fresh.random(7), reused.random(7))
         # small-range integers draw 32-bit halves; an odd count leaves a
-        # half-used word behind, which the next rekey must drop
+        # half-used word behind, which the next rewind must drop
         assert np.array_equal(fresh.integers(1, 21, size=5), reused.integers(1, 21, size=5))
         assert reused.bit_generator.state["has_uint32"] == 1
+        # the raw words the build decodes
+        assert np.array_equal(fresh.bit_generator.random_raw(5), reused.bit_generator.random_raw(5))
 
 
 def test_mix64_known_values_are_stable():

@@ -2,6 +2,8 @@
 
 Every key has a schema entry (type + default); parsing collects one
 diagnostic per offending line or field instead of stopping at the first.
+The ``grid``, ``model.lif``, ``stimulus`` and ``stdp`` keys are the fields
+of the dataclasses built from them, which declare their types and defaults.
 Emit-then-parse of any valid configuration is the identity (floats are
 written with repr, which round-trips exactly).
 
@@ -12,7 +14,7 @@ count and the loop time measured by the run this config drives".
 """
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .energy import PlatformRecord, PowerMeasurement
@@ -27,77 +29,94 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config",
 
 _POWER_LABELS = ("server", "embedded")
 
-# key -> (type tag, default); order here is the canonical emit order
-SCHEMA: Dict[str, Tuple[str, object]] = {
-    "grid.x": ("int", 10),
-    "grid.y": ("int", 10),
-    "grid.neurons_per_column": ("int", 100),
-    "grid.exc_fraction": ("float", 0.8),
-    "grid.target_fanout": ("float", 1195.0),
-    "grid.decay_lambda": ("float", 2.0),
-    "grid.delay_min_ms": ("float", 1.0),
-    "grid.delay_max_ms": ("float", 20.0),
-    "grid.w_exc": ("float", 0.4),
-    "grid.w_inh": ("float", 2.0),
-    "grid.seed": ("int", 42),
-    "model.kind": ("str", "adaptive_lif"),
-    "model.lif.tau_m": ("float", 20.0),
-    "model.lif.v_rest": ("float", -70.0),
-    "model.lif.v_thresh": ("float", -50.0),
-    "model.lif.v_reset": ("float", -60.0),
-    "model.lif.t_refr": ("float", 2.0),
-    "model.lif.g_c": ("float", 0.05),
-    "model.lif.tau_c": ("float", 500.0),
-    "model.lif.delta_c": ("float", 0.2),
-    "model.lif.e_k": ("float", -90.0),
-    "stimulus.ext_synapses_per_neuron": ("int", 594),
-    "stimulus.ext_rate_hz": ("float", 3.0),
-    "stimulus.ext_weight": ("float", 0.5),
-    "stimulus.seed": ("int", 7),
-    "stdp.enabled": ("bool", False),
-    "stdp.a_plus": ("float", 0.01),
-    "stdp.a_minus": ("float", 0.012),
-    "stdp.tau_plus": ("float", 20.0),
-    "stdp.tau_minus": ("float", 20.0),
-    "stdp.w_min": ("float", 0.0),
-    "stdp.w_max": ("float", 10.0),
-    "run.dt_ms": ("float", 1.0),
-    "run.simulated_seconds": ("float", 3.0),
-    "run.ranks": ("int", 1),
-    "run.transport": ("str", "memory"),
-    "run.w_exc_scale": ("float", 1.0),
-    "run.raster_format": ("str", "csv"),
-    "run.timeout_seconds": ("float", 30.0),
+# section -> the dataclass whose fields are its keys, types and defaults,
+# in validate's order: field f is key "<section>.f", except GridSpec's
+# grid_x and grid_y
+_SECTIONS = {
+    "grid": GridSpec,
+    "stimulus": StimulusSpec,
+    "model.lif": AdaptiveLifParams,
+    "stdp": StdpParams,
+}
+_FIELD_KEYS = {"grid_x": "x", "grid_y": "y"}
+
+
+def _key(section: str, name: str) -> str:
+    return f"{section}.{_FIELD_KEYS.get(name, name)}"
+
+
+def _declared(section: str) -> Dict[str, Tuple[type, object]]:
+    return {_key(section, f.name): (f.type, f.default) for f in fields(_SECTIONS[section])}
+
+
+# key -> (type, default); order here is the canonical emit order
+SCHEMA: Dict[str, Tuple[type, object]] = {
+    **_declared("grid"),
+    "model.kind": (str, "adaptive_lif"),
+    **_declared("model.lif"),
+    **_declared("stimulus"),
+    **_declared("stdp"),
+    "run.dt_ms": (float, 1.0),
+    "run.simulated_seconds": (float, 3.0),
+    "run.ranks": (int, 1),
+    "run.transport": (str, "memory"),
+    "run.w_exc_scale": (float, 1.0),
+    "run.raster_format": (str, "csv"),
+    "run.timeout_seconds": (float, 30.0),
 }
 for _label in _POWER_LABELS:
-    SCHEMA[f"power.{_label}.voltage"] = ("float", 220.0)
-    SCHEMA[f"power.{_label}.current"] = ("float", 0.0)
-    SCHEMA[f"power.{_label}.current_error"] = ("float", 0.005)
-    SCHEMA[f"power.{_label}.wall_seconds"] = ("float", 0.0)
-    SCHEMA[f"power.{_label}.events"] = ("int", 0)
-    SCHEMA[f"power.{_label}.baseline_w"] = ("float", 0.0)
+    SCHEMA[f"power.{_label}.voltage"] = (float, PowerMeasurement.voltage)
+    SCHEMA[f"power.{_label}.current"] = (float, 0.0)
+    SCHEMA[f"power.{_label}.current_error"] = (float, PowerMeasurement.current_error)
+    SCHEMA[f"power.{_label}.wall_seconds"] = (float, 0.0)
+    SCHEMA[f"power.{_label}.events"] = (int, 0)
+    SCHEMA[f"power.{_label}.baseline_w"] = (float, 0.0)
 
 
-def _parse_value(kind: str, raw: str):
+def _parse_value(kind: type, raw: str):
     raw = raw.strip()
-    if kind == "int":
+    if kind is int:
         return int(raw, 0)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "false"):
             return lowered == "true"
         raise ValueError(f"expected true/false, got {raw!r}")
-    return raw
+    return kind(raw)
 
 
-def _format_value(kind: str, value) -> str:
-    if kind == "bool":
+def _format_value(kind: type, value) -> str:
+    if kind is bool:
         return "true" if value else "false"
-    if kind == "float":
+    if kind is float:
         return repr(float(value))
     return str(value)
+
+
+def _parse_items(items, messages: Tuple[str, str, str], values: Dict[str, object]
+                 ) -> "RunConfig":
+    """Parse ``key = value`` items, given as (place, text) pairs, over
+    ``values``.  ``messages`` are the diagnostics for an item with no
+    ``=``, an unknown key and a bad value; raises ConfigError listing
+    every bad item."""
+    no_equals, unknown, bad_value = messages
+    problems: List[str] = []
+    for at, item in items:
+        if "=" not in item:
+            problems.append(no_equals.format(at=at, item=item))
+            continue
+        key, _, raw = item.partition("=")
+        key = key.strip()
+        if key not in SCHEMA:
+            problems.append(unknown.format(at=at, key=key))
+            continue
+        try:
+            values[key] = _parse_value(SCHEMA[key][0], raw)
+        except ValueError as err:
+            problems.append(bad_value.format(at=at, key=key, err=err))
+    if problems:
+        raise ConfigError(problems)
+    return RunConfig(values)
 
 
 @dataclass
@@ -120,47 +139,22 @@ class RunConfig:
         return RunConfig(out)
 
     # typed views -------------------------------------------------------
+    def _section(self, section: str):
+        """The section's dataclass, built from its keys."""
+        cls = _SECTIONS[section]
+        return cls(**{f.name: self.values[_key(section, f.name)] for f in fields(cls)})
+
     def grid_spec(self) -> GridSpec:
-        v = self.values
-        return GridSpec(
-            grid_x=v["grid.x"], grid_y=v["grid.y"],
-            neurons_per_column=v["grid.neurons_per_column"],
-            exc_fraction=v["grid.exc_fraction"],
-            target_fanout=v["grid.target_fanout"],
-            decay_lambda=v["grid.decay_lambda"],
-            delay_min_ms=v["grid.delay_min_ms"],
-            delay_max_ms=v["grid.delay_max_ms"],
-            w_exc=v["grid.w_exc"], w_inh=v["grid.w_inh"],
-            seed=v["grid.seed"],
-        )
+        return self._section("grid")
 
     def stimulus(self) -> StimulusSpec:
-        v = self.values
-        return StimulusSpec(
-            ext_synapses_per_neuron=v["stimulus.ext_synapses_per_neuron"],
-            ext_rate_hz=v["stimulus.ext_rate_hz"],
-            ext_weight=v["stimulus.ext_weight"],
-            seed=v["stimulus.seed"],
-        )
+        return self._section("stimulus")
 
     def lif_params(self) -> AdaptiveLifParams:
-        v = self.values
-        return AdaptiveLifParams(
-            tau_m=v["model.lif.tau_m"], v_rest=v["model.lif.v_rest"],
-            v_thresh=v["model.lif.v_thresh"], v_reset=v["model.lif.v_reset"],
-            t_refr=v["model.lif.t_refr"], g_c=v["model.lif.g_c"],
-            tau_c=v["model.lif.tau_c"], delta_c=v["model.lif.delta_c"],
-            e_k=v["model.lif.e_k"],
-        )
+        return self._section("model.lif")
 
     def stdp_params(self) -> StdpParams:
-        v = self.values
-        return StdpParams(
-            a_plus=v["stdp.a_plus"], a_minus=v["stdp.a_minus"],
-            tau_plus=v["stdp.tau_plus"], tau_minus=v["stdp.tau_minus"],
-            w_min=v["stdp.w_min"], w_max=v["stdp.w_max"],
-            enabled=v["stdp.enabled"],
-        )
+        return self._section("stdp")
 
     def power_record(self, label: str, wall_seconds: float = 0.0,
                      events: int = 0) -> Optional[PlatformRecord]:
@@ -189,17 +183,13 @@ class RunConfig:
     def validate(self) -> List[str]:
         problems: List[str] = []
         v = self.values
-
-        def check(build, *keys):
-            try:
-                build()
+        for section in _SECTIONS:
+            try:  # GridSpec lists its problems; the others raise on construction
+                built = self._section(section)
+                found = built.validate() if isinstance(built, GridSpec) else []
             except ConfigError as err:
-                problems.extend(f"{'/'.join(keys)}: {p}" for p in err.problems)
-
-        problems.extend(f"grid: {p}" for p in self.grid_spec().validate())
-        check(self.stimulus, "stimulus")
-        check(self.lif_params, "model.lif")
-        check(self.stdp_params, "stdp")
+                found = err.problems
+            problems.extend(f"{section}: {p}" for p in found)
         if v["model.kind"] not in MODEL_KINDS:
             problems.append(
                 f"model.kind: unknown model {v['model.kind']!r}; expected one of {MODEL_KINDS}"
@@ -242,28 +232,13 @@ class RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse flat key-value text; raises ConfigError listing every bad line."""
-    values: Dict[str, object] = {}
-    problems: List[str] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            problems.append(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            problems.append(f"{source}:{lineno}: unknown key {key!r}")
-            continue
-        kind, _ = SCHEMA[key]
-        try:
-            values[key] = _parse_value(kind, raw)
-        except ValueError as err:
-            problems.append(f"{source}:{lineno}: {key}: {err}")
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(values)
+    lines = ((f"{source}:{lineno}", line.strip())
+             for lineno, line in enumerate(text.splitlines(), 1))
+    return _parse_items(
+        ((at, item) for at, item in lines if item and not item.startswith("#")),
+        ("{at}: expected 'key = value', got {item!r}", "{at}: unknown key {key!r}",
+         "{at}: {key}: {err}"),
+        {})
 
 
 def parse_config(path) -> RunConfig:
@@ -273,25 +248,11 @@ def parse_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: List[str]) -> RunConfig:
     """Apply `key=value` override strings (the --set flag)."""
-    values = dict(cfg.values)
-    problems = []
-    for item in overrides:
-        if "=" not in item:
-            problems.append(f"--set {item!r}: expected key=value")
-            continue
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            problems.append(f"--set: unknown key {key!r}")
-            continue
-        kind, _ = SCHEMA[key]
-        try:
-            values[key] = _parse_value(kind, raw)
-        except ValueError as err:
-            problems.append(f"--set {key}: {err}")
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(values)
+    return _parse_items(
+        (("--set", item) for item in overrides),
+        ("{at} {item!r}: expected key=value", "{at}: unknown key {key!r}",
+         "{at} {key}: {err}"),
+        dict(cfg.values))
 
 
 def emit_config(cfg: RunConfig) -> str:

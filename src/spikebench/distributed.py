@@ -162,9 +162,9 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
 
     At one rank the network's own ``offsets`` and ``words`` are the
     table, shared without a copy.  Otherwise each rank's ``in_words`` is
-    allocated once at its final length (the in-degree summed over its
-    neurons), then filled in one pass over blocks of whole sources, in
-    source order; no temporary is sized to the network's synapse count.
+    allocated once at its final length (the build's synapse counts of the
+    rank's columns), then filled in one pass over blocks of whole sources,
+    in source order; no temporary is sized to the network's synapse count.
     """
     spec = net.spec
     if n_ranks < 1:
@@ -192,11 +192,8 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
         gid_to_local = np.empty(n, dtype=np.int32)
         for lg in local_gids:
             gid_to_local[lg] = np.arange(len(lg), dtype=np.int32)
-        in_degree = np.zeros(n, dtype=np.int64)
-        for a in range(0, len(net_words), _BLOCK_SYNAPSES):
-            in_degree += np.bincount(_unpack(net_words[a:a + _BLOCK_SYNAPSES], n)[1],
-                                     minlength=n)
-        in_words = [np.empty(int(in_degree[lg].sum()), dtype=np.int32) for lg in local_gids]
+        in_words = [np.empty(int(net.column_synapses[column_to_rank == r].sum()), dtype=np.int32)
+                    for r in range(n_ranks)]
         in_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in range(n_ranks)]
         filled = [0] * n_ranks
         for s0, s1 in _source_blocks(offsets):

@@ -376,28 +376,21 @@ def calibrate_rate(probe: Callable[[float], float], target_hz: float = 5.1,
     if lo_band <= rate <= hi_band:
         return initial_scale, rate
 
-    if rate < target_hz:
-        lo = initial_scale
-        hi = initial_scale * 2.0 if initial_scale > 0 else 1.0
-        rate = run(hi)
-        while rate < target_hz:
-            if lo_band <= rate <= hi_band:
-                return hi, rate
-            lo, hi = hi, hi * 2.0
-            rate = run(hi)
+    # bracket: double the scale while the rate stays below the target, or
+    # halve it while the rate stays above
+    up = rate < target_hz
+    factor = 2.0 if up else 0.5
+    near, far = initial_scale, initial_scale * factor
+    if up and initial_scale <= 0:  # doubling would stay at 0
+        far = 1.0
+    while True:
+        rate = run(far)
         if lo_band <= rate <= hi_band:
-            return hi, rate
-    else:
-        hi = initial_scale
-        lo = initial_scale * 0.5
-        rate = run(lo)
-        while rate > target_hz:
-            if lo_band <= rate <= hi_band:
-                return lo, rate
-            hi, lo = lo, lo * 0.5
-            rate = run(lo)
-        if lo_band <= rate <= hi_band:
-            return lo, rate
+            return far, rate
+        if not (rate < target_hz if up else rate > target_hz):
+            break  # the target lies between near and far
+        near, far = far, far * factor
+    lo, hi = (near, far) if up else (far, near)
 
     while True:
         mid = 0.5 * (lo + hi)

@@ -46,9 +46,9 @@ MODEL_KINDS = ("izhikevich", "adaptive_lif")
 class GridSpec:
     """Shape, connectivity and efficacy parameters of the columnar grid."""
 
-    grid_x: int
-    grid_y: int
-    neurons_per_column: int
+    grid_x: int = 10
+    grid_y: int = 10
+    neurons_per_column: int = 100
     exc_fraction: float = 0.8
     target_fanout: float = 1195.0
     decay_lambda: float = 2.0
@@ -110,8 +110,9 @@ class Network:
     ``offsets[s]:offsets[s+1]`` indexes the synapses of source s, each one
     int32 word ``delay * n_neurons + target`` (delay in steps) of weight
     ``source_weights()[s]``.  These two arrays are the table of a 1-rank
-    run, which uses them as they are.  ``model`` selects the neuron family
-    simulated on it.
+    run, which uses them as they are.  ``column_synapses[c]`` counts the
+    synapses onto column c's neurons, which sizes a rank's table.
+    ``model`` selects the neuron family simulated on it.
     """
 
     spec: GridSpec
@@ -119,6 +120,7 @@ class Network:
     model: str
     offsets: np.ndarray          # int64, n_neurons + 1
     words: np.ndarray            # int32, delay * n_neurons + target
+    column_synapses: np.ndarray  # int64, n_columns
     p0: float = field(default=0.0)
 
     @property
@@ -262,6 +264,7 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     reject_below = (2**32 - span) % span
 
     counts_per_source = np.zeros(n, dtype=np.int64)
+    column_synapses = np.zeros(n_cols, dtype=np.int64)
     gen = rng.philox_generator(spec.seed, 0)
     rewind = rng.philox_rewinder(gen, spec.seed)
     words = np.empty(_table_capacity(spec), dtype=np.int32)
@@ -287,6 +290,7 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
             pos += k
         per_source = counts.sum(axis=1)
         counts_per_source[c * npc:(c + 1) * npc] = per_source
+        column_synapses += counts.sum(axis=0)
         src_end = np.cumsum(per_source)
         end = filled + pos
         if end > len(words):  # more synapses than expected: grow, keep the words
@@ -312,15 +316,17 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
         # delays: a half h gives lo + (h * span) >> 32, as in numpy; a source
         # with a half that numpy would reject takes numpy's own delays
         h *= np.uint64(span)
-        rejected = np.flatnonzero(np.bitwise_and(h, np.uint64(0xFFFFFFFF), out=u) < reject_below)
+        low = np.bitwise_and(h, np.uint64(0xFFFFFFFF), out=u)
         h >>= np.uint64(32)
         h += np.uint64(delay_lo)
-        for i in np.unique(np.searchsorted(src_end, rejected, side="right")).tolist():
-            rewind(c * npc + i)
-            gen.binomial(eligible, probs[c])
-            gen.random(per_source[i])
-            h[src_end[i] - per_source[i]:src_end[i]] = gen.integers(
-                delay_lo, delay_hi + 1, size=per_source[i])
+        if pos and low.min() < reject_below:  # most columns have no such half
+            rejected = np.flatnonzero(low < reject_below)
+            for i in np.unique(np.searchsorted(src_end, rejected, side="right")).tolist():
+                rewind(c * npc + i)
+                gen.binomial(eligible, probs[c])
+                gen.random(per_source[i])
+                h[src_end[i] - per_source[i]:src_end[i]] = gen.integers(
+                    delay_lo, delay_hi + 1, size=per_source[i])
         h *= np.uint64(n)
         np.add(t, h.view(np.int64), out=t, casting="unsafe")  # fits int32, checked above
 
@@ -328,7 +334,7 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     np.cumsum(counts_per_source, out=offsets[1:])
     # a view: the unused tail was never written, so it holds no pages
     return Network(spec=spec, dt_ms=dt_ms, model=model, offsets=offsets,
-                   words=words[:filled], p0=p0)
+                   words=words[:filled], column_synapses=column_synapses, p0=p0)
 
 
 def count_equivalent_synapses(net: Network, ext_per_neuron: int) -> int:

@@ -32,13 +32,13 @@ __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
 
 @dataclass(frozen=True)
 class StdpParams:
+    enabled: bool = False
     a_plus: float = 0.01
     a_minus: float = 0.012
     tau_plus: float = 20.0
     tau_minus: float = 20.0
     w_min: float = 0.0
     w_max: float = 10.0
-    enabled: bool = False
 
     def __post_init__(self):
         problems = []

@@ -1,9 +1,13 @@
 """Config format: round-trip identity, validation diagnostics, bundles."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from spikebench import ConfigError
+from spikebench import AdaptiveLifParams, ConfigError, GridSpec, StdpParams, StimulusSpec
 from spikebench.config import (
+    SCHEMA,
     RunConfig,
     apply_overrides,
     bundled_config_names,
@@ -80,6 +84,12 @@ def test_overrides():
         apply_overrides(cfg, ["grid.seed=abc"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["no.such.key=1"])
+    with pytest.raises(ConfigError) as exc_info:
+        apply_overrides(cfg, ["no.such.key=1", "stdp.enabled=maybe"])
+    assert exc_info.value.problems == [
+        "--set: unknown key 'no.such.key'",
+        "--set stdp.enabled: expected true/false, got 'maybe'",
+    ]
 
 
 def test_bundled_configs():
@@ -136,3 +146,42 @@ def test_parse_config_file(tmp_path):
     path.write_text(emit_config(RunConfig().with_values(**{"grid.seed": 123})))
     cfg = parse_config(path)
     assert cfg["grid.seed"] == 123
+
+
+SECTIONS = {"grid": GridSpec, "model.lif": AdaptiveLifParams,
+            "stimulus": StimulusSpec, "stdp": StdpParams}
+
+
+def test_each_dataclass_field_is_one_schema_key():
+    declared = set()
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key = f"{section}.{f.name}".replace("grid.grid_", "grid.")
+            assert SCHEMA[key] == (f.type, f.default)
+            declared.add(key)
+    assert {k for k in SCHEMA if k.startswith(("grid.", "model.lif.", "stimulus.", "stdp."))} \
+        == declared
+
+
+def test_schema_types_are_plain_types():
+    # a string annotation (from __future__ import annotations) would show here
+    assert {kind for kind, _ in SCHEMA.values()} <= {int, float, bool, str}
+    for kind, default in SCHEMA.values():
+        assert type(default) is kind
+
+
+def test_default_views_equal_dataclass_defaults():
+    cfg = RunConfig()
+    assert cfg.grid_spec() == GridSpec()
+    assert cfg.stimulus() == StimulusSpec()
+    assert cfg.lif_params() == AdaptiveLifParams()
+    assert cfg.stdp_params() == StdpParams()
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (RunConfig, "8a63ef5fc038e155766c0465eb083c31ced60d2e3fa63d0235f19be162e475c2"),
+    (lambda: load_bundled_config("paper-desk"),
+     "7bb2f6d358fd00e5288321e44ed9c8ff6695e76c230a08355b1fde2930eed318"),
+], ids=["default", "paper-desk"])
+def test_emitted_config_is_pinned(cfg, digest):
+    assert hashlib.sha256(emit_config(cfg()).encode()).hexdigest() == digest

@@ -112,7 +112,9 @@ def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
     # each synapse packed as build_network stores it: delay * n + target
     words = delays.astype(np.int64) * spec.n_neurons + targets
     return Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
-                   words=words.astype(np.int32))
+                   words=words.astype(np.int32),
+                   column_synapses=np.bincount(targets // spec.neurons_per_column,
+                                               minlength=spec.n_columns))
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])

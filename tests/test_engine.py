@@ -317,6 +317,48 @@ def test_calibrate_unreachable_target_exhausts():
     assert exc_info.value.achieved_hz <= 300.0
 
 
+# (target_hz, initial_scale, band_hz, rate at scale 0, probed scales, result
+# scale or None for CalibrationError): the search's whole probe order is
+# pinned, for brackets that double, halve, and start at scale 0
+_CALIBRATION_TRACES = [
+    (0.5, 0.0, 1.5, 0.0, [0.0], 0.0),
+    (0.5, 0.3, 1.5, 0.0, [0.3], 0.3),
+    (0.5, 1.0, 1.5, 0.0, [1.0, 0.5], 0.5),
+    (0.5, 7.0, 1.5, 0.0, [7.0, 3.5, 1.75, 0.875, 0.4375], 0.4375),
+    (5.1, 0.0, 1.5, 0.0, [0.0, 1.0], 1.0),
+    (5.1, 0.3, 1.5, 0.0, [0.3, 0.6, 1.2], 1.2),
+    (5.1, 1.0, 1.5, 0.0, [1.0], 1.0),
+    (5.1, 7.0, 1.5, 0.0, [7.0, 3.5, 1.75, 0.875, 1.3125], 1.3125),
+    (40.0, 0.0, 1.5, 0.0, [0.0, 1.0, 2.0, 4.0, 8.0, 6.0, 5.0, 4.5, 4.75], 4.75),
+    (40.0, 0.3, 1.5, 0.0, [0.3, 0.6, 1.2, 2.4, 4.8, 3.5999999999999996, 4.199999999999999, 4.5, 4.65], 4.65),
+    (40.0, 1.0, 1.5, 0.0, [1.0, 2.0, 4.0, 8.0, 6.0, 5.0, 4.5, 4.75], 4.75),
+    (40.0, 7.0, 1.5, 0.0, [7.0, 3.5, 5.25, 4.375, 4.8125, 4.59375], 4.59375),
+    (0.5, 0.0, 0.25, 2.0, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], None),
+    (3.0, 2.0, 0.25, 2.0, [2.0, 1.0, 0.5, 0.25, 0.375], 0.375),
+]
+
+
+@pytest.mark.parametrize("target, initial, band, offset, probed, result", _CALIBRATION_TRACES)
+def test_calibrate_probe_sequence_is_pinned(target, initial, band, offset, probed, result):
+    def rate(scale):
+        return offset + 4.0 * scale ** 1.5 if scale > 0 else offset
+
+    calls = []
+    def probe(scale):
+        calls.append(scale)
+        return rate(scale)
+
+    if result is None:
+        with pytest.raises(CalibrationError) as exc_info:
+            calibrate_rate(probe, target_hz=target, band_hz=band,
+                           initial_scale=initial, max_iters=12)
+        assert exc_info.value.achieved_hz == rate(calls[-1])
+    else:
+        assert calibrate_rate(probe, target_hz=target, band_hz=band,
+                              initial_scale=initial, max_iters=12) == (result, rate(result))
+    assert calls == probed
+
+
 def test_calibrate_deterministic_given_seeds():
     net = _tiny_net()
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)

@@ -19,16 +19,18 @@ Wire format (all little-endian):
 
 Transports implement per-pair FIFO, reliable delivery: an in-memory
 queue fabric for ranks running as threads of one process, and a TCP
-stream transport (one duplex connection per coupled rank pair,
-rendezvoused from a `rank host:port` cluster file).
+stream transport over one duplex connection per coupled rank pair.
 
 Every run goes through `run_simulation`.  It runs every rank of a run
 as a thread of this process, or, given ``rank`` and ``cluster``, just
-that rank, talking TCP to the processes that run the others.  Each rank
-opens and closes its own transport; closing is the stop signal, so the
-peers of a failed rank fail at their next receive.
+that rank, talking TCP to the processes that run the others.  It opens
+every TCP link before any rank starts: over loopback for thread ranks,
+by a rendezvous from a `rank host:port` cluster file for a cluster
+rank.  Each rank closes its own transport; closing is the stop signal,
+so the peers of a failed rank fail at their next receive.
 """
 
+import contextlib
 import queue
 import socket
 import struct
@@ -60,6 +62,8 @@ __all__ = [
     "FRAME_VERSION",
     "InMemoryFabric",
     "TcpTransport",
+    "loopback_links",
+    "rendezvous",
     "Communicator",
     "parse_cluster_file",
     "check_run_args",
@@ -249,15 +253,15 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
 
 def encode_frame(sender_rank: int, step: int, spikes) -> bytes:
     """Serialize one spike frame."""
-    spikes = np.asarray(spikes, dtype=np.uint32)
+    spikes = np.asarray(spikes, dtype="<u4")
     if spikes.size >= 2**32:
         raise ConfigError(["frame spike count exceeds u32"])
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, sender_rank, step, spikes.size)
-    return header + spikes.astype("<u4").tobytes()
+    return header + spikes.tobytes()
 
 
 def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
-    """Parse and validate one spike frame -> (sender, step, source ids)."""
+    """Parse and validate one spike frame -> (sender, step, read-only u32 ids)."""
     if len(buf) < HEADER_SIZE:
         raise FrameCorruptionError(f"frame shorter than the {HEADER_SIZE}-byte header")
     magic, version, sender, step, count = _HEADER.unpack_from(buf)
@@ -271,8 +275,7 @@ def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
             f"frame length {len(buf)} does not match declared count {count} "
             f"(expected {expected})"
         )
-    spikes = np.frombuffer(buf, dtype="<u4", offset=HEADER_SIZE).astype(np.uint32)
-    return sender, step, spikes
+    return sender, step, np.frombuffer(buf, dtype="<u4", offset=HEADER_SIZE)
 
 
 class InMemoryFabric:
@@ -352,107 +355,31 @@ def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
 
 
 class TcpTransport:
-    """One duplex TCP connection per coupled rank pair.
+    """Frames over one connected duplex TCP socket per coupled peer.
 
-    For each pair (a, b) with a < b, b connects to a's listen address and
-    announces itself with a u16 rank hello.  Frames are length-delimited
-    by the header's count field.  ``listener``, if given, is this rank's
-    socket, already bound and listening, used instead of binding
-    ``cluster[rank]``; it is closed once the peers are in.  ``stop``, if
-    given, is set when another rank of the same process has failed; the
-    rendezvous then gives up instead of waiting out ``timeout``.
+    ``socks`` is {peer rank: socket}, made by ``loopback_links`` or
+    ``rendezvous``; the transport owns them, and ``close`` closes them.
+    Frames are length-delimited by the header's count field.
     """
 
-    _POLL_S = 0.05  # how often a waiting rendezvous looks at ``stop``
-
-    def __init__(self, rank: int, cluster: Dict[int, Tuple[str, int]],
-                 peers: List[int], timeout: float = 30.0,
-                 listener: Optional[socket.socket] = None,
-                 stop: Optional[threading.Event] = None):
+    def __init__(self, rank: int, socks: Dict[int, socket.socket]):
         self.rank = rank
-        self.timeout = timeout
-        self._stop = stop
-        self._socks: Dict[int, socket.socket] = {}
-        accept_from = sorted(p for p in peers if p > rank)
-        connect_to = sorted(p for p in peers if p < rank)
-
-        if listener is None and accept_from:
-            listener = socket.create_server(cluster[rank], backlog=len(accept_from))
-        try:
-            for peer in connect_to:
-                self._socks[peer] = self._connect(cluster[peer], peer)
-            remaining = set(accept_from)
-            deadline = time.monotonic() + timeout
-            while remaining:
-                self._check_stop(remaining)
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise ExchangeError(
-                        f"rank {self.rank} timed out accepting peers {sorted(remaining)}",
-                        rank=sorted(remaining)[0],
-                    )
-                listener.settimeout(min(left, self._POLL_S))
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                conn.settimeout(timeout)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                hello = self._read_exact(conn, 2, context="rank hello")
-                peer = struct.unpack("<H", hello)[0]
-                if peer not in remaining:
-                    raise ProtocolViolationError(
-                        f"unexpected hello from rank {peer} at rank {self.rank}"
-                    )
-                remaining.discard(peer)
-                self._socks[peer] = conn
-        finally:
-            if listener is not None:
-                listener.close()
-
-    def _check_stop(self, waiting_for) -> None:
-        if self._stop is not None and self._stop.is_set():
-            raise ExchangeError(
-                f"rank {self.rank} stopped waiting for ranks {sorted(waiting_for)}: "
-                "another rank of this run failed",
-                rank=sorted(waiting_for)[0],
-            )
-
-    def _connect(self, addr, peer: int) -> socket.socket:
-        deadline = time.monotonic() + self.timeout
-        last_err = None
-        while time.monotonic() < deadline:
-            self._check_stop([peer])
-            try:
-                sock = socket.create_connection(addr, timeout=self.timeout)
-                sock.settimeout(self.timeout)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.sendall(struct.pack("<H", self.rank))
-                return sock
-            except OSError as err:
-                last_err = err
-                time.sleep(0.05)
-        raise ExchangeError(
-            f"rank {self.rank} could not reach rank {peer} at {addr}: {last_err}",
-            rank=peer,
-        )
+        self._socks = socks
+        for sock in socks.values():  # no Nagle delay on the small per-step frames
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     @staticmethod
     def _read_exact(sock: socket.socket, count: int, context: str = "frame") -> bytes:
-        chunks = []
-        got = 0
-        while got < count:
+        buf = b""
+        while len(buf) < count:
             try:
-                chunk = sock.recv(count - got)
-            except socket.timeout:
-                raise ExchangeError(f"timed out reading {context}") from None
-            except OSError as err:
+                chunk = sock.recv(count - len(buf))
+            except OSError as err:  # a timeout too
                 raise ExchangeError(f"{err} while reading {context}") from None
             if not chunk:
                 raise ExchangeError(f"peer disconnected while reading {context}")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+            buf += chunk
+        return buf
 
     def send(self, to_rank: int, frame: bytes) -> None:
         try:
@@ -467,13 +394,11 @@ class TcpTransport:
         sock.settimeout(timeout)
         try:
             header = self._read_exact(sock, HEADER_SIZE)
-            count = _HEADER.unpack_from(header)[4]
-            payload = self._read_exact(sock, 4 * count) if count else b""
+            return header + self._read_exact(sock, 4 * _HEADER.unpack_from(header)[4])
         except ExchangeError as err:
             raise ExchangeError(
                 f"rank {self.rank} lost rank {from_rank}: {err}", rank=from_rank
             ) from None
-        return header + payload
 
     def close(self) -> None:
         for sock in self._socks.values():
@@ -481,6 +406,82 @@ class TcpTransport:
                 sock.close()
             except OSError:
                 pass
+
+
+def loopback_links(parts: List[RankPartition], timeout: float
+                   ) -> Dict[int, Dict[int, socket.socket]]:
+    """Link all ranks of a run, in this process -> {rank: {peer: socket}}.
+
+    One loopback listener serves every coupled pair in turn, connect then
+    accept, so the owner of each socket is known without a hello.
+    If a link fails, every socket made so far is closed.
+    """
+    links = {part.rank: {} for part in parts}
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            contextlib.ExitStack() as made:
+        listener.settimeout(timeout)
+        addr = listener.getsockname()
+        for part in parts:
+            for peer in part.out_peers:  # each in-peer is another part's out-peer
+                if peer not in links[part.rank]:
+                    links[part.rank][peer] = made.enter_context(
+                        socket.create_connection(addr, timeout=timeout))
+                    into = links[peer][part.rank] = made.enter_context(listener.accept()[0])
+                    into.settimeout(timeout)
+        made.pop_all()
+    return links
+
+
+def _connect(rank: int, peer: int, addr, deadline: float, timeout: float) -> socket.socket:
+    """Connect to rank ``peer`` at ``addr``, retrying until it listens or
+    ``deadline`` passes."""
+    while True:
+        try:
+            return socket.create_connection(addr, timeout=timeout)
+        except OSError as err:
+            if time.monotonic() >= deadline:
+                raise ExchangeError(
+                    f"rank {rank} could not reach rank {peer} at {addr}: {err}", rank=peer
+                ) from None
+            time.sleep(0.05)
+
+
+def rendezvous(rank: int, cluster: Dict[int, Tuple[str, int]], peers: List[int],
+               timeout: float) -> Dict[int, socket.socket]:
+    """Link one rank of a multi-process run to its ``peers`` -> {peer: socket}.
+
+    For each coupled pair a < b, b connects to ``cluster[a]`` and announces
+    itself with a u16 rank hello; a accepts.  The whole rendezvous waits at
+    most ``timeout``.  If it fails, every socket it made is closed.
+    """
+    deadline = time.monotonic() + timeout
+    waiting = {p for p in peers if p > rank}
+    socks = {}
+    # listening before connecting lets a higher rank's connect queue
+    with (socket.create_server(cluster[rank], backlog=len(waiting)) if waiting
+          else contextlib.nullcontext()) as listener, contextlib.ExitStack() as made:
+        for peer in sorted({p for p in peers if p < rank}):
+            socks[peer] = made.enter_context(
+                _connect(rank, peer, cluster[peer], deadline, timeout))
+            socks[peer].sendall(struct.pack("<H", rank))
+        while waiting:
+            # at least a millisecond: a zero timeout would make accept non-blocking
+            listener.settimeout(max(deadline - time.monotonic(), 1e-3))
+            try:
+                conn = made.enter_context(listener.accept()[0])
+            except socket.timeout:
+                raise ExchangeError(
+                    f"rank {rank} timed out accepting peers {sorted(waiting)}",
+                    rank=min(waiting)) from None
+            conn.settimeout(timeout)
+            peer = struct.unpack("<H", TcpTransport._read_exact(conn, 2, context="rank hello"))[0]
+            if peer not in waiting:
+                raise ProtocolViolationError(
+                    f"unexpected hello from rank {peer} at rank {rank}")
+            waiting.discard(peer)
+            socks[peer] = conn
+        made.pop_all()
+    return socks
 
 
 class Communicator:
@@ -496,6 +497,9 @@ class Communicator:
         """Send this step's local spikes, block for every incoming peer's
         frame for the same step, and return the union of remote spikes."""
         part = self.part
+        # Every send comes before any receive.  A frame is at most 15 + 4 *
+        # n_local bytes (about 20 KB per desk-tcp2 rank): sendall can block two
+        # ranks on each other only if both their frames overflow the socket buffers.
         for peer in part.out_peers:
             relevant = part.peer_sources[peer]
             outgoing = spiked_gids[np.isin(spiked_gids, relevant)] if len(spiked_gids) else spiked_gids
@@ -524,7 +528,7 @@ class Communicator:
                 )
             self._last_step_from[peer] = got_step
             if len(spikes):
-                spikes = spikes.astype(np.int64)
+                spikes = spikes.astype(np.int64)  # the one copy out of the frame
                 self._validate_remote(peer, spikes)
                 remote.append(spikes)
         if not remote:
@@ -594,9 +598,10 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     """Run the benchmark with ``n_ranks`` ranks, each a thread of this process.
 
     Without ``rank``, every rank runs here: transport "memory" uses the
-    loopback fabric, "tcp" opens real local sockets.  With ``rank``, only
-    that rank runs here, over TCP to the other processes of ``cluster``
-    ({rank: (host, port)}).  Each rank times its own loop; the merged
+    loopback fabric, "tcp" real local sockets, all connected before any
+    rank starts.  With ``rank``, only that rank runs here, over TCP to the
+    other processes of ``cluster`` ({rank: (host, port)}), linked by a
+    rendezvous.  Each rank times its own loop; the merged
     metrics take the slowest rank's time.  Returns (merged RunMetrics,
     (steps, gids) raster sorted by (step, id), per-rank metrics list, and
     the parts of the ranks run here).
@@ -615,36 +620,30 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         for p in parts
     ]
 
-    fabric = InMemoryFabric(n_ranks) if rank is None and transport == "memory" else None
-    listeners = {}
-    if rank is None and transport == "tcp":
-        # bound and listening before any rank connects: no port can be lost
-        listeners = {r: socket.create_server(("127.0.0.1", 0), backlog=n_ranks)
-                     for r in range(n_ranks)}
-        cluster = {r: sock.getsockname() for r, sock in listeners.items()}
+    fabric = links = None
+    if rank is not None:
+        links = {rank: rendezvous(rank, cluster, parts[0].out_peers + parts[0].in_peers,
+                                  timeout)}
+    elif transport == "tcp":
+        links = loopback_links(parts, timeout)
+    else:
+        fabric = InMemoryFabric(n_ranks)
     walls = [0.0] * len(engines)
     failures = []
-    failed = threading.Event()  # ends the rendezvous of the other ranks
 
     def worker(i):
-        # the rank's one owner: opens its link, runs, and closes the link
-        # on the way out, which stops any peer waiting on it
+        # the rank's one owner: wraps its links, runs, and closes them on
+        # the way out, which stops any peer waiting on it
         part, endpoint = parts[i], None
         try:
-            if fabric is not None:
-                endpoint = fabric.endpoint(part.rank)
-            else:
-                endpoint = TcpTransport(part.rank, cluster,
-                                        sorted(set(part.out_peers) | set(part.in_peers)),
-                                        timeout, listener=listeners.get(part.rank),
-                                        stop=failed)
+            endpoint = (fabric.endpoint(part.rank) if fabric is not None
+                        else TcpTransport(part.rank, links[part.rank]))
             comm = Communicator(part, endpoint, timeout=timeout)
             t0 = time.perf_counter()
             _rank_loop(engines[i], comm, n_steps)
             walls[i] = time.perf_counter() - t0
         except BaseException as err:  # propagate to the caller
             failures.append(err)
-            failed.set()
         finally:
             if endpoint is not None:
                 endpoint.close()

@@ -29,10 +29,11 @@ def _tiny_args(extra=()):
 
 def _read_kv(path):
     out = {}
-    for line in open(path):
-        if "=" in line:
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+    with open(path) as fh:
+        for line in fh:
+            if "=" in line:
+                key, _, val = line.partition("=")
+                out[key.strip()] = val.strip()
     return out
 
 

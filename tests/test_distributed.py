@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from spikebench.distributed import (
     TcpTransport,
     decode_frame,
     encode_frame,
+    loopback_links,
     parse_cluster_file,
     partition,
+    rendezvous,
     run_simulation,
 )
 from spikebench.engine import Engine
@@ -546,6 +549,92 @@ def test_cluster_file_parsing(tmp_path):
     assert "rank 3 " in problems[3]
 
 
+# ------------------------------------------------------------ TCP links
+
+def _close_all(links):
+    for socks in links.values():
+        for sock in socks.values():
+            sock.close()
+
+
+@pytest.mark.parametrize("n_ranks", [3, 4])
+def test_loopback_links_join_exactly_the_coupled_pairs(n_ranks):
+    _, parts = partition(_net(), n_ranks)
+    links = loopback_links(parts, timeout=5.0)
+    try:
+        for part in parts:
+            assert set(links[part.rank]) == set(part.out_peers) | set(part.in_peers)
+            for peer, sock in links[part.rank].items():  # the far end is the peer's
+                sock.sendall(bytes([part.rank]))
+                assert links[peer][part.rank].recv(1) == bytes([part.rank])
+    finally:
+        _close_all(links)
+
+
+def test_loopback_links_close_every_socket_when_one_fails(monkeypatch):
+    _, parts = partition(_net(), 3)
+    made, connects = [], []
+    create_server, connect, accept = (
+        socket.create_server, socket.create_connection, socket.socket.accept)
+
+    def recording_server(*args, **kwargs):
+        made.append(create_server(*args, **kwargs))
+        return made[-1]
+
+    def second_connect_fails(*args, **kwargs):
+        connects.append(args)
+        if len(connects) == 2:
+            raise OSError("injected failure of the second connect")
+        made.append(connect(*args, **kwargs))
+        return made[-1]
+
+    def recording_accept(self):
+        conn, addr = accept(self)
+        made.append(conn)
+        return conn, addr
+
+    monkeypatch.setattr(socket, "create_server", recording_server)
+    monkeypatch.setattr(socket, "create_connection", second_connect_fails)
+    monkeypatch.setattr(socket.socket, "accept", recording_accept)
+    with pytest.raises(OSError, match="second connect"):
+        loopback_links(parts, timeout=5.0)
+    assert len(made) == 3  # the listener and both ends of the first link
+    assert [sock.fileno() for sock in made] == [-1] * 3
+
+
+def _free_port():
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        return sock.getsockname()[1]
+
+
+def test_rendezvous_names_the_peer_that_never_connects():
+    cluster = {r: ("127.0.0.1", 0) for r in range(3)}
+    t0 = time.perf_counter()
+    with pytest.raises(ExchangeError) as exc_info:
+        rendezvous(0, cluster, [1, 2], timeout=0.3)
+    assert exc_info.value.rank == 1
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_rendezvous_rejects_a_hello_from_outside_its_peers():
+    cluster = {r: ("127.0.0.1", _free_port()) for r in range(3)}
+    with ThreadPoolExecutor(1) as pool:
+        accepting = pool.submit(rendezvous, 0, cluster, [1], 0.5)
+        stranger = rendezvous(2, cluster, [0], timeout=0.5)  # rank 0 waits for rank 1
+        try:
+            with pytest.raises(ProtocolViolationError, match="hello from rank 2"):
+                accepting.result(timeout=5.0)
+        finally:
+            _close_all({2: stranger})
+
+
+def test_rendezvous_names_the_peer_it_cannot_reach():
+    cluster = {0: ("127.0.0.1", _free_port()), 1: ("127.0.0.1", 0)}  # nothing listens
+    with pytest.raises(ExchangeError, match="could not reach rank 0") as exc_info:
+        rendezvous(1, cluster, [0], timeout=0.3)
+    assert exc_info.value.rank == 0
+
+
 # ------------------------------------------------------ failing ranks
 
 def test_closed_memory_transport_ends_peer_recv_at_once():
@@ -565,19 +654,9 @@ def test_closed_memory_transport_ends_peer_recv_at_once():
 
 
 def _tcp_pair(timeout=5.0):
-    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
-    cluster = {r: sock.getsockname() for r, sock in enumerate(listeners)}
-    ends = {}
-
-    def open_end(r):
-        ends[r] = TcpTransport(r, cluster, [1 - r], timeout, listener=listeners[r])
-
-    threads = [threading.Thread(target=open_end, args=(r,)) for r in range(2)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    return ends[0], ends[1]
+    _, parts = partition(_net(), 2)
+    links = loopback_links(parts, timeout)
+    return TcpTransport(0, links[0]), TcpTransport(1, links[1])
 
 
 @pytest.mark.parametrize("unread", [False, True])
@@ -610,20 +689,17 @@ def test_tcp_closed_peer_raises_exchange_error_naming_rank(unread):
 
 @pytest.mark.parametrize("transport", ["memory", "tcp", "tcp-connect"])
 def test_rank_failure_ends_run_promptly_with_its_own_error(monkeypatch, transport):
-    # rank 1 dies at step 2, or ("tcp-connect") while it connects to rank
-    # 0; rank 0 must stop at its next receive, or stop waiting to accept,
-    # and the run must raise rank 1's error, not rank 0's lost-peer error
+    # rank 1 dies at step 2, or ("tcp-connect") while the driver links it
+    # to rank 0; rank 0 must stop at its next receive, or never start, and
+    # the run must raise rank 1's error, not rank 0's lost-peer error
     net = _net()
     if transport == "tcp-connect":
         transport, error = "tcp", OSError
-        connect = TcpTransport._connect
 
-        def failing_connect(self, addr, peer):
-            if self.rank == 1:
-                raise OSError("injected failure on rank 1")
-            return connect(self, addr, peer)
+        def failing_connect(*args, **kwargs):
+            raise OSError("injected failure on rank 1")
 
-        monkeypatch.setattr(TcpTransport, "_connect", failing_connect)
+        monkeypatch.setattr(socket, "create_connection", failing_connect)
     else:
         error = RuntimeError
         step = Engine.step

@@ -458,8 +458,15 @@ def rendezvous(rank: int, cluster: Dict[int, Tuple[str, int]], peers: List[int],
     waiting = {p for p in peers if p > rank}
     socks = {}
     # listening before connecting lets a higher rank's connect queue
-    with (socket.create_server(cluster[rank], backlog=len(waiting)) if waiting
-          else contextlib.nullcontext()) as listener, contextlib.ExitStack() as made:
+    listener = contextlib.nullcontext()
+    if waiting:
+        try:
+            listener = socket.create_server(cluster[rank], backlog=len(waiting))
+        except OSError as err:
+            raise ExchangeError(
+                f"rank {rank} could not listen at {cluster[rank]}: {err}", rank=rank
+            ) from None
+    with listener, contextlib.ExitStack() as made:
         for peer in sorted({p for p in peers if p < rank}):
             socks[peer] = made.enter_context(
                 _connect(rank, peer, cluster[peer], deadline, timeout))
@@ -630,6 +637,9 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         fabric = InMemoryFabric(n_ranks)
     walls = [0.0] * len(engines)
     failures = []
+    # every rank starts its timer once all are ready, so no rank's loop
+    # time holds a wait for a peer thread that has not yet started
+    start = threading.Barrier(len(engines))
 
     def worker(i):
         # the rank's one owner: wraps its links, runs, and closes them on
@@ -639,11 +649,15 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
             endpoint = (fabric.endpoint(part.rank) if fabric is not None
                         else TcpTransport(part.rank, links[part.rank]))
             comm = Communicator(part, endpoint, timeout=timeout)
+            start.wait()
             t0 = time.perf_counter()
             _rank_loop(engines[i], comm, n_steps)
             walls[i] = time.perf_counter() - t0
         except BaseException as err:  # propagate to the caller
+            # recorded before the abort frees the peers at the barrier, so
+            # a rank that fails there leaves its own error first
             failures.append(err)
+            start.abort()
         finally:
             if endpoint is not None:
                 endpoint.close()

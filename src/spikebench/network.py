@@ -19,14 +19,21 @@ contiguous id block [cid*npc, (cid+1)*npc).  Within each column the first
 round(exc_fraction*npc) ids are excitatory.
 """
 
+import functools
 import math
+import os
+import signal
+import sys
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, InfeasibleSpecError
+from .errors import ConfigError, InfeasibleSpecError, SpikebenchError
 
 __all__ = [
     "GridSpec",
@@ -170,6 +177,14 @@ def _column_distance_matrix(spec: GridSpec) -> np.ndarray:
     return np.sqrt((dx * dx + dy * dy).astype(np.float64))
 
 
+def _eligible_targets(spec: GridSpec) -> np.ndarray:
+    """Eligible targets of a source in column c (row) within column c'
+    (int64): every neuron, less the source itself in its own column."""
+    eligible = np.full((spec.n_columns, spec.n_columns), spec.neurons_per_column, dtype=np.int64)
+    np.fill_diagonal(eligible, spec.neurons_per_column - 1)
+    return eligible
+
+
 def normalize_fanout(spec: GridSpec) -> float:
     """Base connection probability p0 so the average expected fanout equals
     ``target_fanout``.
@@ -181,11 +196,8 @@ def normalize_fanout(spec: GridSpec) -> float:
     the grid is too small for the requested fanout.
     """
     spec.require_valid()
-    dist = _column_distance_matrix(spec)
-    kernel = np.exp(-dist / spec.decay_lambda)
-    eligible = np.full(dist.shape, float(spec.neurons_per_column))
-    np.fill_diagonal(eligible, float(spec.neurons_per_column - 1))
-    per_column = (kernel * eligible).sum(axis=1)
+    kernel = np.exp(-_column_distance_matrix(spec) / spec.decay_lambda)
+    per_column = (kernel * _eligible_targets(spec)).sum(axis=1)
     mean_reach = float(per_column.mean())
     if mean_reach <= 0.0:
         raise InfeasibleSpecError("network has no eligible targets")
@@ -221,13 +233,188 @@ def _table_capacity(spec: GridSpec) -> int:
     return int(expected + 8.0 * math.sqrt(expected)) + 1
 
 
+def _grown(words: np.ndarray, filled: int, end: int) -> np.ndarray:
+    """A larger table holding ``words[:filled]``: ``end`` words, or twice
+    the old size if that is more."""
+    grown = np.empty(max(end, 2 * len(words)), dtype=np.int32)
+    grown[:filled] = words[:filled]
+    return grown
+
+
+def _build_columns(spec: GridSpec, probs: np.ndarray, eligible: np.ndarray,
+                   delay_lo: int, delay_hi: int, lo: int, hi: int, words: np.ndarray):
+    """Build the synapses of source columns [lo, hi) into ``words``, grown
+    if need be -> (words, filled, counts_per_source, column_synapses).
+
+    ``words[:filled]`` holds the range's synapses in source order, and
+    ``counts_per_source`` the synapse count of each of its sources.
+    """
+    npc, n_cols, n = spec.neurons_per_column, spec.n_columns, spec.n_neurons
+    col_starts = np.tile(np.arange(n_cols, dtype=np.int32) * np.int32(npc), npc)
+    span = delay_hi - delay_lo + 1
+    # numpy's bounded integers (Lemire's method) reject a 32-bit half h, and
+    # draw another, when (h * span) mod 2**32 is below this
+    reject_below = (2**32 - span) % span
+
+    counts_per_source = np.zeros((hi - lo) * npc, dtype=np.int64)
+    column_synapses = np.zeros(n_cols, dtype=np.int64)
+    gen = rng.philox_generator(spec.seed, 0)
+    rewind = rng.philox_rewinder(gen, spec.seed)
+    filled = 0
+    uw = hw = np.empty(0, dtype=np.uint64)  # column scratch, one item per synapse
+    # each source draws from its own stream: binomial counts per target
+    # column, then one block of raw words, k words for the uniforms and k
+    # 32-bit halves for the delays; they are decoded once per source column
+    for c in range(lo, hi):
+        counts = np.empty((npc, n_cols), dtype=np.int64)
+        pos = 0
+        for i in range(npc):
+            rewind(c * npc + i)
+            counts[i] = gen.binomial(eligible[c], probs[c])
+            k = int(counts[i].sum())
+            r = gen.bit_generator.random_raw(k + (k + 1) // 2)
+            if pos + k > len(uw):  # grow, keeping the column's items so far
+                uw, hw = np.resize(uw, 2 * (pos + k)), np.resize(hw, 2 * (pos + k))
+            uw[pos:pos + k] = r[:k]
+            hw[pos:pos + k] = r[k:].astype("<u8", copy=False).view("<u4")[:k]  # low half first
+            pos += k
+        per_source = counts.sum(axis=1)
+        counts_per_source[(c - lo) * npc:(c - lo + 1) * npc] = per_source
+        column_synapses += counts.sum(axis=0)
+        src_end = np.cumsum(per_source)
+        end = filled + pos
+        if end > len(words):  # more synapses than expected
+            words = _grown(words, filled, end)
+        u, h, t = uw[:pos], hw[:pos], words[filled:end]
+        filled = end
+
+        # targets: the uniform (w >> 11) * 2**-53 times the eligible count,
+        # floored; only the own column's synapses take npc - 1 and skip the
+        # source's own slot
+        u >>= np.uint64(11)  # below 2**53: converts to float exactly
+        col_base = np.repeat(col_starts, counts.ravel())
+        own_at = np.flatnonzero(col_base == c * npc)
+        own = (u[own_at] * ((npc - 1) * 2.0**-53)).astype(np.int32)
+        own += own >= np.searchsorted(src_end, own_at, side="right")
+        np.multiply(u.view(np.int64), npc * 2.0**-53, out=u.view(np.float64))
+        np.copyto(t, u.view(np.float64), casting="unsafe")  # floor: >= 0
+        t[own_at] = own
+        t += col_base
+
+        # delays: a half h gives lo + (h * span) >> 32, as in numpy; a source
+        # with a half that numpy would reject takes numpy's own delays
+        h *= np.uint64(span)
+        low = np.bitwise_and(h, np.uint64(0xFFFFFFFF), out=u)
+        h >>= np.uint64(32)
+        h += np.uint64(delay_lo)
+        if pos and low.min() < reject_below:  # most columns have no such half
+            rejected = np.flatnonzero(low < reject_below)
+            for i in np.unique(np.searchsorted(src_end, rejected, side="right")).tolist():
+                rewind(c * npc + i)
+                gen.binomial(eligible[c], probs[c])
+                gen.random(per_source[i])
+                h[src_end[i] - per_source[i]:src_end[i]] = gen.integers(
+                    delay_lo, delay_hi + 1, size=per_source[i])
+        h *= np.uint64(n)
+        np.add(t, h.view(np.int64), out=t, casting="unsafe")  # fits int32, checked above
+    return words, filled, counts_per_source, column_synapses
+
+
+# A forked worker costs about 2 ms, and afterwards each page this process
+# had at the fork faults once when it is first written again: 400-1,100
+# faults in the first loop of a long-lived process.  A range under this
+# many expected synapses (about 30 ms of building) is not worth one.
+_MIN_WORKER_SYNAPSES = 500_000
+
+
+def _build_workers(n_cols: int, expected: float) -> int:
+    """Processes that share a build of ``expected`` synapses: one per CPU
+    this process may run on, at most one per column and one per
+    ``_MIN_WORKER_SYNAPSES``.  Without ``fork``, or with other Python
+    threads running (a forked child holds only the forking thread), the
+    build stays in this process."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_cols,
+                      int(expected // _MIN_WORKER_SYNAPSES)))
+
+
+def _column_ranges(expected: np.ndarray, n_parts: int) -> list:
+    """Split the columns into ``n_parts`` contiguous non-empty ranges of
+    about equal expected synapse count -> range bounds, from 0 to the
+    column count."""
+    n_cols = len(expected)
+    before = np.concatenate(([0.0], np.cumsum(expected)))
+    bounds = [0]
+    for part in range(1, n_parts):
+        at = int(np.abs(before - before[-1] * part / n_parts).argmin())
+        bounds.append(min(max(at, bounds[-1] + 1), n_cols - (n_parts - part)))
+    return bounds + [n_cols]
+
+
+def _fork_worker(build, lo: int, hi: int, capacity: int, readers: list):
+    """Fork a process that builds columns [lo, hi) and writes them to a
+    pipe -> (pid, the pipe's read end).
+
+    It writes one int64 block, the synapse count, the range's
+    ``counts_per_source`` and its ``column_synapses``, then the words.
+    """
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at a fork while other OS threads run, such
+            # as numpy's BLAS pool; the worker calls no BLAS, and no Python
+            # thread is running (see _build_workers)
+            warnings.filterwarnings("ignore", category=DeprecationWarning,
+                                    message=r"This process .* is multi-threaded")
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb", buffering=0)
+    code = 1  # the worker: it never returns into the caller
+    try:
+        os.close(r)
+        for other in readers:  # so that only the parent holds a read end
+            other.close()
+        with open(w, "wb") as out:
+            words, filled, counts, column_synapses = build(
+                lo, hi, np.empty(capacity, dtype=np.int32))
+            out.write(np.concatenate(([filled], counts, column_synapses)).astype(np.int64))
+            out.write(words[:filled])
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _read_into(reader, array: np.ndarray) -> bool:
+    """Fill ``array`` from ``reader``; False if the stream ends first."""
+    view = memoryview(array).cast("B")
+    while len(view):
+        got = reader.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
 def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif") -> Network:
     """Build the full network deterministically from spec.seed.
 
     Every source's synapse list is a pure function of (seed, source id,
     spec), so the result does not depend on build order or partitioning.
-    Each column's words are written straight into one table allocated
-    before the first draw.
+    The columns are split into contiguous ranges of about equal expected
+    synapse count, one per CPU.  This process forks a worker for every
+    range but the first, builds the first straight into one table
+    allocated before its first draw, and then reads each worker's words
+    from a pipe into the table after it.
     """
     spec.require_valid()
     if model not in MODEL_KINDS:
@@ -255,80 +442,58 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     p0 = normalize_fanout(spec)
     npc = spec.neurons_per_column
     n_cols = spec.n_columns
-    dist = _column_distance_matrix(spec)
-    probs = np.clip(p0 * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
-    col_starts = np.tile(np.arange(n_cols, dtype=np.int32) * np.int32(npc), npc)
-    span = delay_hi - delay_lo + 1
-    # numpy's bounded integers (Lemire's method) reject a 32-bit half h, and
-    # draw another, when (h * span) mod 2**32 is below this
-    reject_below = (2**32 - span) % span
+    eligible = _eligible_targets(spec)
+    probs = np.clip(p0 * np.exp(-_column_distance_matrix(spec) / spec.decay_lambda), 0.0, 1.0)
+    expected = npc * (probs * eligible).sum(axis=1)  # synapses from each column
+    bounds = _column_ranges(expected, _build_workers(n_cols, expected.sum()))
+    build = functools.partial(_build_columns, spec, probs, eligible, delay_lo, delay_hi)
 
-    counts_per_source = np.zeros(n, dtype=np.int64)
-    column_synapses = np.zeros(n_cols, dtype=np.int64)
-    gen = rng.philox_generator(spec.seed, 0)
-    rewind = rng.philox_rewinder(gen, spec.seed)
-    words = np.empty(_table_capacity(spec), dtype=np.int32)
-    filled = 0
-    uw = hw = np.empty(0, dtype=np.uint64)  # column scratch, one item per synapse
-    # each source draws from its own stream: binomial counts per target
-    # column, then one block of raw words, k words for the uniforms and k
-    # 32-bit halves for the delays; they are decoded once per source column
-    for c in range(n_cols):
-        eligible = np.full(n_cols, npc, dtype=np.int64)
-        eligible[c] = npc - 1
-        counts = np.empty((npc, n_cols), dtype=np.int64)
-        pos = 0
-        for i in range(npc):
-            rewind(c * npc + i)
-            counts[i] = gen.binomial(eligible, probs[c])
-            k = int(counts[i].sum())
-            r = gen.bit_generator.random_raw(k + (k + 1) // 2)
-            if pos + k > len(uw):  # grow, keeping the column's items so far
-                uw, hw = np.resize(uw, 2 * (pos + k)), np.resize(hw, 2 * (pos + k))
-            uw[pos:pos + k] = r[:k]
-            hw[pos:pos + k] = r[k:].astype("<u8", copy=False).view("<u4")[:k]  # low half first
-            pos += k
-        per_source = counts.sum(axis=1)
-        counts_per_source[c * npc:(c + 1) * npc] = per_source
-        column_synapses += counts.sum(axis=0)
-        src_end = np.cumsum(per_source)
-        end = filled + pos
-        if end > len(words):  # more synapses than expected: grow, keep the words
-            grown = np.empty(max(end, 2 * len(words)), dtype=np.int32)
-            grown[:filled] = words[:filled]
-            words = grown
-        u, h, t = uw[:pos], hw[:pos], words[filled:end]
-        filled = end
-
-        # targets: the uniform (w >> 11) * 2**-53 times the eligible count,
-        # floored; only the own column's synapses take npc - 1 and skip the
-        # source's own slot
-        u >>= np.uint64(11)  # below 2**53: converts to float exactly
-        col_base = np.repeat(col_starts, counts.ravel())
-        own_at = np.flatnonzero(col_base == c * npc)
-        own = (u[own_at] * ((npc - 1) * 2.0**-53)).astype(np.int32)
-        own += own >= np.searchsorted(src_end, own_at, side="right")
-        np.multiply(u.view(np.int64), npc * 2.0**-53, out=u.view(np.float64))
-        np.copyto(t, u.view(np.float64), casting="unsafe")  # floor: >= 0
-        t[own_at] = own
-        t += col_base
-
-        # delays: a half h gives lo + (h * span) >> 32, as in numpy; a source
-        # with a half that numpy would reject takes numpy's own delays
-        h *= np.uint64(span)
-        low = np.bitwise_and(h, np.uint64(0xFFFFFFFF), out=u)
-        h >>= np.uint64(32)
-        h += np.uint64(delay_lo)
-        if pos and low.min() < reject_below:  # most columns have no such half
-            rejected = np.flatnonzero(low < reject_below)
-            for i in np.unique(np.searchsorted(src_end, rejected, side="right")).tolist():
-                rewind(c * npc + i)
-                gen.binomial(eligible, probs[c])
-                gen.random(per_source[i])
-                h[src_end[i] - per_source[i]:src_end[i]] = gen.integers(
-                    delay_lo, delay_hi + 1, size=per_source[i])
-        h *= np.uint64(n)
-        np.add(t, h.view(np.int64), out=t, casting="unsafe")  # fits int32, checked above
+    capacity = _table_capacity(spec)
+    workers, readers = [], []
+    failed = None  # the worker whose output ended early
+    done = False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            # its share of the table, by expected synapses: for a share f,
+            # a margin of 8 * sqrt(f) standard deviations of its own count
+            share = math.ceil(capacity * expected[lo:hi].sum() / expected.sum())
+            pid, reader = _fork_worker(build, lo, hi, share, readers)
+            workers.append((pid, lo, hi))
+            readers.append(reader)
+        words, filled, counts, column_synapses = build(
+            0, bounds[1], np.empty(capacity, dtype=np.int32))
+        counts_per_source = np.empty(n, dtype=np.int64)
+        counts_per_source[:len(counts)] = counts
+        for (pid, lo, hi), reader in zip(workers, readers):
+            head = np.empty(1 + (hi - lo) * npc + n_cols, dtype=np.int64)
+            if not _read_into(reader, head):
+                failed = pid
+                break
+            end = filled + int(head[0])
+            counts_per_source[lo * npc:hi * npc] = head[1:1 + (hi - lo) * npc]
+            column_synapses += head[1 + (hi - lo) * npc:]
+            if end > len(words):  # more synapses than expected
+                words = _grown(words, filled, end)
+            if not _read_into(reader, words[filled:end]):
+                failed = pid
+                break
+            filled = end
+        done = failed is None
+    finally:
+        # leaving on an error: stop the workers before their pipes close
+        # under them; the one whose output ended has exited on its own
+        for pid, _, _ in workers:
+            if not done and pid != failed:
+                os.kill(pid, signal.SIGKILL)
+        for reader in readers:
+            reader.close()
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _, _ in workers}
+    for pid, lo, hi in workers:
+        if pid == failed or codes[pid] != 0:
+            raise SpikebenchError(
+                f"network build of columns {lo}..{hi - 1} failed in a worker "
+                f"process (exit status {codes[pid]})")
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts_per_source, out=offsets[1:])

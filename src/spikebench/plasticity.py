@@ -29,6 +29,10 @@ from .errors import ConfigError
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
 
+# synapses depressed in one joined pass: a burst step's temporaries stay
+# near 3 MB instead of growing with the step (16 MB on desk-stdp)
+_DEPRESS_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class StdpParams:
@@ -119,6 +123,18 @@ class StdpState:
         # created last, so the transpose's temporaries never coexist with it
         part.in_weights = np.repeat(part.source_weights, counts)
 
+    def _depress(self, spans: list) -> None:
+        """Depress the synapses of table ``spans`` (disjoint slices)."""
+        w = self.part.in_weights
+        targets = np.concatenate([self.part.in_words[s] for s in spans])
+        targets %= self._n_local
+        joined = depress(np.concatenate([w[s] for s in spans]), self.post_trace[targets],
+                         self.params)
+        at = 0
+        for s in spans:
+            w[s] = joined[at:at + s.stop - s.start]
+            at += s.stop - s.start
+
     def process_step(self, pre_sources: np.ndarray, post_spiked_local: np.ndarray) -> None:
         """Advance one step: decay, depress, potentiate, bump traces.
 
@@ -126,19 +142,24 @@ class StdpState:
         and projects onto this rank (ascending).  ``post_spiked_local``:
         local indices of this rank's neurons that spiked (ascending).
         """
-        p = self.params
-        w = self.part.in_weights
+        p, part = self.params, self.part
+        w = part.in_weights
         self.pre_trace *= self.decay_plus
         self.post_trace *= self.decay_minus
 
-        for s in pre_sources:
-            if not self.part.source_excitatory[s]:
-                continue
-            a, b = self.part.in_offsets[s], self.part.in_offsets[s + 1]
-            if b > a:
-                sl = slice(int(a), int(b))
-                targets = self.part.in_words[sl] % self._n_local
-                w[sl] = depress(w[sl], self.post_trace[targets], p)
+        # depression: the spans of this step's excitatory sources are
+        # disjoint, so they are joined, depressed at once and written back,
+        # in blocks of about _DEPRESS_BLOCK synapses to bound the temporaries
+        exc = pre_sources[part.source_excitatory[pre_sources]]
+        spans, size = [], 0
+        for a, b in zip(part.in_offsets[exc].tolist(), part.in_offsets[exc + 1].tolist()):
+            spans.append(slice(a, b))
+            size += b - a
+            if size >= _DEPRESS_BLOCK:
+                self._depress(spans)
+                spans, size = [], 0
+        if spans:
+            self._depress(spans)
         bounds = self._by_target_bounds
         for j in post_spiked_local:
             lo, hi = bounds[j], bounds[j + 1]

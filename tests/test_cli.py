@@ -321,3 +321,22 @@ def test_multiprocess_tcp_cluster_matches_memory(tmp_path):
     ref = tmp_path / "ref"
     assert main(["run", "--out", str(ref)] + _tiny_args(["--set=run.simulated_seconds=0.3"])) == 0
     assert _read_kv(ref / "metrics.kv")["metrics.raster_sha256"] == merged
+
+
+def test_cluster_rank_that_cannot_listen_exits_1_with_one_line(tmp_path):
+    # another socket holds rank 0's port, so its listener cannot bind
+    with socket.create_server(("127.0.0.1", 0)) as holder:
+        port = holder.getsockname()[1]
+        cluster = tmp_path / "cluster.txt"
+        cluster.write_text(f"0 127.0.0.1:{port}\n1 127.0.0.1:{_free_ports(1)[0]}\n")
+        sets = [f"--set={k}={v}" for k, v in TINY.items()] + [
+            "--set=run.ranks=2", "--set=run.timeout_seconds=5"]
+        got = subprocess.run(
+            [sys.executable, "-m", "spikebench.cli", "run", "--cluster", str(cluster),
+             "--rank", "0", "--out", str(tmp_path / "out")] + sets,
+            capture_output=True, text=True, timeout=120)
+    assert got.returncode == 1
+    lines = got.stderr.splitlines()
+    assert len(lines) == 1, got.stderr
+    assert lines[0].startswith("runtime failure: rank 0 could not listen at")
+    assert str(port) in lines[0]

@@ -715,3 +715,38 @@ def test_rank_failure_ends_run_promptly_with_its_own_error(monkeypatch, transpor
         run_simulation(net, seconds=0.5, stim=_stim(), n_ranks=2,
                        transport=transport, timeout=10.0)
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_rank_failure_before_the_start_barrier_raises_its_own_error(monkeypatch, transport):
+    # rank 1 fails while wrapping its links; rank 0, waiting for it at the
+    # start barrier, must be freed, and the run must raise rank 1's error
+    init = distributed.Communicator.__init__
+
+    def failing_init(self, part, *args, **kwargs):
+        if part.rank == 1:
+            raise RuntimeError("injected failure on rank 1")
+        init(self, part, *args, **kwargs)
+
+    monkeypatch.setattr(distributed.Communicator, "__init__", failing_init)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="injected failure on rank 1"):
+        run_simulation(_net(), seconds=0.5, stim=_stim(), n_ranks=2,
+                       transport=transport, timeout=10.0)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_rank_loop_timers_start_together(monkeypatch):
+    # rank 1 takes 0.5 s to get ready; rank 0's loop time must not hold
+    # that wait, which its step-0 receive would otherwise spend
+    init = distributed.Communicator.__init__
+
+    def slow_init(self, part, *args, **kwargs):
+        if part.rank == 1:
+            time.sleep(0.5)
+        init(self, part, *args, **kwargs)
+
+    monkeypatch.setattr(distributed.Communicator, "__init__", slow_init)
+    _, _, per_rank, _ = run_simulation(_net(), seconds=0.1, stim=_stim(), n_ranks=2,
+                                       transport="memory", timeout=10.0)
+    assert per_rank[0].wall_seconds < 0.4

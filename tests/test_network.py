@@ -1,6 +1,7 @@
 """Network construction: normalization, determinism, statistics, packed words."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spikebench import (
     ConfigError,
     GridSpec,
     InfeasibleSpecError,
+    SpikebenchError,
     build_network,
     connection_probability,
     count_equivalent_synapses,
@@ -279,8 +281,121 @@ def test_build_redraws_sources_numpy_would_reject(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(rng, "philox_generator", counting_generator)
+    # one process: the counts of forked workers never reach this one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     net = build_network(spec, dt_ms=1.0)
     monkeypatch.undo()
     assert net.total_synapses >= 1_000_000
     assert made[0].integers_calls == 2  # one per redrawn source
     _assert_every_source_matches_reference(net)
+
+
+@pytest.fixture
+def build_workers(monkeypatch):
+    """Set the build's worker count through the CPU affinity it reads;
+    returns the list of forks the build makes."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(network, "_MIN_WORKER_SYNAPSES", 1)  # fork for any build
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        return forks
+    return use
+
+
+def _table_bytes(net):
+    return net.words.tobytes(), net.offsets.tobytes(), net.column_synapses.tobytes()
+
+
+@pytest.mark.parametrize("spec, dt_ms", [
+    (GridSpec(grid_x=5, grid_y=2, neurons_per_column=100, target_fanout=200.0,
+              decay_lambda=2.0), 1.0),
+    (GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0,
+              decay_lambda=2.0, delay_max_ms=12.0, seed=9), 0.5),
+], ids=["small-1k", "4x3"])
+def test_build_bytes_do_not_depend_on_worker_count(build_workers, spec, dt_ms):
+    forks = build_workers(1)
+    one = _table_bytes(build_network(spec, dt_ms=dt_ms))
+    assert forks == []
+    fds = sorted(os.listdir("/proc/self/fd"))
+    for count in (2, 3, 4):
+        del forks[:]
+        build_workers(count)
+        assert _table_bytes(build_network(spec, dt_ms=dt_ms)) == one
+        assert len(forks) == count - 1  # this process builds the first range
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_build_column_ranges_balance_expected_synapses():
+    # the corner columns of a 4x3 grid reach fewer targets than the middle
+    spec = GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0)
+    probs = normalize_fanout(spec) * np.exp(
+        -network._column_distance_matrix(spec) / spec.decay_lambda)
+    expected = (probs * network._eligible_targets(spec)).sum(axis=1)
+    for parts in range(1, spec.n_columns + 1):
+        bounds = network._column_ranges(expected, parts)
+        assert bounds[0] == 0 and bounds[-1] == spec.n_columns
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))  # none empty
+    bounds = network._column_ranges(expected, 3)
+    sums = [expected[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+    assert max(sums) - min(sums) <= expected.max()
+
+
+def test_build_grow_path_with_workers_gives_identical_words(monkeypatch, build_workers,
+                                                           small_spec, small_net):
+    # the worker's buffer and the table it is read into both start at one word
+    forks = build_workers(2)
+    monkeypatch.setattr(network, "_table_capacity", lambda spec: 1)
+    grown = build_network(small_spec, dt_ms=1.0)
+    assert len(forks) == 1
+    assert _table_bytes(grown) == _table_bytes(small_net)
+
+
+def test_build_worker_failure_names_its_range_and_leaves_nothing_behind(
+        monkeypatch, build_workers, small_spec):
+    forks = build_workers(3)
+    build_columns = network._build_columns
+
+    def fail_in_last_range(*args):
+        lo = args[5]
+        if lo >= 7:
+            raise RuntimeError("worker broke")
+        return build_columns(*args)
+
+    monkeypatch.setattr(network, "_build_columns", fail_in_last_range)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(SpikebenchError) as err:
+        build_network(small_spec, dt_ms=1.0)
+    assert len(forks) == 2
+    assert "columns 7..9" in str(err.value) and "exit status 1" in str(err.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_build_failure_in_this_process_kills_and_reaps_workers(monkeypatch, build_workers,
+                                                              small_spec):
+    forks = build_workers(2)
+    build_columns = network._build_columns
+
+    def fail_in_first_range(*args):
+        if args[5] == 0:
+            raise RuntimeError("parent broke")
+        return build_columns(*args)
+
+    monkeypatch.setattr(network, "_build_columns", fail_in_first_range)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="parent broke"):
+        build_network(small_spec, dt_ms=1.0)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spikebench import ConfigError, GridSpec, StimulusSpec, build_network, raster_checksum
+from spikebench import ConfigError, GridSpec, StimulusSpec, build_network, plasticity, raster_checksum
 from spikebench.distributed import partition, run_simulation
 from spikebench.plasticity import StdpParams, StdpState, depress, potentiate, stdp_delta_w
 
@@ -239,6 +239,16 @@ def _reference_step(part, params, decay_plus, decay_minus, pre_trace, post_trace
 
 @pytest.mark.parametrize("n_ranks", [1, 2])
 def test_process_step_matches_reference_rule_on_small_1k(n_ranks):
+    _check_process_step_against_reference(n_ranks)
+
+
+def test_depression_in_blocks_matches_reference_rule(monkeypatch):
+    # about 32k depressed synapses a step: blocks of 1,000 split each step
+    monkeypatch.setattr(plasticity, "_DEPRESS_BLOCK", 1000)
+    _check_process_step_against_reference(1)
+
+
+def _check_process_step_against_reference(n_ranks):
     from spikebench.config import load_bundled_config
 
     cfg = load_bundled_config("small-1k")

@@ -101,6 +101,7 @@ def _metrics_doc(cfg: RunConfig, metrics, checksum: str, equivalent: int) -> dic
         "metrics.mean_rate_hz": repr(metrics.mean_rate_hz),
         "metrics.events_per_second": repr(metrics.events_per_second),
         "metrics.equivalent_synapses": equivalent,
+        "metrics.table_bytes": metrics.table_bytes,
         "metrics.raster_sha256": checksum,
     })
     return doc
@@ -188,6 +189,7 @@ def cmd_run(args) -> int:
             f"{key}.total_spikes": m.total_spikes,
             f"{key}.internal_synaptic_events": m.internal_synaptic_events,
             f"{key}.external_synaptic_events": m.external_synaptic_events,
+            f"{key}.table_bytes": m.table_bytes,
         })
     _write_kv(metrics_path, doc)
 

@@ -36,12 +36,12 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Engine, RunMetrics, StimulusSpec
+from .engine import Engine, RunMetrics, StimulusSpec, _source_blocks, _unpack
 from .errors import (
     ConfigError,
     ExchangeError,
@@ -74,11 +74,6 @@ FRAME_MAGIC = b"DPSN"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size  # 15 bytes
-
-
-# synapses per block of whole sources that `partition` converts at once:
-# its temporaries stay a few hundred kB for any network, and stay in cache
-_BLOCK_SYNAPSES = 1 << 16
 
 
 @dataclass
@@ -115,6 +110,13 @@ class RankPartition:
     def n_local(self) -> int:
         return len(self.local_gids)
 
+    def stored_bytes(self) -> int:
+        """Bytes of the arrays this rank stores: its fields, never a
+        derived view."""
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        arrays += self.peer_sources.values()
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
     @property
     def in_targets(self) -> np.ndarray:
         """Rank-local target of each synapse (int32), derived; no run reads it."""
@@ -132,27 +134,6 @@ class RankPartition:
         out = np.full(len(self.in_offsets) - 1, -1, dtype=np.int32)
         out[self.local_gids] = np.arange(self.n_local, dtype=np.int32)
         return out
-
-
-def _source_blocks(offsets: np.ndarray):
-    """Yield (s0, s1): consecutive runs of whole sources that together
-    hold at most ``_BLOCK_SYNAPSES`` synapses (or one larger source)."""
-    n = len(offsets) - 1
-    s0 = 0
-    while s0 < n:
-        s1 = int(np.searchsorted(offsets, offsets[s0] + _BLOCK_SYNAPSES, side="right")) - 1
-        s1 = min(max(s1, s0 + 1), n)
-        yield s0, s1
-        s0 = s1
-
-
-def _unpack(words: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(delay, target) of each word ``delay * n + target``.  Floor division
-    by a scalar runs about five times faster than ``%`` or ``np.divmod``."""
-    delays = words // n
-    targets = delays * n
-    np.subtract(words, targets, out=targets)
-    return delays, targets
 
 
 def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0

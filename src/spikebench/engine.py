@@ -52,6 +52,32 @@ __all__ = [
 # the Knuth loop's per-pass numpy overhead is spread over many lanes
 _STIMULUS_BLOCK_LANES = 1 << 16
 
+# synapses per block of whole sources that a pass over a table converts at
+# once: its temporaries stay a few hundred kB for any network, and stay in cache
+_BLOCK_SYNAPSES = 1 << 16
+
+
+def _source_blocks(offsets: np.ndarray):
+    """Yield (s0, s1): consecutive runs of whole sources that together
+    hold at most ``_BLOCK_SYNAPSES`` synapses (or one larger source)."""
+    n = len(offsets) - 1
+    s0 = 0
+    while s0 < n:
+        s1 = int(np.searchsorted(offsets, offsets[s0] + _BLOCK_SYNAPSES, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), n)
+        yield s0, s1
+        s0 = s1
+
+
+def _unpack(words: np.ndarray, n: int, out=(None, None)) -> Tuple[np.ndarray, np.ndarray]:
+    """(delay, target) of each word ``delay * n + target``, filling the
+    arrays ``out`` if given.  Floor division by a scalar runs about five
+    times faster than ``%`` or ``np.divmod``."""
+    delays = np.floor_divide(words, n, out=out[0])
+    targets = np.multiply(delays, n, out=out[1])
+    np.subtract(words, targets, out=targets)
+    return delays, targets
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
@@ -141,6 +167,7 @@ class RunMetrics:
     total_spikes: int
     internal_synaptic_events: int
     external_synaptic_events: int
+    table_bytes: int  # the rank's stored synapse and STDP tables
 
     @property
     def mean_rate_hz(self) -> float:
@@ -161,8 +188,8 @@ class RunMetrics:
 
     @staticmethod
     def merged(parts: list) -> "RunMetrics":
-        """Combine per-rank metrics: neurons and counts add up, wall time
-        is the slowest rank's."""
+        """Combine per-rank metrics: neurons, counts and table bytes add
+        up, wall time is the slowest rank's."""
         return RunMetrics(
             n_neurons=sum(p.n_neurons for p in parts),
             simulated_seconds=parts[0].simulated_seconds if parts else 0.0,
@@ -170,6 +197,7 @@ class RunMetrics:
             total_spikes=sum(p.total_spikes for p in parts),
             internal_synaptic_events=sum(p.internal_synaptic_events for p in parts),
             external_synaptic_events=sum(p.external_synaptic_events for p in parts),
+            table_bytes=sum(p.table_bytes for p in parts),
         )
 
 
@@ -333,6 +361,8 @@ class Engine:
             total_spikes=self.total_spikes,
             internal_synaptic_events=self.internal_events,
             external_synaptic_events=self.external_events,
+            table_bytes=self.part.stored_bytes() + (
+                0 if self.stdp is None else self.stdp.stored_bytes()),
         )
 
 

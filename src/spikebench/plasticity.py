@@ -22,9 +22,11 @@ Disabled parameters leave every weight bit-identical.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .engine import _BLOCK_SYNAPSES, _source_blocks, _unpack
 from .errors import ConfigError
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
@@ -69,14 +71,22 @@ def stdp_delta_w(dt_pre_post: float, params: StdpParams) -> float:
     return 0.0
 
 
-def potentiate(weights: np.ndarray, pre_traces: np.ndarray, params: StdpParams) -> np.ndarray:
-    """Potentiation at a post spike: w + a_plus * pre_trace, clamped."""
-    return np.clip(weights + params.a_plus * pre_traces, max(params.w_min, 0.0), params.w_max)
+def potentiate(weights: np.ndarray, pre_traces: np.ndarray, params: StdpParams,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Potentiation at a post spike: w + a_plus * pre_trace, clamped.
+    The result fills ``out`` (which may be ``pre_traces``) if given."""
+    gain = np.multiply(pre_traces, params.a_plus, out=out)
+    return np.clip(np.add(weights, gain, out=gain), max(params.w_min, 0.0), params.w_max,
+                   out=gain)
 
 
-def depress(weights: np.ndarray, post_traces: np.ndarray, params: StdpParams) -> np.ndarray:
-    """Depression at a pre spike: w - a_minus * post_trace, clamped."""
-    return np.clip(weights - params.a_minus * post_traces, max(params.w_min, 0.0), params.w_max)
+def depress(weights: np.ndarray, post_traces: np.ndarray, params: StdpParams,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Depression at a pre spike: w - a_minus * post_trace, clamped.
+    The result fills ``out`` (which may be ``post_traces``) if given."""
+    loss = np.multiply(post_traces, params.a_minus, out=out)
+    return np.clip(np.subtract(weights, loss, out=loss), max(params.w_min, 0.0), params.w_max,
+                   out=loss)
 
 
 class StdpState:
@@ -86,6 +96,14 @@ class StdpState:
     place.  Pre traces are kept for every source that projects onto this
     rank (indexed by global id), post traces for local neurons.  Only
     synapses from excitatory sources are plastic.
+
+    Potentiation reads the plastic synapses by target through a transpose
+    that stores, per plastic synapse in target-major order, its source gid
+    and its slot in that source's span, each in the smallest unsigned type
+    that holds it (4 B per plastic synapse up to 65,535 neurons and
+    fan-outs).  Target ``j``'s synapses are entries
+    ``_by_target_bounds[j]:_by_target_bounds[j + 1]``, in table order;
+    their table positions are ``in_offsets[src] + slot``.
     """
 
     def __init__(self, part, params: StdpParams, dt_ms: float):
@@ -95,44 +113,41 @@ class StdpState:
         self.params = params
         self.decay_plus = math.exp(-dt_ms / params.tau_plus)
         self.decay_minus = math.exp(-dt_ms / params.tau_minus)
-        n_global = len(part.in_offsets) - 1
-        self.pre_trace = np.zeros(n_global, dtype=np.float64)
+        self.pre_trace = np.zeros(len(part.in_offsets) - 1, dtype=np.float64)
         self.post_trace = np.zeros(len(part.local_gids), dtype=np.float64)
-        # transpose of the plastic (excitatory-source) synapses: sorting the
-        # unique keys target * n_syn + synapse index groups them by local
-        # target, in table order within a target
-        n_syn = len(part.in_words)
-        n_local = self._n_local = len(part.local_gids)
-        counts = np.diff(part.in_offsets)
-        exc_idx = np.flatnonzero(np.repeat(part.source_excitatory, counts))
-        targets = part.in_words[exc_idx]
-        targets %= n_local  # in int32 before widening; the remainder is the slow pass
-        key = targets.astype(np.int64)
-        del targets
-        key *= n_syn
-        key += exc_idx
-        del exc_idx
-        key.sort()
-        self._by_target_bounds = np.searchsorted(
-            key, np.arange(n_local + 1, dtype=np.int64) * n_syn)
-        key %= n_syn
-        self._by_target_idx = key
-        # source gid of each transposed synapse, read as a contiguous slice
-        self._by_target_src = np.repeat(
-            np.arange(n_global, dtype=np.int32), counts)[self._by_target_idx]
-        # created last, so the transpose's temporaries never coexist with it
-        part.in_weights = np.repeat(part.source_weights, counts)
+        self._n_local = len(part.local_gids)
+        self._by_target_bounds, self._by_target_src, self._by_target_slot = _transpose(part)
+        # depression scratch, reused by every block (fewer than _DEPRESS_BLOCK
+        # synapses plus one source's span): fresh temporaries of that size
+        # are mapped and faulted in anew whenever malloc's dynamic mmap
+        # threshold is below them, which doubled depression's time
+        size = _DEPRESS_BLOCK + int(np.diff(part.in_offsets).max(initial=0))
+        self._words, self._delays, self._targets = (
+            np.empty(size, dtype=part.in_words.dtype) for _ in range(3))
+        self._traces, self._joined = np.empty(size), np.empty(size)
+        # created last, so the transpose's sort key never coexists with it
+        part.in_weights = np.repeat(part.source_weights, np.diff(part.in_offsets))
 
-    def _depress(self, spans: list) -> None:
-        """Depress the synapses of table ``spans`` (disjoint slices)."""
+    def stored_bytes(self) -> int:
+        """Bytes of the transpose and the traces (``in_weights`` is the part's)."""
+        return sum(a.nbytes for a in (self._by_target_bounds, self._by_target_src,
+                                      self._by_target_slot, self.pre_trace, self.post_trace))
+
+    def _depress(self, spans: list, size: int) -> None:
+        """Depress the ``size`` synapses of table ``spans`` (disjoint slices)."""
         w = self.part.in_weights
-        targets = np.concatenate([self.part.in_words[s] for s in spans])
-        targets %= self._n_local
-        joined = depress(np.concatenate([w[s] for s in spans]), self.post_trace[targets],
-                         self.params)
+        words = self._words[:size]
+        np.concatenate([self.part.in_words[s] for s in spans], out=words)
+        _, targets = _unpack(words, self._n_local, out=(self._delays[:size], self._targets[:size]))
+        # targets lie in [0, n_local), so "clip" never clips; unlike "raise",
+        # it fills out without a buffered copy
+        traces = np.take(self.post_trace, targets, out=self._traces[:size], mode="clip")
+        joined = self._joined[:size]
+        np.concatenate([w[s] for s in spans], out=joined)
+        depress(joined, traces, self.params, out=traces)
         at = 0
         for s in spans:
-            w[s] = joined[at:at + s.stop - s.start]
+            w[s] = traces[at:at + s.stop - s.start]
             at += s.stop - s.start
 
     def process_step(self, pre_sources: np.ndarray, post_spiked_local: np.ndarray) -> None:
@@ -156,17 +171,71 @@ class StdpState:
             spans.append(slice(a, b))
             size += b - a
             if size >= _DEPRESS_BLOCK:
-                self._depress(spans)
+                self._depress(spans, size)
                 spans, size = [], 0
         if spans:
-            self._depress(spans)
-        bounds = self._by_target_bounds
-        for j in post_spiked_local:
-            lo, hi = bounds[j], bounds[j + 1]
+            self._depress(spans, size)
+
+        # potentiation, per target: its table positions are rebuilt in
+        # int64, so numpy widens the narrow src and slot one span at a time
+        bounds, src, slot = self._by_target_bounds, self._by_target_src, self._by_target_slot
+        for lo, hi in zip(bounds.take(post_spiked_local).tolist(),
+                          bounds.take(post_spiked_local + 1).tolist()):
             if hi > lo:
-                idx = self._by_target_idx[lo:hi]
-                w[idx] = potentiate(w[idx], self.pre_trace[self._by_target_src[lo:hi]], p)
+                sources = src[lo:hi]
+                idx = part.in_offsets.take(sources)
+                idx += slot[lo:hi]
+                traces = self.pre_trace.take(sources)
+                w[idx] = potentiate(w.take(idx), traces, p, out=traces)
 
         self.pre_trace[pre_sources] += 1.0
         if len(post_spiked_local):
             self.post_trace[post_spiked_local] += 1.0
+
+
+def _transpose(part):
+    """(bounds, src, slot) of the plastic synapses of ``part``, grouped by
+    local target and in table order within a target (see StdpState).
+
+    Each plastic synapse gets the unique int64 sort key ``(target *
+    n_global + source) * fan + slot``, with ``fan`` the largest span: a
+    synapse's table position ``in_offsets[source] + slot`` rises with
+    (source, slot), so sorting the keys groups the synapses by target, in
+    table order.  The key is filled and decoded in blocks, so no other
+    temporary is sized to the table, and it is freed when this returns.
+    """
+    offsets = part.in_offsets
+    n_global, n_local = len(offsets) - 1, len(part.local_gids)
+    counts = np.diff(offsets)
+    fan = int(counts.max(initial=0))
+    per_target = n_global * fan
+    if n_local * per_target >= 2 ** 63:
+        raise ConfigError([f"{n_local} targets x {n_global} sources x fan-out {fan} "
+                           "overflow the int64 STDP sort key"])
+    key = np.empty(int(counts[part.source_excitatory].sum()), dtype=np.int64)
+    # base[s] + table position = s * fan + slot
+    base = np.arange(n_global, dtype=np.int64) * fan - offsets[:-1]
+    at = 0
+    for s0, s1 in _source_blocks(offsets):
+        a, b = int(offsets[s0]), int(offsets[s1])
+        lens = counts[s0:s1]
+        plastic = np.repeat(part.source_excitatory[s0:s1], lens)
+        _, targets = _unpack(part.in_words[a:b][plastic], n_local)
+        out = key[at:at + len(targets)]
+        out[...] = targets
+        out *= per_target
+        within = np.repeat(base[s0:s1], lens)
+        within += np.arange(a, b)
+        out += within[plastic]
+        at += len(targets)
+    key.sort()
+    bounds = np.searchsorted(key, np.arange(n_local + 1, dtype=np.int64) * per_target)
+    src = np.empty(len(key), dtype=np.min_scalar_type(n_global))
+    slot = np.empty(len(key), dtype=np.min_scalar_type(fan))
+    for a in range(0, len(key), _BLOCK_SYNAPSES):
+        # the key is a packed word, like a synapse's, so it unpacks alike
+        block = key[a:a + _BLOCK_SYNAPSES]
+        target_source, slots = _unpack(block, fan)
+        slot[a:a + len(block)] = slots
+        src[a:a + len(block)] = _unpack(target_source, n_global)[1]
+    return bounds, src, slot

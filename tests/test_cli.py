@@ -265,7 +265,8 @@ def test_run_writes_per_rank_rows_that_sum_to_the_merged_counts(tmp_path):
     ])
     assert code == 0
     doc = _read_kv(out / "metrics.kv")
-    for key in ("total_spikes", "internal_synaptic_events", "external_synaptic_events"):
+    for key in ("total_spikes", "internal_synaptic_events", "external_synaptic_events",
+                "table_bytes"):
         rows = [int(doc[f"metrics.rank{r}.{key}"]) for r in (0, 1)]
         assert all(n > 0 for n in rows)
         assert sum(rows) == int(doc[f"metrics.{key}"])

@@ -20,7 +20,7 @@ from spikebench import (
     build_network,
     raster_checksum,
 )
-from spikebench import distributed, network
+from spikebench import distributed, engine, network
 from spikebench.distributed import (
     Communicator,
     FRAME_MAGIC,
@@ -125,7 +125,7 @@ def test_partition_table_order_with_empty_sources_at_block_edges(n_ranks):
     # 64 sources of block/64 synapses fill a block exactly, so the empty
     # sources right after them (65 and 66, 131) close their block; source
     # 0 and the last source are empty, and source 300 alone exceeds a block
-    block = distributed._BLOCK_SYNAPSES
+    block = engine._BLOCK_SYNAPSES
     fanout = block // 64
     fanouts = np.full(600, fanout)
     fanouts[[0, 65, 66, 131, 200, 599]] = 0

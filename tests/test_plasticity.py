@@ -207,6 +207,32 @@ def test_enabled_partition_invariant():
     assert raster_checksum(*r1) == raster_checksum(*r2)
 
 
+@pytest.mark.parametrize("enabled", [False, True])
+def test_table_bytes_count_each_ranks_stored_arrays(enabled):
+    net, stim = _net_and_stim()
+    params = StdpParams(a_plus=0.05, a_minus=0.06, w_max=5.0, enabled=enabled)
+    merged, _, per_rank, parts = run_simulation(net, seconds=0.1, stim=stim,
+                                                stdp_params=params, n_ranks=2)
+    for part, m in zip(parts, per_rank):
+        stored = [part.local_gids, part.local_excitatory, part.source_excitatory,
+                  part.in_offsets, part.in_words, part.source_weights,
+                  *part.peer_sources.values()]
+        expected = sum(a.nbytes for a in stored)
+        if enabled:
+            n_global = len(part.in_offsets) - 1
+            counts = np.diff(part.in_offsets)
+            n_plastic = int(counts[part.source_excitatory].sum())
+            per_plastic = (np.min_scalar_type(n_global).itemsize
+                           + np.min_scalar_type(counts.max()).itemsize)
+            # in_weights, the transpose (bounds, src, slot) and both traces
+            expected += (part.in_weights.nbytes + 8 * (part.n_local + 1)
+                         + per_plastic * n_plastic + 8 * (n_global + part.n_local))
+        else:
+            assert part.in_weights is None
+        assert m.table_bytes == expected
+    assert merged.table_bytes == sum(m.table_bytes for m in per_rank)
+
+
 # ------------------------------------------- reference rule on small-1k
 
 def _reference_step(part, params, decay_plus, decay_minus, pre_trace, post_trace,
@@ -259,19 +285,81 @@ def _check_process_step_against_reference(n_ranks):
     _, parts = partition(net, n_ranks)
     _, ref_parts = partition(net, n_ranks)
     for part, ref in zip(parts, ref_parts):
-        state = StdpState(part, params, dt_ms=1.0)
-        ref.in_weights = np.repeat(ref.source_weights, np.diff(ref.in_offsets))
-        ref_pre = np.zeros(net.n_neurons)
-        ref_post = np.zeros(part.n_local)
-        spikes = np.random.default_rng(100 + part.rank)
-        for _ in range(50):
-            pre = np.flatnonzero(spikes.random(net.n_neurons) < 0.2)
-            post = np.flatnonzero(spikes.random(part.n_local) < 0.2)
-            state.process_step(pre, post)
-            _reference_step(ref, params, state.decay_plus, state.decay_minus,
-                            ref_pre, ref_post, pre, post)
-        assert np.array_equal(part.in_weights, ref.in_weights)
-        assert np.array_equal(state.pre_trace, ref_pre)
-        assert np.array_equal(state.post_trace, ref_post)
+        _replay_against_reference(part, ref, params, n_steps=50)
         exc = part.in_weights[part.in_weights >= 0]
         assert (exc == params.w_max).any() and (exc == 0.0).any()
+
+
+def _replay_against_reference(part, ref, params, n_steps):
+    """Drive ``part``'s StdpState and the reference rule on ``ref`` (an
+    identical part) with the same random spikes; both must agree bit for bit."""
+    n_global = len(part.in_offsets) - 1
+    state = StdpState(part, params, dt_ms=1.0)
+    ref.in_weights = np.repeat(ref.source_weights, np.diff(ref.in_offsets))
+    ref_pre = np.zeros(n_global)
+    ref_post = np.zeros(part.n_local)
+    spikes = np.random.default_rng(100 + part.rank)
+    for _ in range(n_steps):
+        pre = np.flatnonzero(spikes.random(n_global) < 0.2)
+        post = np.flatnonzero(spikes.random(part.n_local) < 0.2)
+        state.process_step(pre, post)
+        _reference_step(ref, params, state.decay_plus, state.decay_minus,
+                        ref_pre, ref_post, pre, post)
+    assert np.array_equal(part.in_weights, ref.in_weights)
+    assert np.array_equal(state.pre_trace, ref_pre)
+    assert np.array_equal(state.post_trace, ref_post)
+    return state
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_transpose_lists_each_targets_plastic_synapses_in_table_order(n_ranks):
+    from spikebench.config import load_bundled_config
+
+    net = build_network(load_bundled_config("small-1k").grid_spec(), dt_ms=1.0)
+    _, parts = partition(net, n_ranks)
+    for part in parts:
+        state = StdpState(part, PARAMS, dt_ms=1.0)
+        n_global = len(part.in_offsets) - 1
+        counts = np.diff(part.in_offsets)
+        assert state._by_target_src.dtype == np.min_scalar_type(n_global)
+        assert state._by_target_slot.dtype == np.min_scalar_type(counts.max())
+        # brute force: the plastic table positions, stably grouped by target
+        positions = np.flatnonzero(np.repeat(part.source_excitatory, counts))
+        targets = part.in_targets[positions]
+        order = np.argsort(targets, kind="stable")
+        bounds = np.searchsorted(targets[order], np.arange(part.n_local + 1))
+        assert np.array_equal(state._by_target_bounds, bounds)
+        rebuilt = (part.in_offsets[state._by_target_src.astype(np.int64)]
+                   + state._by_target_slot)
+        assert np.array_equal(rebuilt, positions[order])
+
+
+def test_transpose_types_widen_past_16_bits():
+    # 70,000 sources, and source 0 alone has 70,000 synapses: neither the
+    # source gid nor the slot fits uint16, so both must widen to uint32
+    from spikebench.distributed import RankPartition
+
+    n_global, n_local, big = 70_000, 40, 70_000
+
+    def toy():
+        gen = np.random.default_rng(3)
+        counts = np.where(np.arange(n_global) % 3 == 0, 0, 1)
+        counts[0] = big
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        delays = gen.integers(1, 4, offsets[-1])
+        exc = np.arange(n_global) % 5 != 4
+        return RankPartition(
+            rank=0, model="adaptive_lif", n_slots=4,
+            local_gids=np.arange(n_local, dtype=np.int64),
+            local_excitatory=exc[:n_local], source_excitatory=exc,
+            in_offsets=offsets,
+            in_words=(delays * n_local + gen.integers(0, n_local, offsets[-1])).astype(np.int32),
+            source_weights=np.where(exc, 0.3, -1.0))
+
+    params = StdpParams(a_plus=0.01, a_minus=0.05, tau_plus=20.0, tau_minus=15.0,
+                        w_min=0.0, w_max=0.42, enabled=True)
+    state = _replay_against_reference(toy(), toy(), params, n_steps=20)
+    assert state._by_target_src.dtype == np.uint32
+    assert state._by_target_slot.dtype == np.uint32
+    assert int(state._by_target_src.max()) >= 1 << 16
+    assert int(state._by_target_slot.max()) >= 1 << 16

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Partition transparency: the raster does not depend on the rank count.
 
-Runs the 1K-neuron configuration on 1, 2, 4 and 8 ranks (threads over
-the in-memory transport) with identical seeds and shows that the spike
+Runs the 1K-neuron configuration on 1, 2, 4 and 8 ranks (threads linked
+by AF_UNIX socket pairs) with identical seeds and shows that the spike
 rasters are bit-identical and the per-rank counters sum to the
 single-rank totals exactly.
 """

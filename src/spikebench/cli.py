@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 
 Every run goes through ``distributed.run_simulation``.  ``--ranks N``
-runs N ranks as threads of this process (transport memory or tcp).
+runs N ranks as threads of this process, linked by socket pairs
+(transport memory) or loopback TCP (transport tcp).
 ``--rank R --cluster FILE`` runs only rank R, over TCP to the processes
 listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 """

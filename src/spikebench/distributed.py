@@ -17,21 +17,22 @@ Wire format (all little-endian):
     count   u32
     payload count * u32 source ids
 
-Transports implement per-pair FIFO, reliable delivery: an in-memory
-queue fabric for ranks running as threads of one process, and a TCP
-stream transport over one duplex connection per coupled rank pair.
+One transport, `TcpTransport`, carries the frames of every run over one
+connected duplex stream socket per coupled rank pair, so delivery is
+per-pair FIFO and reliable.  The ``transport`` of a run only says how
+those links are made: ``memory`` joins each pair of ranks of this
+process by an AF_UNIX socket pair, ``tcp`` by TCP over loopback.
 
 Every run goes through `run_simulation`.  It runs every rank of a run
 as a thread of this process, or, given ``rank`` and ``cluster``, just
 that rank, talking TCP to the processes that run the others.  It opens
-every TCP link before any rank starts: over loopback for thread ranks,
-by a rendezvous from a `rank host:port` cluster file for a cluster
-rank.  Each rank closes its own transport; closing is the stop signal,
-so the peers of a failed rank fail at their next receive.
+every link before any rank starts: by `loopback_links` for thread
+ranks, by a rendezvous from a `rank host:port` cluster file for a
+cluster rank.  Each rank closes its own transport; closing is the stop
+signal, so the peers of a failed rank fail at their next receive.
 """
 
 import contextlib
-import queue
 import socket
 import struct
 import threading
@@ -60,7 +61,6 @@ __all__ = [
     "decode_frame",
     "FRAME_MAGIC",
     "FRAME_VERSION",
-    "InMemoryFabric",
     "TcpTransport",
     "loopback_links",
     "rendezvous",
@@ -74,6 +74,7 @@ FRAME_MAGIC = b"DPSN"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size  # 15 bytes
+_READ_CHUNK = 1 << 16  # most bytes one socket read asks for
 
 
 @dataclass
@@ -241,8 +242,8 @@ def encode_frame(sender_rank: int, step: int, spikes) -> bytes:
     return header + spikes.tobytes()
 
 
-def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
-    """Parse and validate one spike frame -> (sender, step, read-only u32 ids)."""
+def _decode_header(buf: bytes) -> Tuple[int, int, int]:
+    """Parse and validate a frame's header -> (sender, step, count)."""
     if len(buf) < HEADER_SIZE:
         raise FrameCorruptionError(f"frame shorter than the {HEADER_SIZE}-byte header")
     magic, version, sender, step, count = _HEADER.unpack_from(buf)
@@ -250,6 +251,12 @@ def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
         raise FrameCorruptionError(f"bad frame magic {magic!r}")
     if version != FRAME_VERSION:
         raise FrameCorruptionError(f"unsupported frame version {version}")
+    return sender, step, count
+
+
+def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
+    """Parse and validate one spike frame -> (sender, step, read-only u32 ids)."""
+    sender, step, count = _decode_header(buf)
     expected = HEADER_SIZE + 4 * count
     if len(buf) != expected:
         raise FrameCorruptionError(
@@ -257,47 +264,6 @@ def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
             f"(expected {expected})"
         )
     return sender, step, np.frombuffer(buf, dtype="<u4", offset=HEADER_SIZE)
-
-
-class InMemoryFabric:
-    """Loopback queue fabric for ranks running as threads."""
-
-    def __init__(self, n_ranks: int):
-        self.n_ranks = n_ranks
-        self._queues = {
-            (src, dst): queue.Queue()
-            for src in range(n_ranks) for dst in range(n_ranks) if src != dst
-        }
-
-    def endpoint(self, rank: int) -> "InMemoryTransport":
-        return InMemoryTransport(self, rank)
-
-
-class InMemoryTransport:
-    def __init__(self, fabric: InMemoryFabric, rank: int):
-        self.fabric = fabric
-        self.rank = rank
-
-    def send(self, to_rank: int, frame: bytes) -> None:
-        self.fabric._queues[(self.rank, to_rank)].put(frame)
-
-    def recv(self, from_rank: int, timeout: float) -> bytes:
-        try:
-            frame = self.fabric._queues[(from_rank, self.rank)].get(timeout=timeout)
-        except queue.Empty:
-            raise ExchangeError(
-                f"rank {self.rank} timed out waiting for rank {from_rank}",
-                rank=from_rank,
-            ) from None
-        if frame is None:  # the close marker
-            raise ExchangeError(
-                f"rank {from_rank} closed its link to rank {self.rank}", rank=from_rank)
-        return frame
-
-    def close(self) -> None:
-        for dst in range(self.fabric.n_ranks):
-            if dst != self.rank:
-                self.fabric._queues[(self.rank, dst)].put(None)
 
 
 def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
@@ -336,31 +302,35 @@ def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
 
 
 class TcpTransport:
-    """Frames over one connected duplex TCP socket per coupled peer.
+    """Frames over one connected duplex stream socket per coupled peer.
 
-    ``socks`` is {peer rank: socket}, made by ``loopback_links`` or
-    ``rendezvous``; the transport owns them, and ``close`` closes them.
-    Frames are length-delimited by the header's count field.
+    ``socks`` is {peer rank: socket}, made by ``loopback_links`` (AF_UNIX
+    socket pairs or TCP) or ``rendezvous`` (TCP); the transport owns them,
+    and ``close`` closes them.  Frames are length-delimited by the
+    header's count field.
     """
 
     def __init__(self, rank: int, socks: Dict[int, socket.socket]):
         self.rank = rank
         self._socks = socks
         for sock in socks.values():  # no Nagle delay on the small per-step frames
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     @staticmethod
     def _read_exact(sock: socket.socket, count: int, context: str = "frame") -> bytes:
-        buf = b""
-        while len(buf) < count:
+        # bounded reads, so a count off the wire allocates no more than arrives
+        chunks, got = [], 0
+        while got < count:
             try:
-                chunk = sock.recv(count - len(buf))
+                chunk = sock.recv(min(count - got, _READ_CHUNK))
             except OSError as err:  # a timeout too
                 raise ExchangeError(f"{err} while reading {context}") from None
             if not chunk:
                 raise ExchangeError(f"peer disconnected while reading {context}")
-            buf += chunk
-        return buf
+            chunks.append(chunk)
+            got += len(chunk)
+        return b"".join(chunks)
 
     def send(self, to_rank: int, frame: bytes) -> None:
         try:
@@ -375,7 +345,8 @@ class TcpTransport:
         sock.settimeout(timeout)
         try:
             header = self._read_exact(sock, HEADER_SIZE)
-            return header + self._read_exact(sock, 4 * _HEADER.unpack_from(header)[4])
+            count = _decode_header(header)[2]  # checked before it sizes a read
+            return header + self._read_exact(sock, 4 * count)
         except ExchangeError as err:
             raise ExchangeError(
                 f"rank {self.rank} lost rank {from_rank}: {err}", rank=from_rank
@@ -389,26 +360,34 @@ class TcpTransport:
                 pass
 
 
-def loopback_links(parts: List[RankPartition], timeout: float
+def loopback_links(parts: List[RankPartition], timeout: float, transport: str
                    ) -> Dict[int, Dict[int, socket.socket]]:
     """Link all ranks of a run, in this process -> {rank: {peer: socket}}.
 
-    One loopback listener serves every coupled pair in turn, connect then
-    accept, so the owner of each socket is known without a hello.
-    If a link fails, every socket made so far is closed.
+    ``transport`` "memory" joins each coupled pair by an AF_UNIX socket
+    pair; "tcp" by one loopback listener that serves every pair in turn,
+    connect then accept, so the owner of each socket is known without a
+    hello.  If a link fails, every socket made so far is closed.
     """
     links = {part.rank: {} for part in parts}
-    with socket.create_server(("127.0.0.1", 0)) as listener, \
-            contextlib.ExitStack() as made:
-        listener.settimeout(timeout)
-        addr = listener.getsockname()
+    server = (socket.create_server(("127.0.0.1", 0)) if transport == "tcp"
+              else contextlib.nullcontext())
+    with server as listener, contextlib.ExitStack() as made:
+        if listener is not None:
+            listener.settimeout(timeout)
         for part in parts:
             for peer in part.out_peers:  # each in-peer is another part's out-peer
-                if peer not in links[part.rank]:
-                    links[part.rank][peer] = made.enter_context(
-                        socket.create_connection(addr, timeout=timeout))
-                    into = links[peer][part.rank] = made.enter_context(listener.accept()[0])
-                    into.settimeout(timeout)
+                if peer in links[part.rank]:
+                    continue
+                if listener is None:
+                    ends = [made.enter_context(end) for end in socket.socketpair()]
+                else:
+                    ends = [made.enter_context(socket.create_connection(
+                        listener.getsockname(), timeout=timeout))]
+                    ends.append(made.enter_context(listener.accept()[0]))
+                for end in ends:
+                    end.settimeout(timeout)
+                links[part.rank][peer], links[peer][part.rank] = ends
         made.pop_all()
     return links
 
@@ -480,48 +459,63 @@ class Communicator:
         self.transport = transport
         self.timeout = timeout
         self._last_step_from = {p: -1 for p in part.in_peers}
+        self._peers = sorted(set(part.out_peers) | set(part.in_peers))
 
     def exchange(self, step: int, spiked_gids: np.ndarray) -> np.ndarray:
         """Send this step's local spikes, block for every incoming peer's
         frame for the same step, and return the union of remote spikes."""
         part = self.part
-        # Every send comes before any receive.  A frame is at most 15 + 4 *
-        # n_local bytes (about 20 KB per desk-tcp2 rank): sendall can block two
-        # ranks on each other only if both their frames overflow the socket buffers.
-        for peer in part.out_peers:
-            relevant = part.peer_sources[peer]
-            outgoing = spiked_gids[np.isin(spiked_gids, relevant)] if len(spiked_gids) else spiked_gids
-            self.transport.send(peer, encode_frame(part.rank, step, outgoing))
+        # Peers go in ascending rank order, and with each peer the lower rank
+        # sends first and the higher rank receives first.  Every rank thus
+        # meets its pairs in one global order, so a send that fills the
+        # link's buffers always has its receiver at the other end: no two
+        # ranks can block on each other, whatever the frame size.
         remote = []
-        for peer in part.in_peers:
-            try:
-                frame = self.transport.recv(peer, self.timeout)
-            except ExchangeError as err:
-                raise ExchangeError(
-                    f"rank {part.rank} missing frame from rank {peer} at step {step}: {err}",
-                    rank=peer, step=step,
-                ) from None
-            sender, got_step, spikes = decode_frame(frame)
-            if sender != peer:
-                raise ProtocolViolationError(
-                    f"frame on pair ({peer}->{part.rank}) claims sender {sender}"
-                )
-            if got_step != step:
-                raise ProtocolViolationError(
-                    f"rank {part.rank} expected step {step} from rank {peer}, got {got_step}"
-                )
-            if got_step <= self._last_step_from[peer]:
-                raise ProtocolViolationError(
-                    f"non-increasing step {got_step} from rank {peer}"
-                )
-            self._last_step_from[peer] = got_step
-            if len(spikes):
-                spikes = spikes.astype(np.int64)  # the one copy out of the frame
-                self._validate_remote(peer, spikes)
-                remote.append(spikes)
+        for peer in self._peers:
+            if part.rank < peer:
+                self._send(peer, step, spiked_gids)
+            if peer in self._last_step_from:
+                spikes = self._recv(peer, step)
+                if len(spikes):
+                    remote.append(spikes)
+            if part.rank > peer:
+                self._send(peer, step, spiked_gids)
         if not remote:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(remote)
+
+    def _send(self, peer: int, step: int, spiked_gids: np.ndarray) -> None:
+        """Send ``peer`` the spikes of the sources that project onto it."""
+        relevant = self.part.peer_sources.get(peer)
+        if relevant is None:  # an in-peer only: nothing of ours reaches it
+            return
+        outgoing = spiked_gids[np.isin(spiked_gids, relevant)] if len(spiked_gids) else spiked_gids
+        self.transport.send(peer, encode_frame(self.part.rank, step, outgoing))
+
+    def _recv(self, peer: int, step: int) -> np.ndarray:
+        """Receive and check ``peer``'s frame for ``step`` -> its source ids."""
+        part = self.part
+        try:
+            frame = self.transport.recv(peer, self.timeout)
+        except ExchangeError as err:
+            raise ExchangeError(
+                f"rank {part.rank} missing frame from rank {peer} at step {step}: {err}",
+                rank=peer, step=step,
+            ) from None
+        sender, got_step, spikes = decode_frame(frame)
+        if sender != peer:
+            raise ProtocolViolationError(
+                f"frame on pair ({peer}->{part.rank}) claims sender {sender}")
+        if got_step != step:
+            raise ProtocolViolationError(
+                f"rank {part.rank} expected step {step} from rank {peer}, got {got_step}")
+        if got_step <= self._last_step_from[peer]:
+            raise ProtocolViolationError(f"non-increasing step {got_step} from rank {peer}")
+        self._last_step_from[peer] = got_step
+        if len(spikes):
+            spikes = spikes.astype(np.int64)  # the one copy out of the frame
+            self._validate_remote(peer, spikes)
+        return spikes
 
     def _validate_remote(self, peer: int, spikes: np.ndarray) -> None:
         """Check received source ids (int64) against this rank's table."""
@@ -585,14 +579,14 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
                    cluster: Optional[Dict[int, Tuple[str, int]]] = None):
     """Run the benchmark with ``n_ranks`` ranks, each a thread of this process.
 
-    Without ``rank``, every rank runs here: transport "memory" uses the
-    loopback fabric, "tcp" real local sockets, all connected before any
-    rank starts.  With ``rank``, only that rank runs here, over TCP to the
-    other processes of ``cluster`` ({rank: (host, port)}), linked by a
-    rendezvous.  Each rank times its own loop; the merged
-    metrics take the slowest rank's time.  Returns (merged RunMetrics,
-    (steps, gids) raster sorted by (step, id), per-rank metrics list, and
-    the parts of the ranks run here).
+    Without ``rank``, every rank runs here, each pair of ranks linked
+    before any rank starts: by an AF_UNIX socket pair for transport
+    "memory", by TCP over loopback for "tcp".  With ``rank``, only that
+    rank runs here, over TCP to the other processes of ``cluster``
+    ({rank: (host, port)}), linked by a rendezvous.  Each rank times its
+    own loop; the merged metrics take the slowest rank's time.  Returns
+    (merged RunMetrics, (steps, gids) raster sorted by (step, id), per-rank
+    metrics list, and the parts of the ranks run here).
     """
     if seconds <= 0:
         raise ConfigError([f"seconds must be > 0, got {seconds}"])
@@ -608,14 +602,11 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         for p in parts
     ]
 
-    fabric = links = None
     if rank is not None:
         links = {rank: rendezvous(rank, cluster, parts[0].out_peers + parts[0].in_peers,
                                   timeout)}
-    elif transport == "tcp":
-        links = loopback_links(parts, timeout)
     else:
-        fabric = InMemoryFabric(n_ranks)
+        links = loopback_links(parts, timeout, transport)
     walls = [0.0] * len(engines)
     failures = []
     # every rank starts its timer once all are ready, so no rank's loop
@@ -627,8 +618,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         # the way out, which stops any peer waiting on it
         part, endpoint = parts[i], None
         try:
-            endpoint = (fabric.endpoint(part.rank) if fabric is not None
-                        else TcpTransport(part.rank, links[part.rank]))
+            endpoint = TcpTransport(part.rank, links[part.rank])
             comm = Communicator(part, endpoint, timeout=timeout)
             start.wait()
             t0 = time.perf_counter()

@@ -330,17 +330,23 @@ def test_criterion_8_wire_protocol(small_cfg):
         decode_frame(good[:-4])
 
     # wrong-step frames are a protocol violation at the exchange layer
-    from spikebench.distributed import Communicator, InMemoryFabric, partition
+    from spikebench.distributed import (
+        Communicator, TcpTransport, loopback_links, partition)
     net = build_network(small_cfg.grid_spec(), dt_ms=1.0,
                         model=small_cfg["model.kind"])
     _, parts = partition(net, 2)
-    fabric = InMemoryFabric(2)
-    comm0 = Communicator(parts[0], fabric.endpoint(0), timeout=1.0)
-    fabric.endpoint(1).send(0, encode_frame(1, 5, []))
-    with pytest.raises(ProtocolViolationError):
-        comm0.exchange(0, np.empty(0, dtype=np.int64))
+    links = loopback_links(parts, 1.0, "memory")
+    ep0, ep1 = TcpTransport(0, links[0]), TcpTransport(1, links[1])
+    try:
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(1, 5, []))
+        with pytest.raises(ProtocolViolationError):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
+    finally:
+        ep0.close()
+        ep1.close()
 
-    # identical rasters over in-memory and TCP transports
+    # identical rasters over socket-pair ("memory") and TCP links
     stim = small_cfg.stimulus()
     _, r_mem, _, _ = run_simulation(net, seconds=0.3, stim=stim, n_ranks=4,
                                     lif_params=small_cfg.lif_params(),

@@ -1,5 +1,6 @@
 """Partitioning, wire protocol, transports, and partition transparency."""
 
+import contextlib
 import hashlib
 import socket
 import threading
@@ -25,7 +26,6 @@ from spikebench.distributed import (
     Communicator,
     FRAME_MAGIC,
     HEADER_SIZE,
-    InMemoryFabric,
     TcpTransport,
     decode_frame,
     encode_frame,
@@ -370,21 +370,33 @@ def test_frame_corruption_detected():
 
 # ------------------------------------------------------------- exchange
 
+@contextlib.contextmanager
+def _transports(parts, timeout=5.0, transport="memory"):
+    """One transport per part over fresh loopback links; all closed on exit."""
+    links = loopback_links(parts, timeout, transport)
+    ends = [TcpTransport(p.rank, links[p.rank]) for p in parts]
+    try:
+        yield ends
+    finally:
+        for end in ends:
+            end.close()
+
+
 def test_exchange_two_ranks_example():
     # rank 0 spikes {7}, rank 1 spikes {}: rank 1 receives {7}, rank 0 {}
     net = _net()
     _, parts = partition(net, 2)
     assert 7 in parts[0].local_gids
-    fabric = InMemoryFabric(2)
-    comms = [Communicator(p, fabric.endpoint(p.rank), timeout=5.0) for p in parts]
-    results = {}
+    with _transports(parts) as ends:
+        comms = [Communicator(p, ends[p.rank], timeout=5.0) for p in parts]
+        results = {}
 
-    def ranker(rank, spikes):
-        results[rank] = comms[rank].exchange(5, spikes)
+        def ranker(rank, spikes):
+            results[rank] = comms[rank].exchange(5, spikes)
 
-    t0 = threading.Thread(target=ranker, args=(0, np.array([7], dtype=np.int64)))
-    t1 = threading.Thread(target=ranker, args=(1, np.empty(0, dtype=np.int64)))
-    t0.start(); t1.start(); t0.join(); t1.join()
+        t0 = threading.Thread(target=ranker, args=(0, np.array([7], dtype=np.int64)))
+        t1 = threading.Thread(target=ranker, args=(1, np.empty(0, dtype=np.int64)))
+        t0.start(); t1.start(); t0.join(); t1.join()
     # gid 7 is excitatory in column 0 with targets on rank 1 in this build
     assert results[1].tolist() == [7]
     assert results[0].tolist() == []
@@ -393,19 +405,19 @@ def test_exchange_two_ranks_example():
 def test_exchange_single_rank_returns_empty_immediately():
     net = _net()
     _, parts = partition(net, 1)
-    fabric = InMemoryFabric(1)
-    comm = Communicator(parts[0], fabric.endpoint(0), timeout=0.01)
-    remote = comm.exchange(0, np.array([3], dtype=np.int64))
+    with _transports(parts) as (end,):
+        comm = Communicator(parts[0], end, timeout=0.01)
+        remote = comm.exchange(0, np.array([3], dtype=np.int64))
     assert len(remote) == 0
 
 
 def test_exchange_timeout_names_rank_and_step():
     net = _net()
     _, parts = partition(net, 2)
-    fabric = InMemoryFabric(2)
-    comm = Communicator(parts[0], fabric.endpoint(0), timeout=0.05)
-    with pytest.raises(ExchangeError) as exc_info:
-        comm.exchange(0, np.empty(0, dtype=np.int64))
+    with _transports(parts) as (ep0, _):
+        comm = Communicator(parts[0], ep0, timeout=0.05)
+        with pytest.raises(ExchangeError) as exc_info:
+            comm.exchange(0, np.empty(0, dtype=np.int64))
     assert exc_info.value.rank == 1
     assert exc_info.value.step == 0
 
@@ -413,32 +425,59 @@ def test_exchange_timeout_names_rank_and_step():
 def test_exchange_step_mismatch_rejected():
     net = _net()
     _, parts = partition(net, 2)
-    fabric = InMemoryFabric(2)
-    ep0, ep1 = fabric.endpoint(0), fabric.endpoint(1)
-    comm0 = Communicator(parts[0], ep0, timeout=1.0)
-    ep1.send(0, encode_frame(1, 3, []))  # frame for the wrong step
-    with pytest.raises(ProtocolViolationError):
-        comm0.exchange(0, np.empty(0, dtype=np.int64))
+    with _transports(parts) as (ep0, ep1):
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(1, 3, []))  # frame for the wrong step
+        with pytest.raises(ProtocolViolationError):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
 
 
 def test_exchange_unknown_source_rejected():
     net = _net()
     _, parts = partition(net, 2)
-    fabric = InMemoryFabric(2)
-    comm0 = Communicator(parts[0], fabric.endpoint(0), timeout=1.0)
-    fabric.endpoint(1).send(0, encode_frame(1, 0, np.array([10**6], dtype=np.uint32)))
-    with pytest.raises(ProtocolViolationError):
-        comm0.exchange(0, np.empty(0, dtype=np.int64))
+    with _transports(parts) as (ep0, ep1):
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(1, 0, np.array([10**6], dtype=np.uint32)))
+        with pytest.raises(ProtocolViolationError):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
 
 
 def test_exchange_wrong_sender_rejected():
     net = _net()
     _, parts = partition(net, 2)
-    fabric = InMemoryFabric(2)
-    comm0 = Communicator(parts[0], fabric.endpoint(0), timeout=1.0)
-    fabric.endpoint(1).send(0, encode_frame(0, 0, []))  # claims sender 0 on pair (1->0)
-    with pytest.raises(ProtocolViolationError):
-        comm0.exchange(0, np.empty(0, dtype=np.int64))
+    with _transports(parts) as (ep0, ep1):
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(0, 0, []))  # claims sender 0 on pair (1->0)
+        with pytest.raises(ProtocolViolationError):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("transport, buffer_bytes, neurons_per_column", [
+    # loopback TCP with buffers much below 16 KB stalls on delayed ACKs,
+    # which would time out without any deadlock
+    ("memory", 4096, 1000), ("tcp", 16384, 8000)])
+def test_exchange_completes_when_both_frames_overflow_the_link(
+        transport, buffer_bytes, neurons_per_column):
+    # every local neuron spikes, so each rank's frame (8 columns * 4 bytes
+    # * neurons_per_column) is larger than its link can hold; if both ranks
+    # sent before receiving, each would block in sendall
+    net = _net(grid_x=4, grid_y=4, neurons_per_column=neurons_per_column,
+               target_fanout=10.0, decay_lambda=100.0)
+    _, parts = partition(net, 2)
+    with _transports(parts, timeout=10.0, transport=transport) as ends:
+        for end in ends:
+            for sock in end._socks.values():
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer_bytes)
+        for a, b in ((0, 1), (1, 0)):  # a frame outgrows all a link can hold
+            held = (ends[a]._socks[b].getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                    + ends[b]._socks[a].getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+            assert 4 * len(parts[a].peer_sources[b]) > held
+        comms = [Communicator(p, ends[p.rank], timeout=10.0) for p in parts]
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda c: c.exchange(0, c.part.local_gids), comms))
+    for part, remote in zip(parts, got):
+        assert remote.tolist() == parts[1 - part.rank].peer_sources[part.rank].tolist()
 
 
 # ----------------------------------------------- partition transparency
@@ -560,33 +599,38 @@ def _close_all(links):
 @pytest.mark.parametrize("n_ranks", [3, 4])
 def test_loopback_links_join_exactly_the_coupled_pairs(n_ranks):
     _, parts = partition(_net(), n_ranks)
-    links = loopback_links(parts, timeout=5.0)
-    try:
-        for part in parts:
-            assert set(links[part.rank]) == set(part.out_peers) | set(part.in_peers)
-            for peer, sock in links[part.rank].items():  # the far end is the peer's
-                sock.sendall(bytes([part.rank]))
-                assert links[peer][part.rank].recv(1) == bytes([part.rank])
-    finally:
-        _close_all(links)
+    for transport in ("memory", "tcp"):
+        links = loopback_links(parts, 5.0, transport)
+        try:
+            for part in parts:
+                assert set(links[part.rank]) == set(part.out_peers) | set(part.in_peers)
+                for peer, sock in links[part.rank].items():  # the far end is the peer's
+                    sock.sendall(bytes([part.rank]))
+                    assert links[peer][part.rank].recv(1) == bytes([part.rank])
+        finally:
+            _close_all(links)
 
 
 def test_loopback_links_close_every_socket_when_one_fails(monkeypatch):
     _, parts = partition(_net(), 3)
-    made, connects = [], []
-    create_server, connect, accept = (
-        socket.create_server, socket.create_connection, socket.socket.accept)
+    made, links = [], []
+    create_server, connect, accept, socketpair = (
+        socket.create_server, socket.create_connection, socket.socket.accept,
+        socket.socketpair)
 
     def recording_server(*args, **kwargs):
         made.append(create_server(*args, **kwargs))
         return made[-1]
 
-    def second_connect_fails(*args, **kwargs):
-        connects.append(args)
-        if len(connects) == 2:
-            raise OSError("injected failure of the second connect")
-        made.append(connect(*args, **kwargs))
-        return made[-1]
+    def second_link_fails(make):
+        def link(*args, **kwargs):
+            links.append(args)
+            if len(links) == 2:
+                raise OSError("injected failure of the second link")
+            ends = make(*args, **kwargs)
+            made.extend(ends if isinstance(ends, tuple) else [ends])
+            return ends
+        return link
 
     def recording_accept(self):
         conn, addr = accept(self)
@@ -594,12 +638,18 @@ def test_loopback_links_close_every_socket_when_one_fails(monkeypatch):
         return conn, addr
 
     monkeypatch.setattr(socket, "create_server", recording_server)
-    monkeypatch.setattr(socket, "create_connection", second_connect_fails)
+    monkeypatch.setattr(socket, "create_connection", second_link_fails(connect))
+    monkeypatch.setattr(socket, "socketpair", second_link_fails(socketpair))
     monkeypatch.setattr(socket.socket, "accept", recording_accept)
-    with pytest.raises(OSError, match="second connect"):
-        loopback_links(parts, timeout=5.0)
-    assert len(made) == 3  # the listener and both ends of the first link
-    assert [sock.fileno() for sock in made] == [-1] * 3
+    # "tcp": the listener and both ends of the first link; "memory": the
+    # first socket pair, with no listener
+    for transport, n_made in (("tcp", 3), ("memory", 2)):
+        made.clear()
+        links.clear()
+        with pytest.raises(OSError, match="second link"):
+            loopback_links(parts, 5.0, transport)
+        assert len(made) == n_made
+        assert [sock.fileno() for sock in made] == [-1] * n_made
 
 
 def _free_port():
@@ -637,43 +687,32 @@ def test_rendezvous_names_the_peer_it_cannot_reach():
 
 # ------------------------------------------------------ failing ranks
 
-def test_closed_memory_transport_ends_peer_recv_at_once():
-    fabric = InMemoryFabric(3)
-    ep0, ep1 = fabric.endpoint(0), fabric.endpoint(1)
-    ep1.send(0, b"last")
-    ep1.close()
-    assert ep0.recv(1, timeout=10.0) == b"last"  # frames sent before close arrive
-    t0 = time.perf_counter()
-    with pytest.raises(ExchangeError) as exc_info:
-        ep0.recv(1, timeout=10.0)
-    assert time.perf_counter() - t0 < 1.0
-    assert exc_info.value.rank == 1
-    with pytest.raises(ExchangeError) as exc_info:
-        fabric.endpoint(2).recv(1, timeout=10.0)
-    assert exc_info.value.rank == 1
-
-
-def _tcp_pair(timeout=5.0):
-    _, parts = partition(_net(), 2)
-    links = loopback_links(parts, timeout)
-    return TcpTransport(0, links[0]), TcpTransport(1, links[1])
-
-
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
 @pytest.mark.parametrize("unread", [False, True])
-def test_tcp_closed_peer_raises_exchange_error_naming_rank(unread):
+def test_closed_peer_raises_exchange_error_naming_rank(unread, transport):
     # closing with a frame left unread resets the connection instead of
     # ending it cleanly; either way the survivor's error names the peer
-    ep0, ep1 = _tcp_pair()
-    try:
+    _, parts = partition(_net(), 3)
+    assert 1 in parts[2].in_peers
+    with _transports(parts, transport=transport) as (ep0, ep1, ep2):
         frame = encode_frame(0, 0, np.arange(1000, dtype=np.uint32))
         ep1.send(0, frame)
         assert ep0.recv(1, timeout=5.0) == frame
         if unread:
             ep0.send(1, frame)
             time.sleep(0.05)
+        else:
+            ep1.send(0, frame)
         ep1.close()
+        if not unread:  # frames sent before close arrive
+            assert ep0.recv(1, timeout=10.0) == frame
+        t0 = time.perf_counter()
         with pytest.raises(ExchangeError) as exc_info:
-            ep0.recv(1, timeout=5.0)
+            ep0.recv(1, timeout=10.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert exc_info.value.rank == 1
+        with pytest.raises(ExchangeError) as exc_info:
+            ep2.recv(1, timeout=10.0)
         assert exc_info.value.rank == 1
         # the first send after the peer closed may still be buffered; one of
         # the next ones meets the reset
@@ -682,9 +721,30 @@ def test_tcp_closed_peer_raises_exchange_error_naming_rank(unread):
                 ep0.send(1, frame)
                 time.sleep(0.01)
         assert exc_info.value.rank == 1
-    finally:
-        ep0.close()
+
+
+def test_corrupt_frame_header_is_rejected_before_its_count_sizes_a_read():
+    # a bad magic with count 2**32 - 1 must not ask the socket for 16 GiB
+    _, parts = partition(_net(), 2)
+    bogus = b"XXXX" + encode_frame(1, 0, [])[4:HEADER_SIZE - 4] + b"\xff" * 4
+    with _transports(parts) as (ep0, ep1):
+        ep1.send(0, bogus)
+        with pytest.raises(FrameCorruptionError, match="bad frame magic"):
+            ep0.recv(1, timeout=5.0)
+
+
+def test_frame_that_claims_more_ids_than_arrive_ends_in_exchange_error():
+    # a valid header claiming 2**32 - 1 ids, then the peer closes: the read
+    # ends with the link, naming the peer, after allocating only what came
+    _, parts = partition(_net(), 2)
+    header = encode_frame(1, 0, [])[:HEADER_SIZE - 4] + b"\xff" * 4
+    with _transports(parts) as (ep0, ep1):
+        ep1.send(0, header + b"\x00" * 1000)
         ep1.close()
+        with pytest.raises(ExchangeError) as exc_info:
+            ep0.recv(1, timeout=5.0)
+    assert exc_info.value.rank == 1
+    assert "rank 1" in str(exc_info.value)
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp", "tcp-connect"])

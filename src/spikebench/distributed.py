@@ -86,11 +86,12 @@ class RankPartition:
     int32 word ``delay * n_local + target``: ``target`` is a rank-local
     index into ``local_gids``, ``delay`` is in steps, and the word is the
     synapse's cell in a delay ring read from its cursor.  Its weight is
-    ``source_weights[s]``.  ``peer_sources[r]`` lists, per outgoing peer,
-    which local sources must be announced to rank r.  At one rank
-    ``in_offsets`` and ``in_words`` are the network's own arrays; at more,
-    ``partition`` fills ``in_words`` in place, allocated once at its final
-    length.  The other per-synapse views below are derived on demand.
+    ``source_weights[s]``, unless STDP gives it its own in ``in_weights``.
+    ``peer_sources[r]`` lists, per outgoing peer, which local sources must
+    be announced to rank r.  At one rank ``in_offsets`` and ``in_words``
+    are the network's own arrays; at more, ``partition`` fills
+    ``in_words`` in place, allocated once at its final length.  The other
+    per-synapse views below are derived on demand.
     """
 
     rank: int
@@ -102,7 +103,7 @@ class RankPartition:
     in_offsets: np.ndarray            # int64, n_global + 1
     in_words: np.ndarray              # int32, delay * n_local + local target
     source_weights: np.ndarray        # float64 per global neuron, scaled
-    in_weights: Optional[np.ndarray] = None  # float64 per synapse, STDP only
+    in_weights: Optional[np.ndarray] = None  # float64 per plastic synapse, STDP only
     out_peers: List[int] = field(default_factory=list)
     in_peers: List[int] = field(default_factory=list)
     peer_sources: Dict[int, np.ndarray] = field(default_factory=dict)

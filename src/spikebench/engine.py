@@ -238,9 +238,8 @@ class Engine:
         self._block = np.zeros((self._block_steps, self.n_local), dtype=np.int64)
         self._block_t0 = -1
         # delivery scratch, reused every step: the joined words (int64, so
-        # bincount takes them without a copy) and, with STDP, their weights
+        # bincount takes them without a copy)
         self._words = np.empty(0, dtype=np.int64)
-        self._weights = np.empty(0, dtype=np.float64)
 
         if self.model == "izhikevich":
             exc = part.local_excitatory
@@ -324,22 +323,18 @@ class Engine:
         n = int(lengths.sum())
         if n:
             if n > len(self._words):  # grow geometrically; never shrink
-                size = max(n, 2 * len(self._words))
-                self._words = np.empty(size, dtype=np.int64)
-                self._weights = np.empty(size, dtype=np.float64)
+                self._words = np.empty(max(n, 2 * len(self._words)), dtype=np.int64)
             # exact-length views: accumulate sees this step's synapses only
             words = self._words[:n]
             # each source's synapses are one contiguous span of the table;
             # joining the spans in source order copies each word once
             spans = [slice(a, a + k) for a, k in zip(starts.tolist(), lengths.tolist())]
             np.concatenate([part.in_words[s] for s in spans], out=words)
-            # a per-synapse weight table exists only where STDP writes one
-            if part.in_weights is not None:
-                w = self._weights[:n]
-                np.concatenate([part.in_weights[s] for s in spans], out=w)
-            else:  # np.repeat has no out=; a Python loop filling the
-                # buffer span by span held the GIL and slowed thread ranks
-                w = np.repeat(part.source_weights[sources_sorted], lengths)
+            # np.repeat has no out=; a Python loop filling a buffer span by
+            # span held the GIL and slowed thread ranks
+            w = np.repeat(part.source_weights[sources_sorted], lengths)
+            if self.stdp is not None:  # only plastic synapses have weights of their own
+                self.stdp.overlay(w, sources_sorted, lengths)
             self.ring.accumulate(words, w)
             self.internal_events += n
         if self.stdp is not None:

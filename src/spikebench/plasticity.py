@@ -31,8 +31,9 @@ from .errors import ConfigError
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
 
-# synapses depressed in one joined pass: a burst step's temporaries stay
-# near 3 MB instead of growing with the step (16 MB on desk-stdp)
+# synapses depressed or potentiated in one joined pass: a burst step's
+# temporaries stay near 3 MB instead of growing with the step (16 MB on
+# desk-stdp)
 _DEPRESS_BLOCK = 1 << 16
 
 
@@ -92,10 +93,16 @@ def depress(weights: np.ndarray, post_traces: np.ndarray, params: StdpParams,
 class StdpState:
     """Trace state bound to one rank's incoming synapse table.
 
-    Creates the per-synapse table ``part.in_weights`` and mutates it in
-    place.  Pre traces are kept for every source that projects onto this
-    rank (indexed by global id), post traces for local neurons.  Only
-    synapses from excitatory sources are plastic.
+    Only synapses from excitatory sources are plastic, so only they get a
+    weight of their own: ``part.in_weights`` (created here and mutated in
+    place) holds each excitatory source's span, in source order, and
+    source ``s``'s weights are ``in_weights[plastic_offsets[s]:
+    plastic_offsets[s + 1]]`` (an empty span for an inhibitory source),
+    8 B per plastic synapse.  Slot ``k`` of that span is the synapse whose
+    word is ``in_words[in_offsets[s] + k]``.  Every other synapse keeps
+    ``source_weights[s]``.  Pre traces are kept for every source that
+    projects onto this rank (indexed by global id), post traces for local
+    neurons.
 
     Potentiation reads the plastic synapses by target through a transpose
     that stores, per plastic synapse in target-major order, its source gid
@@ -103,7 +110,7 @@ class StdpState:
     that holds it (4 B per plastic synapse up to 65,535 neurons and
     fan-outs).  Target ``j``'s synapses are entries
     ``_by_target_bounds[j]:_by_target_bounds[j + 1]``, in table order;
-    their table positions are ``in_offsets[src] + slot``.
+    their weights are ``in_weights[plastic_offsets[src] + slot]``.
     """
 
     def __init__(self, part, params: StdpParams, dt_ms: float):
@@ -117,38 +124,77 @@ class StdpState:
         self.post_trace = np.zeros(len(part.local_gids), dtype=np.float64)
         self._n_local = len(part.local_gids)
         self._by_target_bounds, self._by_target_src, self._by_target_slot = _transpose(part)
-        # depression scratch, reused by every block (fewer than _DEPRESS_BLOCK
-        # synapses plus one source's span): fresh temporaries of that size
-        # are mapped and faulted in anew whenever malloc's dynamic mmap
-        # threshold is below them, which doubled depression's time
-        size = _DEPRESS_BLOCK + int(np.diff(part.in_offsets).max(initial=0))
+        counts = np.where(part.source_excitatory, np.diff(part.in_offsets), 0)
+        self.plastic_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.plastic_offsets[1:])
+        # scratch, reused by every block of depression (fewer than
+        # _DEPRESS_BLOCK synapses plus one source's span) and of potentiation
+        # (plus one target's): fresh temporaries of that size are mapped and
+        # faulted in anew whenever malloc's dynamic mmap threshold is below
+        # them, which doubled depression's time
+        size = _DEPRESS_BLOCK + int(max(counts.max(initial=0),
+                                        np.diff(self._by_target_bounds).max(initial=0)))
         self._words, self._delays, self._targets = (
             np.empty(size, dtype=part.in_words.dtype) for _ in range(3))
+        self._src = np.empty(size, dtype=self._by_target_src.dtype)
+        self._slot = np.empty(size, dtype=self._by_target_slot.dtype)
+        self._positions = np.empty(size, dtype=np.int64)
         self._traces, self._joined = np.empty(size), np.empty(size)
         # created last, so the transpose's sort key never coexists with it
-        part.in_weights = np.repeat(part.source_weights, np.diff(part.in_offsets))
+        part.in_weights = np.repeat(part.source_weights, counts)
 
     def stored_bytes(self) -> int:
-        """Bytes of the transpose and the traces (``in_weights`` is the part's)."""
-        return sum(a.nbytes for a in (self._by_target_bounds, self._by_target_src,
-                                      self._by_target_slot, self.pre_trace, self.post_trace))
+        """Bytes of the plastic offsets, the transpose and the traces
+        (``in_weights`` is the part's)."""
+        return sum(a.nbytes for a in (self.plastic_offsets, self._by_target_bounds,
+                                      self._by_target_src, self._by_target_slot,
+                                      self.pre_trace, self.post_trace))
 
-    def _depress(self, spans: list, size: int) -> None:
-        """Depress the ``size`` synapses of table ``spans`` (disjoint slices)."""
+    def overlay(self, w: np.ndarray, sources: np.ndarray, lengths: np.ndarray) -> None:
+        """Copy each excitatory source's plastic weights over its stretch of
+        ``w``: the weights of ``sources``, ``lengths[i]`` synapses each,
+        joined in order."""
+        exc = self.part.source_excitatory[sources]
+        at = np.cumsum(lengths) - lengths
+        plastic = sources[exc]
+        pw = self.part.in_weights
+        for i, a, b in zip(at[exc].tolist(), self.plastic_offsets[plastic].tolist(),
+                           self.plastic_offsets[plastic + 1].tolist()):
+            w[i:i + b - a] = pw[a:b]
+
+    def _depress(self, word_spans: list, weight_spans: list, size: int) -> None:
+        """Depress the ``size`` synapses whose words are ``word_spans`` and
+        whose weights are ``weight_spans`` (disjoint slices, paired in order)."""
         w = self.part.in_weights
         words = self._words[:size]
-        np.concatenate([self.part.in_words[s] for s in spans], out=words)
+        np.concatenate([self.part.in_words[s] for s in word_spans], out=words)
         _, targets = _unpack(words, self._n_local, out=(self._delays[:size], self._targets[:size]))
         # targets lie in [0, n_local), so "clip" never clips; unlike "raise",
         # it fills out without a buffered copy
         traces = np.take(self.post_trace, targets, out=self._traces[:size], mode="clip")
         joined = self._joined[:size]
-        np.concatenate([w[s] for s in spans], out=joined)
+        np.concatenate([w[s] for s in weight_spans], out=joined)
         depress(joined, traces, self.params, out=traces)
         at = 0
-        for s in spans:
+        for s in weight_spans:
             w[s] = traces[at:at + s.stop - s.start]
             at += s.stop - s.start
+
+    def _potentiate(self, runs: list, size: int) -> None:
+        """Potentiate the ``size`` synapses of transpose ``runs`` (slices)."""
+        src, slot = self._src[:size], self._slot[:size]
+        np.concatenate([self._by_target_src[r] for r in runs], out=src)
+        np.concatenate([self._by_target_slot[r] for r in runs], out=slot)
+        # indices in range, so "clip" never clips (see _depress); numpy
+        # widens the narrow src and slot into the int64 positions
+        idx = np.take(self.plastic_offsets, src, out=self._positions[:size], mode="clip")
+        idx += slot
+        traces = np.take(self.pre_trace, src, out=self._traces[:size], mode="clip")
+        w = self.part.in_weights
+        joined = np.take(w, idx, out=self._joined[:size], mode="clip")
+        # the runs' synapses are distinct (each has one target), so the
+        # scattered write-back sets each once
+        w[idx] = potentiate(joined, traces, self.params, out=traces)
 
     def process_step(self, pre_sources: np.ndarray, post_spiked_local: np.ndarray) -> None:
         """Advance one step: decay, depress, potentiate, bump traces.
@@ -157,8 +203,7 @@ class StdpState:
         and projects onto this rank (ascending).  ``post_spiked_local``:
         local indices of this rank's neurons that spiked (ascending).
         """
-        p, part = self.params, self.part
-        w = part.in_weights
+        part, plastic = self.part, self.plastic_offsets
         self.pre_trace *= self.decay_plus
         self.post_trace *= self.decay_minus
 
@@ -166,27 +211,32 @@ class StdpState:
         # disjoint, so they are joined, depressed at once and written back,
         # in blocks of about _DEPRESS_BLOCK synapses to bound the temporaries
         exc = pre_sources[part.source_excitatory[pre_sources]]
-        spans, size = [], 0
-        for a, b in zip(part.in_offsets[exc].tolist(), part.in_offsets[exc + 1].tolist()):
-            spans.append(slice(a, b))
-            size += b - a
+        word_spans, weight_spans, size = [], [], 0
+        for a, lo, hi in zip(part.in_offsets[exc].tolist(), plastic[exc].tolist(),
+                             plastic[exc + 1].tolist()):
+            word_spans.append(slice(a, a + hi - lo))
+            weight_spans.append(slice(lo, hi))
+            size += hi - lo
             if size >= _DEPRESS_BLOCK:
-                self._depress(spans, size)
-                spans, size = [], 0
-        if spans:
-            self._depress(spans, size)
+                self._depress(word_spans, weight_spans, size)
+                word_spans, weight_spans, size = [], [], 0
+        if size:
+            self._depress(word_spans, weight_spans, size)
 
-        # potentiation, per target: its table positions are rebuilt in
-        # int64, so numpy widens the narrow src and slot one span at a time
-        bounds, src, slot = self._by_target_bounds, self._by_target_src, self._by_target_slot
+        # potentiation: the spiking targets' transpose runs, joined in
+        # blocks the same way
+        bounds = self._by_target_bounds
+        runs, size = [], 0
         for lo, hi in zip(bounds.take(post_spiked_local).tolist(),
                           bounds.take(post_spiked_local + 1).tolist()):
             if hi > lo:
-                sources = src[lo:hi]
-                idx = part.in_offsets.take(sources)
-                idx += slot[lo:hi]
-                traces = self.pre_trace.take(sources)
-                w[idx] = potentiate(w.take(idx), traces, p, out=traces)
+                runs.append(slice(lo, hi))
+                size += hi - lo
+                if size >= _DEPRESS_BLOCK:
+                    self._potentiate(runs, size)
+                    runs, size = [], 0
+        if size:
+            self._potentiate(runs, size)
 
         self.pre_trace[pre_sources] += 1.0
         if len(post_spiked_local):

@@ -37,6 +37,7 @@ from spikebench.distributed import (
 )
 from spikebench.engine import Engine
 from spikebench.errors import ConfigError, ExchangeError
+from spikebench.plasticity import StdpParams, StdpState
 
 
 def _net(seed=5, **kw):
@@ -236,10 +237,12 @@ def test_per_source_and_per_synapse_delivery_agree(n_ranks):
     stim = cfg.stimulus()
     _, per_source = partition(net, n_ranks)
     _, per_synapse = partition(net, n_ranks)
-    for part in per_synapse:
-        part.in_weights = np.repeat(part.source_weights, np.diff(part.in_offsets))
-    engines = [[Engine(p, stim, dt_ms=net.dt_ms, n_steps=200) for p in parts]
-               for parts in (per_source, per_synapse)]
+    # STDP that changes no weight: the per-synapse side delivers through
+    # its plastic weight table, which keeps the build's weights
+    frozen = StdpParams(enabled=True, a_plus=0.0, a_minus=0.0)
+    engines = [[Engine(p, stim, dt_ms=net.dt_ms, n_steps=200) for p in per_source],
+               [Engine(p, stim, dt_ms=net.dt_ms, n_steps=200,
+                       stdp=StdpState(p, frozen, net.dt_ms)) for p in per_synapse]]
     for t in range(200):
         # every rank sees every spike of the step; sources without
         # synapses on a rank deliver nothing there

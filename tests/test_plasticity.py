@@ -188,14 +188,37 @@ def test_enabled_changes_excitatory_weights_only():
                         w_min=0.0, w_max=5.0, enabled=True)
     _, _, _, parts = run_simulation(net, seconds=0.5, stim=stim, stdp_params=params)
     part = parts[0]
-    n = len(part.in_offsets) - 1
-    src = np.repeat(np.arange(n), np.diff(part.in_offsets))
-    exc = part.source_excitatory[src]
+    exc = part.source_excitatory
     spec = net.spec
-    assert (part.in_weights[~exc] == -spec.w_inh).all()
-    assert not (part.in_weights[exc] == spec.w_exc).all()
-    assert (part.in_weights[exc] >= 0.0).all()
-    assert (part.in_weights[exc] <= params.w_max).all()
+    # one table entry per plastic synapse; every other synapse keeps its
+    # source's weight
+    assert len(part.in_weights) == np.diff(part.in_offsets)[exc].sum()
+    assert (part.source_weights[~exc] == -spec.w_inh).all()
+    assert (part.source_weights[exc] == spec.w_exc).all()
+    assert not (part.in_weights == spec.w_exc).all()
+    assert (part.in_weights >= 0.0).all()
+    assert (part.in_weights <= params.w_max).all()
+
+
+def test_plastic_table_is_partition_invariant():
+    # each 2-rank table is the 1-rank table restricted to that rank's
+    # targets, in order
+    from spikebench.config import load_bundled_config
+
+    cfg = load_bundled_config("small-1k")
+    net = build_network(cfg.grid_spec(), dt_ms=1.0)
+    params = StdpParams(a_plus=0.05, a_minus=0.06, tau_plus=20.0, tau_minus=20.0,
+                        w_min=0.0, w_max=5.0, enabled=True)
+    runs = [run_simulation(net, seconds=0.5, stim=cfg.stimulus(), stdp_params=params,
+                           n_ranks=n)[3] for n in (1, 2)]
+    (one,), two = runs
+    plastic = np.repeat(one.source_excitatory, np.diff(one.in_offsets))
+    targets = one.local_gids[one.in_targets[plastic]]
+    assert not (one.in_weights == net.spec.w_exc).all()
+    assert sum(len(p.in_weights) for p in two) == len(one.in_weights)
+    for part in two:
+        assert np.array_equal(part.in_weights,
+                              one.in_weights[np.isin(targets, part.local_gids)])
 
 
 def test_enabled_partition_invariant():
@@ -224,8 +247,10 @@ def test_table_bytes_count_each_ranks_stored_arrays(enabled):
             n_plastic = int(counts[part.source_excitatory].sum())
             per_plastic = (np.min_scalar_type(n_global).itemsize
                            + np.min_scalar_type(counts.max()).itemsize)
-            # in_weights, the transpose (bounds, src, slot) and both traces
-            expected += (part.in_weights.nbytes + 8 * (part.n_local + 1)
+            assert part.in_weights.nbytes == 8 * n_plastic
+            # in_weights and its offsets, the transpose (bounds, src, slot)
+            # and both traces
+            expected += (8 * n_plastic + 8 * (n_global + 1) + 8 * (part.n_local + 1)
                          + per_plastic * n_plastic + 8 * (n_global + part.n_local))
         else:
             assert part.in_weights is None
@@ -286,16 +311,17 @@ def _check_process_step_against_reference(n_ranks):
     _, ref_parts = partition(net, n_ranks)
     for part, ref in zip(parts, ref_parts):
         _replay_against_reference(part, ref, params, n_steps=50)
-        exc = part.in_weights[part.in_weights >= 0]
-        assert (exc == params.w_max).any() and (exc == 0.0).any()
+        assert (part.in_weights == params.w_max).any() and (part.in_weights == 0.0).any()
 
 
 def _replay_against_reference(part, ref, params, n_steps):
     """Drive ``part``'s StdpState and the reference rule on ``ref`` (an
-    identical part) with the same random spikes; both must agree bit for bit."""
+    identical part, with a weight for every synapse) with the same random
+    spikes; the plastic weights must agree bit for bit."""
     n_global = len(part.in_offsets) - 1
     state = StdpState(part, params, dt_ms=1.0)
-    ref.in_weights = np.repeat(ref.source_weights, np.diff(ref.in_offsets))
+    built = np.repeat(ref.source_weights, np.diff(ref.in_offsets))
+    ref.in_weights = built.copy()
     ref_pre = np.zeros(n_global)
     ref_post = np.zeros(part.n_local)
     spikes = np.random.default_rng(100 + part.rank)
@@ -305,7 +331,9 @@ def _replay_against_reference(part, ref, params, n_steps):
         state.process_step(pre, post)
         _reference_step(ref, params, state.decay_plus, state.decay_minus,
                         ref_pre, ref_post, pre, post)
-    assert np.array_equal(part.in_weights, ref.in_weights)
+    plastic = np.repeat(ref.source_excitatory, np.diff(ref.in_offsets))
+    assert np.array_equal(part.in_weights, ref.in_weights[plastic])
+    assert np.array_equal(ref.in_weights[~plastic], built[~plastic])
     assert np.array_equal(state.pre_trace, ref_pre)
     assert np.array_equal(state.post_trace, ref_post)
     return state
@@ -332,6 +360,9 @@ def test_transpose_lists_each_targets_plastic_synapses_in_table_order(n_ranks):
         rebuilt = (part.in_offsets[state._by_target_src.astype(np.int64)]
                    + state._by_target_slot)
         assert np.array_equal(rebuilt, positions[order])
+        # the plastic table lists the same synapses in the same order
+        plastic = state.plastic_offsets[state._by_target_src] + state._by_target_slot
+        assert np.array_equal(plastic, order)
 
 
 def test_transpose_types_widen_past_16_bits():

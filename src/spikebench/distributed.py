@@ -343,7 +343,8 @@ class TcpTransport:
 
     def recv(self, from_rank: int, timeout: float) -> bytes:
         sock = self._socks[from_rank]
-        sock.settimeout(timeout)
+        if sock.gettimeout() != timeout:  # settimeout costs two fcntl calls
+            sock.settimeout(timeout)
         try:
             header = self._read_exact(sock, HEADER_SIZE)
             count = _decode_header(header)[2]  # checked before it sizes a read
@@ -461,6 +462,18 @@ class Communicator:
         self.timeout = timeout
         self._last_step_from = {p: -1 for p in part.in_peers}
         self._peers = sorted(set(part.out_peers) | set(part.in_peers))
+        # lookup tables built once, sized to the rank: per out-peer, whether
+        # each local neuron projects onto it (n_local bytes); per global
+        # source, whether a peer may announce it here (n bytes): it has
+        # synapses on this rank and is not one of this rank's own neurons
+        self._sends_to = {peer: np.isin(part.local_gids, part.peer_sources[peer])
+                          for peer in part.out_peers}
+        # only a rank with in-peers reads it; built at one rank, it moved
+        # the 1-rank paper-desk peak RSS by 2-3 MB (malloc layout)
+        self._accepts = None
+        if part.in_peers:
+            self._accepts = np.diff(part.in_offsets) > 0
+            self._accepts[part.local_gids] = False
 
     def exchange(self, step: int, spiked_gids: np.ndarray) -> np.ndarray:
         """Send this step's local spikes, block for every incoming peer's
@@ -472,25 +485,27 @@ class Communicator:
         # link's buffers always has its receiver at the other end: no two
         # ranks can block on each other, whatever the frame size.
         remote = []
+        local = np.searchsorted(part.local_gids, spiked_gids)  # rank-local indices
         for peer in self._peers:
             if part.rank < peer:
-                self._send(peer, step, spiked_gids)
+                self._send(peer, step, spiked_gids, local)
             if peer in self._last_step_from:
                 spikes = self._recv(peer, step)
                 if len(spikes):
                     remote.append(spikes)
             if part.rank > peer:
-                self._send(peer, step, spiked_gids)
+                self._send(peer, step, spiked_gids, local)
         if not remote:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(remote)
 
-    def _send(self, peer: int, step: int, spiked_gids: np.ndarray) -> None:
-        """Send ``peer`` the spikes of the sources that project onto it."""
-        relevant = self.part.peer_sources.get(peer)
-        if relevant is None:  # an in-peer only: nothing of ours reaches it
+    def _send(self, peer: int, step: int, spiked_gids: np.ndarray, local: np.ndarray) -> None:
+        """Send ``peer`` the spikes of the sources that project onto it
+        (``local``: the rank-local index of each spiked gid)."""
+        sends = self._sends_to.get(peer)
+        if sends is None:  # an in-peer only: nothing of ours reaches it
             return
-        outgoing = spiked_gids[np.isin(spiked_gids, relevant)] if len(spiked_gids) else spiked_gids
+        outgoing = spiked_gids[sends[local]] if len(spiked_gids) else spiked_gids
         self.transport.send(peer, encode_frame(self.part.rank, step, outgoing))
 
     def _recv(self, peer: int, step: int) -> np.ndarray:
@@ -525,9 +540,12 @@ class Communicator:
         if (spikes >= n_global).any():
             bad = int(spikes[spikes >= n_global][0])
             raise ProtocolViolationError(f"unknown source id {bad} from rank {peer}")
-        has_local = part.in_offsets[spikes + 1] > part.in_offsets[spikes]
-        if not has_local.all():
-            bad = int(spikes[~has_local][0])
+        accepted = self._accepts[spikes]
+        if not accepted.all():
+            bad = int(spikes[~accepted][0])
+            if bad in part.local_gids:
+                raise ProtocolViolationError(
+                    f"source {bad} from rank {peer} is a neuron of rank {part.rank}")
             raise ProtocolViolationError(
                 f"source {bad} from rank {peer} has no synapses on rank {part.rank}"
             )

@@ -455,6 +455,72 @@ def test_exchange_wrong_sender_rejected():
             comm0.exchange(0, np.empty(0, dtype=np.int64))
 
 
+def test_exchange_rejects_a_frame_naming_the_receivers_own_neuron():
+    # a rank-0 neuron with synapses on rank 0: known to the table, but no
+    # peer may announce it as a remote spike
+    net = _net()
+    _, parts = partition(net, 2)
+    has_here = np.diff(parts[0].in_offsets) > 0
+    own = int(parts[0].local_gids[has_here[parts[0].local_gids]][0])
+    with _transports(parts) as (ep0, ep1):
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(1, 0, np.array([own], dtype=np.uint32)))
+        with pytest.raises(ProtocolViolationError, match=f"source {own} .* neuron of rank 0"):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
+
+
+def test_exchange_rejects_a_source_with_no_synapses_on_the_receiver():
+    net = _net(target_fanout=3.0, decay_lambda=0.5)
+    _, parts = partition(net, 2)
+    no_synapses = parts[1].local_gids[np.diff(parts[0].in_offsets)[parts[1].local_gids] == 0]
+    assert len(no_synapses)
+    bad = int(no_synapses[0])
+    with _transports(parts) as (ep0, ep1):
+        comm0 = Communicator(parts[0], ep0, timeout=1.0)
+        ep1.send(0, encode_frame(1, 0, np.array([bad], dtype=np.uint32)))
+        with pytest.raises(ProtocolViolationError,
+                           match=f"source {bad} from rank 1 has no synapses on rank 0"):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+def test_exchange_sends_each_peer_exactly_its_sources(n_ranks):
+    # sparse enough that each peer hears of only some of a rank's neurons
+    net = _net(target_fanout=3.0, decay_lambda=0.5)
+    _, parts = partition(net, n_ranks)
+    assert all(len(s) < p.n_local for p in parts for s in p.peer_sources.values())
+    gen = np.random.default_rng(n_ranks)
+    with _transports(parts) as ends:
+        comms = [Communicator(p, ends[p.rank], timeout=5.0) for p in parts]
+        with ThreadPoolExecutor(n_ranks) as pool:
+            for step in range(2 * n_ranks):
+                # random ascending subsets of each rank's neurons; one rank
+                # per step spikes nothing
+                spikes = [np.sort(gen.choice(p.local_gids, int(gen.integers(1, p.n_local + 1)),
+                                             replace=False))
+                          if p.rank != step % n_ranks else np.empty(0, dtype=np.int64)
+                          for p in parts]
+                got = list(pool.map(lambda c, s: c.exchange(step, s), comms, spikes))
+                for part, remote in zip(parts, got):
+                    expected = [np.empty(0, dtype=np.int64)]
+                    expected += [spikes[p][np.isin(spikes[p], parts[p].peer_sources[part.rank])]
+                                 for p in part.in_peers]
+                    assert remote.tolist() == np.concatenate(expected).tolist()
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_recv_keeps_to_a_short_timeout_after_a_long_one(transport):
+    net = _net()
+    _, parts = partition(net, 2)
+    with _transports(parts, transport=transport) as (ep0, ep1):
+        ep1.send(0, encode_frame(1, 0, []))
+        assert decode_frame(ep0.recv(1, 5.0))[1] == 0
+        t0 = time.monotonic()
+        with pytest.raises(ExchangeError, match="rank 0 lost rank 1"):
+            ep0.recv(1, 0.05)
+        assert time.monotonic() - t0 < 1.0
+
+
 @pytest.mark.parametrize("transport, buffer_bytes, neurons_per_column", [
     # loopback TCP with buffers much below 16 KB stalls on delayed ACKs,
     # which would time out without any deadlock

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rank", type=int,
                        help="run exactly this rank of a multi-process cluster run")
     p_run.add_argument("--cluster", help="cluster file with `rank host:port` lines")
-    p_run.add_argument("--transport", choices=["memory", "tcp"],
+    p_run.add_argument("--transport", choices=distributed.TRANSPORTS,
                        help="transport for single-host multi-rank runs")
     p_run.set_defaults(func=cmd_run)
 

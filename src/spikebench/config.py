@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .energy import PlatformRecord, PowerMeasurement
 from .errors import ConfigError
+from .distributed import TRANSPORTS
 from .network import GridSpec, MODEL_KINDS
 from .neurons import AdaptiveLifParams
 from .engine import StimulusSpec
@@ -202,10 +203,9 @@ class RunConfig:
             )
         if v["run.ranks"] < 1:
             problems.append(f"run.ranks: must be >= 1, got {v['run.ranks']}")
-        if v["run.transport"] not in ("memory", "tcp"):
-            problems.append(
-                f"run.transport: expected memory or tcp, got {v['run.transport']!r}"
-            )
+        if v["run.transport"] not in TRANSPORTS:
+            problems.append(f"run.transport: expected one of {TRANSPORTS}, "
+                            f"got {v['run.transport']!r}")
         if v["run.raster_format"] not in ("csv", "binary"):
             problems.append(
                 f"run.raster_format: expected csv or binary, got {v['run.raster_format']!r}"

@@ -70,6 +70,8 @@ __all__ = [
     "run_simulation",
 ]
 
+TRANSPORTS = ("memory", "tcp")
+
 FRAME_MAGIC = b"DPSN"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBHII")
@@ -88,13 +90,16 @@ class RankPartition:
     synapse's cell in a delay ring read from its cursor.  Its weight is
     ``source_weights[s]``, unless STDP gives it its own in ``in_weights``.
     ``peer_sources[r]`` lists, per outgoing peer, which local sources must
-    be announced to rank r.  At one rank ``in_offsets`` and ``in_words``
-    are the network's own arrays; at more, ``partition`` fills
+    be announced to rank r; ``owner`` gives any neuron's rank.  At one
+    rank ``in_offsets`` and ``in_words`` are the network's own arrays; at
+    more, ``partition`` fills
     ``in_words`` in place, allocated once at its final length.  The other
     per-synapse views below are derived on demand.
     """
 
     rank: int
+    n_ranks: int
+    neurons_per_column: int
     model: str
     n_slots: int
     local_gids: np.ndarray            # int64, ascending
@@ -119,6 +124,10 @@ class RankPartition:
         arrays += self.peer_sources.values()
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
+    def owner(self, gids: np.ndarray) -> np.ndarray:
+        """Rank of each neuron id, by the one rule ``partition`` uses."""
+        return _owner(gids, self.neurons_per_column, self.n_ranks)
+
     @property
     def in_targets(self) -> np.ndarray:
         """Rank-local target of each synapse (int32), derived; no run reads it."""
@@ -136,6 +145,11 @@ class RankPartition:
         out = np.full(len(self.in_offsets) - 1, -1, dtype=np.int32)
         out[self.local_gids] = np.arange(self.n_local, dtype=np.int32)
         return out
+
+
+def _owner(gids: np.ndarray, neurons_per_column: int, n_ranks: int) -> np.ndarray:
+    # columns go to ranks round-robin in row-major order
+    return (gids // neurons_per_column) % n_ranks
 
 
 def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
@@ -160,10 +174,10 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
         raise InfeasiblePartitionError(
             f"{n_ranks} ranks exceed the {spec.n_columns} available columns"
         )
-    n = net.n_neurons
-    column_to_rank = (np.arange(spec.n_columns) % n_ranks).astype(np.int32)
+    n, npc = net.n_neurons, spec.neurons_per_column
     gids = np.arange(n, dtype=np.int64)
-    neuron_rank = column_to_rank[gids // spec.neurons_per_column]
+    neuron_rank = _owner(gids, npc, n_ranks).astype(np.int32)
+    column_to_rank = neuron_rank[::npc].copy()
     exc = np.asarray(net.is_excitatory(gids))
     source_weights = net.source_weights(w_exc_scale)
     # ring length is a global property; the build bounds the delays, and
@@ -203,6 +217,8 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     parts = [
         RankPartition(
             rank=r,
+            n_ranks=n_ranks,
+            neurons_per_column=npc,
             model=net.model,
             n_slots=n_slots,
             local_gids=local_gids[r],
@@ -462,18 +478,9 @@ class Communicator:
         self.timeout = timeout
         self._last_step_from = {p: -1 for p in part.in_peers}
         self._peers = sorted(set(part.out_peers) | set(part.in_peers))
-        # lookup tables built once, sized to the rank: per out-peer, whether
-        # each local neuron projects onto it (n_local bytes); per global
-        # source, whether a peer may announce it here (n bytes): it has
-        # synapses on this rank and is not one of this rank's own neurons
+        # per out-peer, whether each local neuron projects onto it
         self._sends_to = {peer: np.isin(part.local_gids, part.peer_sources[peer])
                           for peer in part.out_peers}
-        # only a rank with in-peers reads it; built at one rank, it moved
-        # the 1-rank paper-desk peak RSS by 2-3 MB (malloc layout)
-        self._accepts = None
-        if part.in_peers:
-            self._accepts = np.diff(part.in_offsets) > 0
-            self._accepts[part.local_gids] = False
 
     def exchange(self, step: int, spiked_gids: np.ndarray) -> np.ndarray:
         """Send this step's local spikes, block for every incoming peer's
@@ -534,21 +541,22 @@ class Communicator:
         return spikes
 
     def _validate_remote(self, peer: int, spikes: np.ndarray) -> None:
-        """Check received source ids (int64) against this rank's table."""
-        part = self.part
-        n_global = len(part.in_offsets) - 1
-        if (spikes >= n_global).any():
-            bad = int(spikes[spikes >= n_global][0])
-            raise ProtocolViolationError(f"unknown source id {bad} from rank {peer}")
-        accepted = self._accepts[spikes]
-        if not accepted.all():
-            bad = int(spikes[~accepted][0])
-            if bad in part.local_gids:
-                raise ProtocolViolationError(
-                    f"source {bad} from rank {peer} is a neuron of rank {part.rank}")
+        """Check received source ids (int64): each must be a neuron that
+        ``peer`` owns and that has synapses on this rank."""
+        part, offsets = self.part, self.part.in_offsets
+        unknown = spikes >= len(offsets) - 1
+        if unknown.any():
             raise ProtocolViolationError(
-                f"source {bad} from rank {peer} has no synapses on rank {part.rank}"
-            )
+                f"unknown source id {spikes[unknown.argmax()]} from rank {peer}")
+        owners = part.owner(spikes)
+        if (owners != peer).any():
+            i = (owners != peer).argmax()
+            raise ProtocolViolationError(
+                f"source {spikes[i]} from rank {peer} is a neuron of rank {owners[i]}")
+        empty = offsets.take(spikes + 1) == offsets.take(spikes)
+        if empty.any():
+            raise ProtocolViolationError(f"source {spikes[empty.argmax()]} from rank {peer} "
+                                         f"has no synapses on rank {part.rank}")
 
 
 def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
@@ -573,7 +581,7 @@ def check_run_args(n_ranks: int, transport: str, rank: Optional[int] = None,
     problems = []
     if n_ranks < 1:
         problems.append(f"need at least one rank, got {n_ranks}")
-    if transport not in ("memory", "tcp"):
+    if transport not in TRANSPORTS:
         problems.append(f"unknown transport {transport!r}")
     if rank is not None and cluster is None:
         problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")

@@ -168,21 +168,31 @@ class Network:
         return np.where(exc, float(self.spec.w_exc) * w_exc_scale, -float(self.spec.w_inh))
 
 
-def _column_distance_matrix(spec: GridSpec) -> np.ndarray:
-    cids = np.arange(spec.n_columns)
-    gx = cids % spec.grid_x
-    gy = cids // spec.grid_x
-    dx = gx[:, None] - gx[None, :]
-    dy = gy[:, None] - gy[None, :]
-    return np.sqrt((dx * dx + dy * dy).astype(np.float64))
-
-
-def _eligible_targets(spec: GridSpec) -> np.ndarray:
-    """Eligible targets of a source in column c (row) within column c'
-    (int64): every neuron, less the source itself in its own column."""
-    eligible = np.full((spec.n_columns, spec.n_columns), spec.neurons_per_column, dtype=np.int64)
-    np.fill_diagonal(eligible, spec.neurons_per_column - 1)
-    return eligible
+def _connection_kernel(spec: GridSpec):
+    """(p0, probs, eligible) per source column c (row) and target column
+    c': ``eligible`` (int64) counts every neuron of c', less the source
+    itself in its own column, and ``probs`` is ``p0 * exp(-d(c,c')/lambda)``
+    (p0 <= 1, see normalize_fanout), with libm's ``math.exp`` per cell so
+    that no SIMD loop numpy dispatches on the machine changes a draw."""
+    spec.require_valid()
+    npc, n_cols = spec.neurons_per_column, spec.n_columns
+    cids = np.arange(n_cols)
+    gx, gy = cids % spec.grid_x, cids // spec.grid_x
+    dx, dy = gx[:, None] - gx, gy[:, None] - gy
+    distance = np.sqrt((dx * dx + dy * dy).astype(np.float64)).ravel().tolist()
+    kernel = np.reshape([math.exp(-d / spec.decay_lambda) for d in distance], (n_cols, n_cols))
+    eligible = np.full((n_cols, n_cols), npc, dtype=np.int64)
+    np.fill_diagonal(eligible, npc - 1)
+    mean_reach = float((kernel * eligible).sum(axis=1).mean())
+    if mean_reach <= 0.0:
+        raise InfeasibleSpecError("network has no eligible targets")
+    p0 = spec.target_fanout / mean_reach
+    if p0 > 1.0:
+        raise InfeasibleSpecError(
+            f"target_fanout {spec.target_fanout} needs p0 = {p0:.4f} > 1; "
+            "grid too small for the requested fanout"
+        )
+    return p0, p0 * kernel, eligible
 
 
 def normalize_fanout(spec: GridSpec) -> float:
@@ -195,19 +205,7 @@ def normalize_fanout(spec: GridSpec) -> float:
     the mean over source columns hits the target; a required p0 > 1 means
     the grid is too small for the requested fanout.
     """
-    spec.require_valid()
-    kernel = np.exp(-_column_distance_matrix(spec) / spec.decay_lambda)
-    per_column = (kernel * _eligible_targets(spec)).sum(axis=1)
-    mean_reach = float(per_column.mean())
-    if mean_reach <= 0.0:
-        raise InfeasibleSpecError("network has no eligible targets")
-    p0 = spec.target_fanout / mean_reach
-    if p0 > 1.0:
-        raise InfeasibleSpecError(
-            f"target_fanout {spec.target_fanout} needs p0 = {p0:.4f} > 1; "
-            "grid too small for the requested fanout"
-        )
-    return p0
+    return _connection_kernel(spec)[0]
 
 
 def connection_probability(d: float, spec: GridSpec, p0: Optional[float] = None) -> float:
@@ -439,11 +437,9 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
             "shorter delay_max_ms"
         ])
 
-    p0 = normalize_fanout(spec)
+    p0, probs, eligible = _connection_kernel(spec)
     npc = spec.neurons_per_column
     n_cols = spec.n_columns
-    eligible = _eligible_targets(spec)
-    probs = np.clip(p0 * np.exp(-_column_distance_matrix(spec) / spec.decay_lambda), 0.0, 1.0)
     expected = npc * (probs * eligible).sum(axis=1)  # synapses from each column
     bounds = _column_ranges(expected, _build_workers(n_cols, expected.sum()))
     build = functools.partial(_build_columns, spec, probs, eligible, delay_lo, delay_hi)

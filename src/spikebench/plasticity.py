@@ -31,11 +31,6 @@ from .errors import ConfigError
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
 
-# synapses depressed or potentiated in one joined pass: a burst step's
-# temporaries stay near 3 MB instead of growing with the step (16 MB on
-# desk-stdp)
-_DEPRESS_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class StdpParams:
@@ -128,12 +123,12 @@ class StdpState:
         self.plastic_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.plastic_offsets[1:])
         # scratch, reused by every block of depression (fewer than
-        # _DEPRESS_BLOCK synapses plus one source's span) and of potentiation
+        # _BLOCK_SYNAPSES synapses plus one source's span) and of potentiation
         # (plus one target's): fresh temporaries of that size are mapped and
         # faulted in anew whenever malloc's dynamic mmap threshold is below
         # them, which doubled depression's time
-        size = _DEPRESS_BLOCK + int(max(counts.max(initial=0),
-                                        np.diff(self._by_target_bounds).max(initial=0)))
+        size = _BLOCK_SYNAPSES + int(max(counts.max(initial=0),
+                                         np.diff(self._by_target_bounds).max(initial=0)))
         self._words, self._delays, self._targets = (
             np.empty(size, dtype=part.in_words.dtype) for _ in range(3))
         self._src = np.empty(size, dtype=self._by_target_src.dtype)
@@ -162,29 +157,30 @@ class StdpState:
                            self.plastic_offsets[plastic + 1].tolist()):
             w[i:i + b - a] = pw[a:b]
 
-    def _depress(self, word_spans: list, weight_spans: list, size: int) -> None:
-        """Depress the ``size`` synapses whose words are ``word_spans`` and
-        whose weights are ``weight_spans`` (disjoint slices, paired in order)."""
+    def _depress(self, starts: list, lo: list, hi: list, size: int) -> None:
+        """Depress the ``size`` synapses of disjoint source spans: weights
+        ``in_weights[lo[i]:hi[i]]``, words from ``in_words[starts[i]]`` on."""
         w = self.part.in_weights
         words = self._words[:size]
-        np.concatenate([self.part.in_words[s] for s in word_spans], out=words)
+        np.concatenate([self.part.in_words[s:s + b - a] for s, a, b in zip(starts, lo, hi)],
+                       out=words)
         _, targets = _unpack(words, self._n_local, out=(self._delays[:size], self._targets[:size]))
         # targets lie in [0, n_local), so "clip" never clips; unlike "raise",
         # it fills out without a buffered copy
         traces = np.take(self.post_trace, targets, out=self._traces[:size], mode="clip")
         joined = self._joined[:size]
-        np.concatenate([w[s] for s in weight_spans], out=joined)
+        np.concatenate([w[a:b] for a, b in zip(lo, hi)], out=joined)
         depress(joined, traces, self.params, out=traces)
         at = 0
-        for s in weight_spans:
-            w[s] = traces[at:at + s.stop - s.start]
-            at += s.stop - s.start
+        for a, b in zip(lo, hi):
+            w[a:b] = traces[at:at + b - a]
+            at += b - a
 
-    def _potentiate(self, runs: list, size: int) -> None:
-        """Potentiate the ``size`` synapses of transpose ``runs`` (slices)."""
+    def _potentiate(self, lo: list, hi: list, size: int) -> None:
+        """Potentiate the ``size`` synapses of transpose runs ``lo[i]:hi[i]``."""
         src, slot = self._src[:size], self._slot[:size]
-        np.concatenate([self._by_target_src[r] for r in runs], out=src)
-        np.concatenate([self._by_target_slot[r] for r in runs], out=slot)
+        np.concatenate([self._by_target_src[a:b] for a, b in zip(lo, hi)], out=src)
+        np.concatenate([self._by_target_slot[a:b] for a, b in zip(lo, hi)], out=slot)
         # indices in range, so "clip" never clips (see _depress); numpy
         # widens the narrow src and slot into the int64 positions
         idx = np.take(self.plastic_offsets, src, out=self._positions[:size], mode="clip")
@@ -208,39 +204,38 @@ class StdpState:
         self.post_trace *= self.decay_minus
 
         # depression: the spans of this step's excitatory sources are
-        # disjoint, so they are joined, depressed at once and written back,
-        # in blocks of about _DEPRESS_BLOCK synapses to bound the temporaries
+        # disjoint, so they are joined, depressed at once and written back
         exc = pre_sources[part.source_excitatory[pre_sources]]
-        word_spans, weight_spans, size = [], [], 0
-        for a, lo, hi in zip(part.in_offsets[exc].tolist(), plastic[exc].tolist(),
-                             plastic[exc + 1].tolist()):
-            word_spans.append(slice(a, a + hi - lo))
-            weight_spans.append(slice(lo, hi))
-            size += hi - lo
-            if size >= _DEPRESS_BLOCK:
-                self._depress(word_spans, weight_spans, size)
-                word_spans, weight_spans, size = [], [], 0
-        if size:
-            self._depress(word_spans, weight_spans, size)
+        starts, lo, hi = (part.in_offsets[exc].tolist(), plastic[exc].tolist(),
+                          plastic[exc + 1].tolist())
+        for i, j, size in _blocks(lo, hi):
+            self._depress(starts[i:j], lo[i:j], hi[i:j], size)
 
-        # potentiation: the spiking targets' transpose runs, joined in
-        # blocks the same way
+        # potentiation: the spiking targets' transpose runs, joined alike
         bounds = self._by_target_bounds
-        runs, size = [], 0
-        for lo, hi in zip(bounds.take(post_spiked_local).tolist(),
-                          bounds.take(post_spiked_local + 1).tolist()):
-            if hi > lo:
-                runs.append(slice(lo, hi))
-                size += hi - lo
-                if size >= _DEPRESS_BLOCK:
-                    self._potentiate(runs, size)
-                    runs, size = [], 0
-        if size:
-            self._potentiate(runs, size)
+        lo = bounds.take(post_spiked_local).tolist()
+        hi = bounds.take(post_spiked_local + 1).tolist()
+        for i, j, size in _blocks(lo, hi):
+            self._potentiate(lo[i:j], hi[i:j], size)
 
         self.pre_trace[pre_sources] += 1.0
         if len(post_spiked_local):
             self.post_trace[post_spiked_local] += 1.0
+
+
+def _blocks(lo: list, hi: list):
+    """Yield (i, j, size): spans ``lo[k]:hi[k]``, k in [i, j), joined into
+    one block of ``size`` synapses that ends at the span bringing it to
+    ``_BLOCK_SYNAPSES``, so a burst step's temporaries stay near 3 MB
+    instead of growing with the step (16 MB on desk-stdp)."""
+    i = size = 0
+    for j, (a, b) in enumerate(zip(lo, hi), 1):
+        size += b - a
+        if size >= _BLOCK_SYNAPSES:
+            yield i, j, size
+            i, size = j, 0
+    if size:
+        yield i, len(lo), size
 
 
 def _transpose(part):

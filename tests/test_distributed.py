@@ -483,6 +483,22 @@ def test_exchange_rejects_a_source_with_no_synapses_on_the_receiver():
             comm0.exchange(0, np.empty(0, dtype=np.int64))
 
 
+def test_exchange_rejects_a_third_ranks_neuron():
+    # at 3 ranks neuron 50 (column 2) is rank 2's and has synapses on rank
+    # 0: only rank 2 may announce it there, never rank 1
+    net = _net()
+    _, parts = partition(net, 3)
+    assert 50 in parts[2].local_gids
+    assert np.diff(parts[0].in_offsets)[50] > 0
+    assert 1 in parts[0].in_peers
+    with _transports(parts) as ends:
+        comm0 = Communicator(parts[0], ends[0], timeout=1.0)
+        ends[1].send(0, encode_frame(1, 0, np.array([50], dtype=np.uint32)))
+        with pytest.raises(ProtocolViolationError,
+                           match="source 50 from rank 1 is a neuron of rank 2"):
+            comm0.exchange(0, np.empty(0, dtype=np.int64))
+
+
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
 def test_exchange_sends_each_peer_exactly_its_sources(n_ranks):
     # sparse enough that each peer hears of only some of a rank's neurons

@@ -1,6 +1,7 @@
 """Network construction: normalization, determinism, statistics, packed words."""
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -206,7 +207,7 @@ def _reference_source(spec, dt_ms, s):
     dx = cols % spec.grid_x - col % spec.grid_x
     dy = cols // spec.grid_x - col // spec.grid_x
     dist = np.sqrt((dx * dx + dy * dy).astype(np.float64))
-    probs = np.clip(normalize_fanout(spec) * np.exp(-dist / spec.decay_lambda), 0.0, 1.0)
+    probs = normalize_fanout(spec) * np.array([math.exp(-d / spec.decay_lambda) for d in dist])
     eligible = np.full(spec.n_columns, npc)
     eligible[col] = npc - 1
     gen = rng.philox_generator(spec.seed, s)
@@ -337,9 +338,8 @@ def test_build_bytes_do_not_depend_on_worker_count(build_workers, spec, dt_ms):
 def test_build_column_ranges_balance_expected_synapses():
     # the corner columns of a 4x3 grid reach fewer targets than the middle
     spec = GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0)
-    probs = normalize_fanout(spec) * np.exp(
-        -network._column_distance_matrix(spec) / spec.decay_lambda)
-    expected = (probs * network._eligible_targets(spec)).sum(axis=1)
+    _, probs, eligible = network._connection_kernel(spec)
+    expected = (probs * eligible).sum(axis=1)
     for parts in range(1, spec.n_columns + 1):
         bounds = network._column_ranges(expected, parts)
         assert bounds[0] == 0 and bounds[-1] == spec.n_columns

@@ -295,7 +295,7 @@ def test_process_step_matches_reference_rule_on_small_1k(n_ranks):
 
 def test_depression_in_blocks_matches_reference_rule(monkeypatch):
     # about 32k depressed synapses a step: blocks of 1,000 split each step
-    monkeypatch.setattr(plasticity, "_DEPRESS_BLOCK", 1000)
+    monkeypatch.setattr(plasticity, "_BLOCK_SYNAPSES", 1000)
     _check_process_step_against_reference(1)
 
 
@@ -380,7 +380,7 @@ def test_transpose_types_widen_past_16_bits():
         delays = gen.integers(1, 4, offsets[-1])
         exc = np.arange(n_global) % 5 != 4
         return RankPartition(
-            rank=0, model="adaptive_lif", n_slots=4,
+            rank=0, n_ranks=1, neurons_per_column=n_local, model="adaptive_lif", n_slots=4,
             local_gids=np.arange(n_local, dtype=np.int64),
             local_excitatory=exc[:n_local], source_excitatory=exc,
             in_offsets=offsets,

@@ -20,8 +20,11 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 
 import argparse
 import os
+import platform
 import sys
 import time
+
+import numpy as np
 
 from . import distributed, engine as engine_mod, network as network_mod
 from .config import (
@@ -89,8 +92,36 @@ def _read_kv(path) -> dict:
     return out
 
 
+def _machine() -> dict:
+    """The machine a run measured: its CPU model (from /proc/cpuinfo where
+    readable; ARM kernels name only the implementer and part), the CPUs
+    this process may run on, Python, numpy and the SIMD features numpy
+    runs with."""
+    fields = {}
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                fields.setdefault(key.strip(), value.strip())
+    except OSError:
+        pass
+    arm = [f"{key} {fields[key]}" for key in ("CPU implementer", "CPU part") if key in fields]
+    core = np._core if hasattr(np, "_core") else np.core
+    simd = core._multiarray_umath.__cpu_features__
+    return {
+        "machine.cpu_model": fields.get("model name") or " ".join(arm) or "unknown",
+        "machine.arch": platform.machine(),
+        "machine.usable_cpus": (len(os.sched_getaffinity(0))
+                                if hasattr(os, "sched_getaffinity") else os.cpu_count()),
+        "machine.python": platform.python_version(),
+        "machine.numpy": np.__version__,
+        "machine.numpy_simd": " ".join(name for name, on in simd.items() if on),
+    }
+
+
 def _metrics_doc(cfg: RunConfig, metrics, checksum: str, equivalent: int) -> dict:
     doc = dict(_provenance(cfg))
+    doc.update(_machine())
     doc.update({
         "metrics.n_neurons": metrics.n_neurons,
         "metrics.simulated_seconds": repr(metrics.simulated_seconds),

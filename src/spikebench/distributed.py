@@ -286,8 +286,9 @@ def decode_frame(buf: bytes) -> Tuple[int, int, np.ndarray]:
 def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
     """Read `rank host:port` lines into {rank: (host, port)}.
 
-    Every bad line gets its own diagnostic: a malformed line, a port
-    outside 1-65535, a rank named twice.
+    Every bad line gets its own diagnostic: a malformed line, an empty
+    host (which would listen on every interface), a port outside 1-65535,
+    a rank named twice.
     """
     cluster = {}
     problems = []
@@ -308,6 +309,8 @@ def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
             except ValueError:
                 problems.append(f"{where}: expected 'rank host:port', got {line!r}")
                 continue
+            if not host:
+                problems.append(f"{where}: no host before ':{port_s}'")
             if not 1 <= port <= 65535:
                 problems.append(f"{where}: port {port} outside [1, 65535]")
             if rank in cluster:
@@ -593,6 +596,8 @@ def check_run_args(n_ranks: int, transport: str, rank: Optional[int] = None,
         missing = [r for r in range(n_ranks) if r not in cluster]
         if missing:
             problems.append(f"cluster has no address for ranks {missing}")
+        problems += [f"cluster rank {r} outside [0, {n_ranks})"
+                     for r in sorted(cluster) if not 0 <= r < n_ranks]
     if problems:
         raise ConfigError(problems)
 

@@ -22,18 +22,14 @@ round(exc_fraction*npc) ids are excitatory.
 import functools
 import math
 import os
-import signal
-import sys
 import threading
-import traceback
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import rng
-from .errors import ConfigError, InfeasibleSpecError, SpikebenchError
+from . import forked, rng
+from .errors import ConfigError, InfeasibleSpecError
 
 __all__ = [
     "GridSpec",
@@ -351,56 +347,13 @@ def _column_ranges(expected: np.ndarray, n_parts: int) -> list:
     return bounds + [n_cols]
 
 
-def _fork_worker(build, lo: int, hi: int, capacity: int, readers: list):
-    """Fork a process that builds columns [lo, hi) and writes them to a
-    pipe -> (pid, the pipe's read end).
-
-    It writes one int64 block, the synapse count, the range's
-    ``counts_per_source`` and its ``column_synapses``, then the words.
-    """
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns at a fork while other OS threads run, such
-            # as numpy's BLAS pool; the worker calls no BLAS, and no Python
-            # thread is running (see _build_workers)
-            warnings.filterwarnings("ignore", category=DeprecationWarning,
-                                    message=r"This process .* is multi-threaded")
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb", buffering=0)
-    code = 1  # the worker: it never returns into the caller
-    try:
-        os.close(r)
-        for other in readers:  # so that only the parent holds a read end
-            other.close()
-        with open(w, "wb") as out:
-            words, filled, counts, column_synapses = build(
-                lo, hi, np.empty(capacity, dtype=np.int32))
-            out.write(np.concatenate(([filled], counts, column_synapses)).astype(np.int64))
-            out.write(words[:filled])
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _read_into(reader, array: np.ndarray) -> bool:
-    """Fill ``array`` from ``reader``; False if the stream ends first."""
-    view = memoryview(array).cast("B")
-    while len(view):
-        got = reader.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
+def _write_columns(build, lo: int, hi: int, capacity: int, out) -> None:
+    """Build columns [lo, hi) into a table of ``capacity`` words and write
+    them to ``out``: one int64 block, the synapse count, the range's
+    ``counts_per_source`` and its ``column_synapses``, then the words."""
+    words, filled, counts, column_synapses = build(lo, hi, np.empty(capacity, dtype=np.int32))
+    out.write(np.concatenate(([filled], counts, column_synapses)).astype(np.int64))
+    out.write(words[:filled])
 
 
 def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif") -> Network:
@@ -445,51 +398,29 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     build = functools.partial(_build_columns, spec, probs, eligible, delay_lo, delay_hi)
 
     capacity = _table_capacity(spec)
-    workers, readers = [], []
-    failed = None  # the worker whose output ended early
-    done = False
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    with forked.Children() as workers:
+        outputs = []
+        for lo, hi in ranges:
             # its share of the table, by expected synapses: for a share f,
             # a margin of 8 * sqrt(f) standard deviations of its own count
             share = math.ceil(capacity * expected[lo:hi].sum() / expected.sum())
-            pid, reader = _fork_worker(build, lo, hi, share, readers)
-            workers.append((pid, lo, hi))
-            readers.append(reader)
+            outputs.append(workers.fork(f"network build of columns {lo}..{hi - 1}",
+                                        functools.partial(_write_columns, build, lo, hi, share)))
         words, filled, counts, column_synapses = build(
             0, bounds[1], np.empty(capacity, dtype=np.int32))
         counts_per_source = np.empty(n, dtype=np.int64)
         counts_per_source[:len(counts)] = counts
-        for (pid, lo, hi), reader in zip(workers, readers):
+        for (lo, hi), output in zip(ranges, outputs):
             head = np.empty(1 + (hi - lo) * npc + n_cols, dtype=np.int64)
-            if not _read_into(reader, head):
-                failed = pid
-                break
+            workers.read(output, head)
             end = filled + int(head[0])
             counts_per_source[lo * npc:hi * npc] = head[1:1 + (hi - lo) * npc]
             column_synapses += head[1 + (hi - lo) * npc:]
             if end > len(words):  # more synapses than expected
                 words = _grown(words, filled, end)
-            if not _read_into(reader, words[filled:end]):
-                failed = pid
-                break
+            workers.read(output, words[filled:end])
             filled = end
-        done = failed is None
-    finally:
-        # leaving on an error: stop the workers before their pipes close
-        # under them; the one whose output ended has exited on its own
-        for pid, _, _ in workers:
-            if not done and pid != failed:
-                os.kill(pid, signal.SIGKILL)
-        for reader in readers:
-            reader.close()
-        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, _, _ in workers}
-    for pid, lo, hi in workers:
-        if pid == failed or codes[pid] != 0:
-            raise SpikebenchError(
-                f"network build of columns {lo}..{hi - 1} failed in a worker "
-                f"process (exit status {codes[pid]})")
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts_per_source, out=offsets[1:])

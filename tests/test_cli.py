@@ -1,6 +1,7 @@
 """CLI contract: subcommands, artifacts, provenance, exit codes."""
 
 import os
+import platform
 import socket
 import subprocess
 import sys
@@ -54,6 +55,26 @@ def test_run_writes_artifacts_with_provenance(tmp_path):
     assert int(doc["metrics.equivalent_synapses"]) > 0
     header = raster.read_text().splitlines()[:60]
     assert any(line.startswith("# config.grid.seed = 5") for line in header)
+
+
+def test_run_names_the_machine_it_measured(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)] + _tiny_args()) == 0
+    doc = _read_kv(out / "metrics.kv")
+    machine = {k: v for k, v in doc.items() if k.startswith("machine.")}
+    core = np._core if hasattr(np, "_core") else np.core
+    enabled = [f for f, on in core._multiarray_umath.__cpu_features__.items() if on]
+    assert machine["machine.usable_cpus"] == str(len(os.sched_getaffinity(0)))
+    assert machine["machine.python"] == platform.python_version()
+    assert machine["machine.numpy"] == np.__version__
+    assert machine["machine.numpy_simd"].split() == enabled
+    assert machine["machine.arch"] == platform.machine()
+    with open("/proc/cpuinfo") as fh:
+        models = [line.partition(":")[2].strip() for line in fh if line.startswith("model name")]
+    if models:  # ARM kernels name only the implementer and part
+        assert machine["machine.cpu_model"] == models[0]
+    assert machine["machine.cpu_model"] not in ("", "unknown")
+    assert not any("machine" in k for k in doc if k.startswith("metrics."))
 
 
 def test_run_records_network_build_time(tmp_path):

@@ -27,6 +27,7 @@ from spikebench.distributed import (
     FRAME_MAGIC,
     HEADER_SIZE,
     TcpTransport,
+    check_run_args,
     decode_frame,
     encode_frame,
     loopback_links,
@@ -671,6 +672,23 @@ def test_cluster_file_parsing(tmp_path):
     assert [p.split(":")[1] for p in problems] == ["1", "2", "3", "5"]
     assert "port 0 " in problems[1] and "port 65536 " in problems[2]
     assert "rank 3 " in problems[3]
+    # an empty host would listen on every interface
+    hostless = tmp_path / "hostless.txt"
+    hostless.write_text("0 127.0.0.1:9000\n1 :9001\n2 :9002\n")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_cluster_file(hostless)
+    problems = exc_info.value.problems
+    assert [p.split(":")[1] for p in problems] == ["2", "3"]
+    assert all("no host" in p for p in problems)
+
+
+def test_check_run_args_rejects_each_cluster_rank_that_does_not_exist():
+    cluster = {r: ("127.0.0.1", 5000 + abs(r)) for r in (0, 1, 7, -3)}
+    with pytest.raises(ConfigError) as exc_info:
+        check_run_args(2, "tcp", 0, cluster)
+    assert exc_info.value.problems == ["cluster rank -3 outside [0, 2)",
+                                       "cluster rank 7 outside [0, 2)"]
+    check_run_args(2, "tcp", 0, {0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
 
 
 # ------------------------------------------------------------ TCP links

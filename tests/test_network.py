@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -376,6 +377,7 @@ def test_build_worker_failure_names_its_range_and_leaves_nothing_behind(
         build_network(small_spec, dt_ms=1.0)
     assert len(forks) == 2
     assert "columns 7..9" in str(err.value) and "exit status 1" in str(err.value)
+    assert str(err.value).endswith("RuntimeError: worker broke")  # the worker's own text
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir("/proc/self/fd")) == fds
@@ -397,5 +399,31 @@ def test_build_failure_in_this_process_kills_and_reaps_workers(monkeypatch, buil
         build_network(small_spec, dt_ms=1.0)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_build_fork_failure_closes_its_pipes_and_kills_and_reaps_the_first_worker(
+        monkeypatch, build_workers, small_spec):
+    build_workers(3)
+    pids, kills, fork, kill = [], [], os.fork, os.kill
+
+    def fork_once():
+        if pids:
+            raise OSError("fork refused")
+        pids.append(fork())
+        return pids[-1]
+
+    def recording_kill(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        build_network(small_spec, dt_ms=1.0)
+    assert kills == [(pids[0], signal.SIGKILL)]
+    with pytest.raises(ChildProcessError):  # the first worker was reaped
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir("/proc/self/fd")) == fds

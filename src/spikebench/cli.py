@@ -21,6 +21,7 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 import argparse
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -184,7 +185,13 @@ def _write_energy(cfg: RunConfig, out_dir: str, measured_events, measured_wall) 
     return path, records
 
 
+def _cpu_seconds(who) -> float:
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
 def cmd_run(args) -> int:
+    children_s = _cpu_seconds(resource.RUSAGE_CHILDREN)
     cfg = _load_config(args)
     out_dir = args.out
     cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
@@ -213,7 +220,12 @@ def cmd_run(args) -> int:
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
     metrics_path = os.path.join(out_dir, f"metrics{suffix}.kv")
     doc = _metrics_doc(cfg, metrics, checksum, equivalent)
-    doc["metrics.build_seconds"] = repr(build_ns / 1e9)
+    doc.update({
+        "metrics.build_seconds": repr(build_ns / 1e9),
+        "metrics.partition_seconds": repr(metrics.partition_seconds),
+        "metrics.stdp_init_seconds": repr(metrics.stdp_init_seconds),
+        "metrics.link_seconds": repr(metrics.link_seconds),
+    })
     for part, m in zip(parts, per_rank):  # the ranks run in this process
         key = f"metrics.rank{part.rank}"
         doc.update({
@@ -223,6 +235,11 @@ def cmd_run(args) -> int:
             f"{key}.external_synaptic_events": m.external_synaptic_events,
             f"{key}.table_bytes": m.table_bytes,
         })
+    # this process and the children it reaped since cmd_run began: the
+    # build and transpose workers (an exec keeps the children's time of
+    # the process it replaced)
+    doc["metrics.cpu_seconds"] = repr(_cpu_seconds(resource.RUSAGE_SELF)
+                                      + _cpu_seconds(resource.RUSAGE_CHILDREN) - children_s)
     _write_kv(metrics_path, doc)
 
     wrote = [raster_path, metrics_path]

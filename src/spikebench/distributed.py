@@ -37,7 +37,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -618,27 +618,32 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     ({rank: (host, port)}), linked by a rendezvous.  Each rank times its
     own loop; the merged metrics take the slowest rank's time.  Returns
     (merged RunMetrics, (steps, gids) raster sorted by (step, id), per-rank
-    metrics list, and the parts of the ranks run here).
+    metrics list, and the parts of the ranks run here).  The merged metrics
+    also time the partition, the STDP states and the links.
     """
     if seconds <= 0:
         raise ConfigError([f"seconds must be > 0, got {seconds}"])
     check_run_args(n_ranks, transport, rank, cluster)
     n_steps = int(round(seconds * 1000.0 / net.dt_ms))
+    t0 = time.perf_counter_ns()
     _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
+    partition_ns = time.perf_counter_ns() - t0
     if rank is not None:
         parts = [parts[rank]]
     plastic = stdp_params is not None and stdp_params.enabled
-    engines = [
-        Engine(p, stim, dt_ms=net.dt_ms, lif_params=lif_params, n_steps=n_steps,
-               stdp=StdpState(p, stdp_params, net.dt_ms) if plastic else None)
-        for p in parts
-    ]
+    t0 = time.perf_counter_ns()
+    stdps = [StdpState(p, stdp_params, net.dt_ms) if plastic else None for p in parts]
+    stdp_ns = time.perf_counter_ns() - t0 if plastic else 0
+    engines = [Engine(p, stim, dt_ms=net.dt_ms, lif_params=lif_params, n_steps=n_steps,
+                      stdp=stdp) for p, stdp in zip(parts, stdps)]
 
+    t0 = time.perf_counter_ns()
     if rank is not None:
         links = {rank: rendezvous(rank, cluster, parts[0].out_peers + parts[0].in_peers,
                                   timeout)}
     else:
         links = loopback_links(parts, timeout, transport)
+    link_ns = time.perf_counter_ns() - t0
     walls = [0.0] * len(engines)
     failures = []
     # every rank starts its timer once all are ready, so no rank's loop
@@ -678,5 +683,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     steps = np.concatenate([e.raster()[0] for e in engines])
     gids = np.concatenate([e.raster()[1] for e in engines])
     order = np.lexsort((gids, steps))
-    return RunMetrics.merged(per_rank), (steps[order], gids[order]), per_rank, parts
+    merged = replace(RunMetrics.merged(per_rank), partition_seconds=partition_ns / 1e9,
+                     stdp_init_seconds=stdp_ns / 1e9, link_seconds=link_ns / 1e9)
+    return merged, (steps[order], gids[order]), per_rank, parts
 

@@ -168,6 +168,10 @@ class RunMetrics:
     internal_synaptic_events: int
     external_synaptic_events: int
     table_bytes: int  # the rank's stored synapse and STDP tables
+    # the run's setup after the build, timed by run_simulation (0 per rank)
+    partition_seconds: float = 0.0
+    stdp_init_seconds: float = 0.0
+    link_seconds: float = 0.0
 
     @property
     def mean_rate_hz(self) -> float:

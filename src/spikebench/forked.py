@@ -3,15 +3,51 @@ function against a pipe and ends in ``os._exit``.  Leaving the block on an
 error kills every child with SIGKILL; leaving it in any way closes every
 pipe and reaps every child.  A failed child prints its traceback on stderr
 and sends the last line of its exception over a second pipe, which the
-block's error quotes."""
+block's error quotes.  ``worker_count`` is the one rule for how many
+processes may share a piece of work, and ``balanced_ranges`` splits it."""
 
 import os
 import signal
 import sys
+import threading
 import traceback
 import warnings
 
+import numpy as np
+
 from .errors import SpikebenchError
+
+# A forked worker costs about 2 ms, and afterwards each page this process
+# had at the fork faults once when it is first written again: 400-1,100
+# faults in the first loop of a long-lived process.  A share under this
+# many synapses (about 30 ms of building, 7 ms of STDP transpose) is not
+# worth one.
+_MIN_WORKER_SYNAPSES = 500_000
+
+
+def worker_count(items: float, most: int) -> int:
+    """Processes that share work on ``items`` synapses: one per CPU this
+    process may run on, at most ``most`` and one per
+    ``_MIN_WORKER_SYNAPSES``.  Without ``fork``, or with other Python
+    threads running (a forked child holds only the forking thread), the
+    work stays in this process."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), most,
+                      int(items // _MIN_WORKER_SYNAPSES)))
+
+
+def balanced_ranges(weights: np.ndarray, n_parts: int) -> list:
+    """Split the items into ``n_parts`` contiguous non-empty ranges of
+    about equal total weight -> range bounds, from 0 to the item count."""
+    n = len(weights)
+    before = np.concatenate(([0.0], np.cumsum(weights)))
+    bounds = [0]
+    for part in range(1, n_parts):
+        at = int(np.abs(before - before[-1] * part / n_parts).argmin())
+        bounds.append(min(max(at, bounds[-1] + 1), n - (n_parts - part)))
+    return bounds + [n]
 
 
 class _Ended(Exception):

@@ -21,8 +21,6 @@ round(exc_fraction*npc) ids are excitatory.
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -314,39 +312,6 @@ def _build_columns(spec: GridSpec, probs: np.ndarray, eligible: np.ndarray,
     return words, filled, counts_per_source, column_synapses
 
 
-# A forked worker costs about 2 ms, and afterwards each page this process
-# had at the fork faults once when it is first written again: 400-1,100
-# faults in the first loop of a long-lived process.  A range under this
-# many expected synapses (about 30 ms of building) is not worth one.
-_MIN_WORKER_SYNAPSES = 500_000
-
-
-def _build_workers(n_cols: int, expected: float) -> int:
-    """Processes that share a build of ``expected`` synapses: one per CPU
-    this process may run on, at most one per column and one per
-    ``_MIN_WORKER_SYNAPSES``.  Without ``fork``, or with other Python
-    threads running (a forked child holds only the forking thread), the
-    build stays in this process."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_cols,
-                      int(expected // _MIN_WORKER_SYNAPSES)))
-
-
-def _column_ranges(expected: np.ndarray, n_parts: int) -> list:
-    """Split the columns into ``n_parts`` contiguous non-empty ranges of
-    about equal expected synapse count -> range bounds, from 0 to the
-    column count."""
-    n_cols = len(expected)
-    before = np.concatenate(([0.0], np.cumsum(expected)))
-    bounds = [0]
-    for part in range(1, n_parts):
-        at = int(np.abs(before - before[-1] * part / n_parts).argmin())
-        bounds.append(min(max(at, bounds[-1] + 1), n_cols - (n_parts - part)))
-    return bounds + [n_cols]
-
-
 def _write_columns(build, lo: int, hi: int, capacity: int, out) -> None:
     """Build columns [lo, hi) into a table of ``capacity`` words and write
     them to ``out``: one int64 block, the synapse count, the range's
@@ -394,7 +359,7 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     npc = spec.neurons_per_column
     n_cols = spec.n_columns
     expected = npc * (probs * eligible).sum(axis=1)  # synapses from each column
-    bounds = _column_ranges(expected, _build_workers(n_cols, expected.sum()))
+    bounds = forked.balanced_ranges(expected, forked.worker_count(expected.sum(), n_cols))
     build = functools.partial(_build_columns, spec, probs, eligible, delay_lo, delay_hi)
 
     capacity = _table_capacity(spec)

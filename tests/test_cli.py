@@ -2,9 +2,11 @@
 
 import os
 import platform
+import resource
 import socket
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +83,36 @@ def test_run_records_network_build_time(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--out", str(out)] + _tiny_args()) == 0
     assert float(_read_kv(out / "metrics.kv")["metrics.build_seconds"]) > 0
+
+
+SETUP_KEYS = ("metrics.partition_seconds", "metrics.stdp_init_seconds", "metrics.link_seconds")
+
+
+@pytest.mark.parametrize("stdp", ["false", "true"])
+def test_run_records_setup_times_within_its_own_wall_time(tmp_path, stdp):
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main(["run", "--out", str(out), "--ranks", "2",
+                 f"--set=stdp.enabled={stdp}"] + _tiny_args()) == 0
+    wall = time.perf_counter() - t0
+    doc = _read_kv(out / "metrics.kv")
+    setup = {key: float(doc[key]) for key in SETUP_KEYS}
+    assert all(value >= 0 for value in setup.values())
+    assert (setup["metrics.stdp_init_seconds"] > 0) == (stdp == "true")
+    assert (sum(setup.values()) + float(doc["metrics.build_seconds"])
+            + float(doc["metrics.wall_seconds"])) < wall
+
+
+def test_run_cpu_seconds_count_forked_build_workers(tmp_path, fork_workers):
+    forks = fork_workers(2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", "small-1k", "--out", str(out),
+                 "--set=run.simulated_seconds=0.05"]) == 0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    assert len(forks) == 1
+    # the run's reaped worker counts, children of earlier tests do not
+    assert (float(_read_kv(out / "metrics.kv")["metrics.cpu_seconds"])
+            > usage.ru_utime + usage.ru_stime)
 
 
 def test_run_rank_count_does_not_change_checksum(tmp_path):

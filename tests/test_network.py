@@ -19,7 +19,7 @@ from spikebench import (
     network_stats,
     normalize_fanout,
 )
-from spikebench import network, rng
+from spikebench import forked, network, rng
 from spikebench.network import format_network_stats
 
 
@@ -292,25 +292,6 @@ def test_build_redraws_sources_numpy_would_reject(monkeypatch):
     _assert_every_source_matches_reference(net)
 
 
-@pytest.fixture
-def build_workers(monkeypatch):
-    """Set the build's worker count through the CPU affinity it reads;
-    returns the list of forks the build makes."""
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(network, "_MIN_WORKER_SYNAPSES", 1)  # fork for any build
-
-    def use(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        return forks
-    return use
-
-
 def _table_bytes(net):
     return net.words.tobytes(), net.offsets.tobytes(), net.column_synapses.tobytes()
 
@@ -321,14 +302,14 @@ def _table_bytes(net):
     (GridSpec(grid_x=4, grid_y=3, neurons_per_column=40, target_fanout=150.0,
               decay_lambda=2.0, delay_max_ms=12.0, seed=9), 0.5),
 ], ids=["small-1k", "4x3"])
-def test_build_bytes_do_not_depend_on_worker_count(build_workers, spec, dt_ms):
-    forks = build_workers(1)
+def test_build_bytes_do_not_depend_on_worker_count(fork_workers, spec, dt_ms):
+    forks = fork_workers(1)
     one = _table_bytes(build_network(spec, dt_ms=dt_ms))
     assert forks == []
     fds = sorted(os.listdir("/proc/self/fd"))
     for count in (2, 3, 4):
         del forks[:]
-        build_workers(count)
+        fork_workers(count)
         assert _table_bytes(build_network(spec, dt_ms=dt_ms)) == one
         assert len(forks) == count - 1  # this process builds the first range
         with pytest.raises(ChildProcessError):  # every worker was reaped
@@ -342,18 +323,18 @@ def test_build_column_ranges_balance_expected_synapses():
     _, probs, eligible = network._connection_kernel(spec)
     expected = (probs * eligible).sum(axis=1)
     for parts in range(1, spec.n_columns + 1):
-        bounds = network._column_ranges(expected, parts)
+        bounds = forked.balanced_ranges(expected, parts)
         assert bounds[0] == 0 and bounds[-1] == spec.n_columns
         assert all(a < b for a, b in zip(bounds, bounds[1:]))  # none empty
-    bounds = network._column_ranges(expected, 3)
+    bounds = forked.balanced_ranges(expected, 3)
     sums = [expected[a:b].sum() for a, b in zip(bounds, bounds[1:])]
     assert max(sums) - min(sums) <= expected.max()
 
 
-def test_build_grow_path_with_workers_gives_identical_words(monkeypatch, build_workers,
+def test_build_grow_path_with_workers_gives_identical_words(monkeypatch, fork_workers,
                                                            small_spec, small_net):
     # the worker's buffer and the table it is read into both start at one word
-    forks = build_workers(2)
+    forks = fork_workers(2)
     monkeypatch.setattr(network, "_table_capacity", lambda spec: 1)
     grown = build_network(small_spec, dt_ms=1.0)
     assert len(forks) == 1
@@ -361,8 +342,8 @@ def test_build_grow_path_with_workers_gives_identical_words(monkeypatch, build_w
 
 
 def test_build_worker_failure_names_its_range_and_leaves_nothing_behind(
-        monkeypatch, build_workers, small_spec):
-    forks = build_workers(3)
+        monkeypatch, fork_workers, small_spec):
+    forks = fork_workers(3)
     build_columns = network._build_columns
 
     def fail_in_last_range(*args):
@@ -383,9 +364,9 @@ def test_build_worker_failure_names_its_range_and_leaves_nothing_behind(
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def test_build_failure_in_this_process_kills_and_reaps_workers(monkeypatch, build_workers,
+def test_build_failure_in_this_process_kills_and_reaps_workers(monkeypatch, fork_workers,
                                                               small_spec):
-    forks = build_workers(2)
+    forks = fork_workers(2)
     build_columns = network._build_columns
 
     def fail_in_first_range(*args):
@@ -404,8 +385,8 @@ def test_build_failure_in_this_process_kills_and_reaps_workers(monkeypatch, buil
 
 
 def test_build_fork_failure_closes_its_pipes_and_kills_and_reaps_the_first_worker(
-        monkeypatch, build_workers, small_spec):
-    build_workers(3)
+        monkeypatch, fork_workers, small_spec):
+    fork_workers(3)
     pids, kills, fork, kill = [], [], os.fork, os.kill
 
     def fork_once():

@@ -3,11 +3,14 @@ and the disabled-is-identity contract."""
 
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from spikebench import ConfigError, GridSpec, StimulusSpec, build_network, plasticity, raster_checksum
+from spikebench import (ConfigError, GridSpec, SpikebenchError, StimulusSpec, build_network,
+                        forked, plasticity, raster_checksum)
 from spikebench.distributed import partition, run_simulation
 from spikebench.plasticity import StdpParams, StdpState, depress, potentiate, stdp_delta_w
 
@@ -394,3 +397,92 @@ def test_transpose_types_widen_past_16_bits():
     assert state._by_target_slot.dtype == np.uint32
     assert int(state._by_target_src.max()) >= 1 << 16
     assert int(state._by_target_slot.max()) >= 1 << 16
+
+
+# ------------------------------------------- transpose in worker processes
+
+def _small_1k_parts(fork_workers, n_ranks):
+    from spikebench.config import load_bundled_config
+
+    fork_workers(1)  # the build stays in this process
+    net = build_network(load_bundled_config("small-1k").grid_spec(), dt_ms=1.0)
+    return partition(net, n_ranks)[1]
+
+
+def _transpose_of(part):
+    state = StdpState(part, PARAMS, dt_ms=1.0)
+    arrays = (state._by_target_bounds, state._by_target_src, state._by_target_slot)
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3])
+def test_transpose_bytes_do_not_depend_on_worker_count(fork_workers, n_ranks):
+    for part in _small_1k_parts(fork_workers, n_ranks):
+        forks = fork_workers(1)
+        del forks[:]
+        one = _transpose_of(part)
+        assert forks == []
+        fds = sorted(os.listdir("/proc/self/fd"))
+        for count in (2, 3):
+            fork_workers(count)
+            del forks[:]
+            assert _transpose_of(part) == one
+            assert len(forks) == count - 1  # this process transposes the first range
+            with pytest.raises(ChildProcessError):  # every worker was reaped
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_transpose_worker_failure_names_its_source_range(monkeypatch, fork_workers):
+    (part,) = _small_1k_parts(fork_workers, 1)
+    n_global = len(part.in_offsets) - 1
+    plastic = np.where(part.source_excitatory, np.diff(part.in_offsets), 0)
+    last = forked.balanced_ranges(plastic, 3)[2]
+    forks = fork_workers(3)
+    transpose_sources = plasticity._transpose_sources
+
+    def fail_in_last_range(part, shifts, types, s0, s1, size):
+        if s0 == last:
+            raise RuntimeError("worker broke")
+        return transpose_sources(part, shifts, types, s0, s1, size)
+
+    monkeypatch.setattr(plasticity, "_transpose_sources", fail_in_last_range)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(SpikebenchError) as err:
+        StdpState(part, PARAMS, dt_ms=1.0)
+    assert len(forks) == 2
+    assert f"STDP transpose of sources {last}..{n_global - 1} failed" in str(err.value)
+    assert "exit status 1" in str(err.value)
+    assert str(err.value).endswith("RuntimeError: worker broke")  # the worker's own text
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_transpose_does_not_fork_while_another_thread_runs(fork_workers):
+    (part,) = _small_1k_parts(fork_workers, 1)
+    one = _transpose_of(part)
+    forks = fork_workers(3)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert _transpose_of(part) == one
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert forks == []  # a forked child would hold only this thread
+
+
+def test_transpose_key_fits_63_bits_or_is_refused():
+    assert plasticity._key_shifts(1, 1, 1) == (0, 0)
+    assert plasticity._key_shifts(10_000, 10_000, 3_000) == (12, 26)
+    # 20 slot bits, 20 source bits and a 23-bit end bound n_local: 63 bits
+    source_shift, target_shift = plasticity._key_shifts(2**23 - 1, 2**20, 2**20)
+    assert (source_shift, target_shift) == (20, 40)
+    largest = (2**23 - 2) << target_shift | (2**20 - 1) << source_shift | (2**20 - 1)
+    assert largest < (2**23 - 1) << target_shift < 2**63
+    with pytest.raises(ConfigError, match="8388608 targets x 1048576 sources x fan-out "
+                                          "1048576 overflow the int64 STDP sort key"):
+        plasticity._key_shifts(2**23, 2**20, 2**20)

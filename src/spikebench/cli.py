@@ -120,26 +120,6 @@ def _machine() -> dict:
     }
 
 
-def _metrics_doc(cfg: RunConfig, metrics, checksum: str, equivalent: int) -> dict:
-    doc = dict(_provenance(cfg))
-    doc.update(_machine())
-    doc.update({
-        "metrics.n_neurons": metrics.n_neurons,
-        "metrics.simulated_seconds": repr(metrics.simulated_seconds),
-        "metrics.wall_seconds": repr(metrics.wall_seconds),
-        "metrics.total_spikes": metrics.total_spikes,
-        "metrics.internal_synaptic_events": metrics.internal_synaptic_events,
-        "metrics.external_synaptic_events": metrics.external_synaptic_events,
-        "metrics.total_events": metrics.total_events,
-        "metrics.mean_rate_hz": repr(metrics.mean_rate_hz),
-        "metrics.events_per_second": repr(metrics.events_per_second),
-        "metrics.equivalent_synapses": equivalent,
-        "metrics.table_bytes": metrics.table_bytes,
-        "metrics.raster_sha256": checksum,
-    })
-    return doc
-
-
 def _write_raster(cfg: RunConfig, out_dir: str, steps, gids, suffix: str = "") -> str:
     fmt = cfg["run.raster_format"]
     if fmt == "binary":
@@ -151,25 +131,26 @@ def _write_raster(cfg: RunConfig, out_dir: str, steps, gids, suffix: str = "") -
     return path
 
 
-def _write_energy(cfg: RunConfig, out_dir: str, measured_events, measured_wall) -> tuple:
+def _write_energy(cfg: RunConfig, out_dir: str, measured) -> tuple:
     """Write energy.kv for every configured power record, after the
-    provenance header.  A zero ``power.<label>.events`` takes
-    ``measured_events``; a zero ``power.<label>.wall_seconds`` takes
-    ``measured_wall``, the run's ``metrics.wall_seconds``, and energy.kv
-    names the key each time came from.  Returns (path, {label: record})."""
+    provenance header.  ``measured`` is the run's RunMetrics, or None.  A
+    zero ``power.<label>.events`` takes its event count; a zero
+    ``power.<label>.wall_seconds`` takes its loop time,
+    ``metrics.wall_seconds``, and energy.kv names the key each time came
+    from.  Returns (path, {label: record})."""
     lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
     records = {}
     for label in cfg.power_labels():
         wall_key = f"power.{label}.wall_seconds"
         if cfg[wall_key] == 0:
-            if not measured_wall:
+            if measured is None:
                 raise ConfigError([
                     f"{wall_key} is 0 and no run supplied its time; set it, or "
                     "pass the run's metrics (report --metrics FILE)"
                 ])
             wall_key = "metrics.wall_seconds"
-        record = cfg.power_record(label, wall_seconds=measured_wall or 0.0,
-                                  events=measured_events or 0)
+        record = cfg.power_record(label, wall_seconds=measured.wall_seconds if measured else 0.0,
+                                  events=measured.total_events if measured else 0)
         if record.synaptic_events == 0:
             raise UndefinedMetricError(
                 f"power.{label}.events is 0 and no measured event count supplied one; "
@@ -214,38 +195,26 @@ def cmd_run(args) -> int:
         lif_params=lif, stdp_params=stdp, w_exc_scale=cfg["run.w_exc_scale"],
         timeout=cfg["run.timeout_seconds"], rank=args.rank, cluster=cluster,
     )
+    metrics.setup_seconds["build"] = build_ns / 1e9
     suffix = "" if args.rank is None else f"_rank{args.rank}"
 
     checksum = engine_mod.raster_checksum(steps, gids)
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
     metrics_path = os.path.join(out_dir, f"metrics{suffix}.kv")
-    doc = _metrics_doc(cfg, metrics, checksum, equivalent)
-    doc.update({
-        "metrics.build_seconds": repr(build_ns / 1e9),
-        "metrics.partition_seconds": repr(metrics.partition_seconds),
-        "metrics.stdp_init_seconds": repr(metrics.stdp_init_seconds),
-        "metrics.link_seconds": repr(metrics.link_seconds),
-    })
+    doc = {**_provenance(cfg), **_machine(), **metrics.rows("metrics"),
+           "metrics.equivalent_synapses": equivalent, "metrics.raster_sha256": checksum}
     for part, m in zip(parts, per_rank):  # the ranks run in this process
-        key = f"metrics.rank{part.rank}"
-        doc.update({
-            f"{key}.wall_seconds": repr(m.wall_seconds),
-            f"{key}.total_spikes": m.total_spikes,
-            f"{key}.internal_synaptic_events": m.internal_synaptic_events,
-            f"{key}.external_synaptic_events": m.external_synaptic_events,
-            f"{key}.table_bytes": m.table_bytes,
-        })
+        doc.update(m.rows(f"metrics.rank{part.rank}"))
     # this process and the children it reaped since cmd_run began: the
     # build and transpose workers (an exec keeps the children's time of
     # the process it replaced)
-    doc["metrics.cpu_seconds"] = repr(_cpu_seconds(resource.RUSAGE_SELF)
-                                      + _cpu_seconds(resource.RUSAGE_CHILDREN) - children_s)
+    doc["metrics.cpu_seconds"] = (_cpu_seconds(resource.RUSAGE_SELF)
+                                  + _cpu_seconds(resource.RUSAGE_CHILDREN) - children_s)
     _write_kv(metrics_path, doc)
 
     wrote = [raster_path, metrics_path]
     if cfg.power_labels() and args.rank is None:
-        wrote.append(_write_energy(cfg, out_dir, metrics.total_events,
-                                   metrics.wall_seconds)[0])
+        wrote.append(_write_energy(cfg, out_dir, metrics)[0])
 
     print(
         f"run complete: {metrics.total_spikes} spikes, "
@@ -271,8 +240,8 @@ def cmd_calibrate(args) -> int:
     stdp = cfg.stdp_params()
 
     dt_ms = cfg["run.dt_ms"]
-    warmup_steps = int(round(args.warmup_seconds * 1000.0 / dt_ms))
-    probe_steps = int(round(args.probe_seconds * 1000.0 / dt_ms))
+    warmup_steps = engine_mod.step_count(args.warmup_seconds, dt_ms)
+    probe_steps = engine_mod.step_count(args.probe_seconds, dt_ms)
 
     def probe(scale: float) -> float:
         # rate is read over the post-warmup window so the adaptation
@@ -307,11 +276,10 @@ def cmd_report(args) -> int:
         raise ConfigError(
             ["no power records configured; set power.<label>.current (labels: server, embedded)"]
         )
-    doc = _read_kv(args.metrics) if args.metrics else {}
-    events = int(doc["metrics.total_events"]) if "metrics.total_events" in doc else None
-    wall = float(doc["metrics.wall_seconds"]) if "metrics.wall_seconds" in doc else None
-
-    energy_path, records = _write_energy(cfg, out_dir, events, wall)
+    measured = None
+    if args.metrics:
+        measured = engine_mod.RunMetrics.from_rows(_read_kv(args.metrics), "metrics")
+    energy_path, records = _write_energy(cfg, out_dir, measured)
     print(f"wrote {energy_path}")
 
     if len(records) == 2:

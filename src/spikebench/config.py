@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .distributed import TRANSPORTS
 from .network import GridSpec, MODEL_KINDS
 from .neurons import AdaptiveLifParams
-from .engine import StimulusSpec
+from .engine import StimulusSpec, step_count
 from .plasticity import StdpParams
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config",
@@ -201,8 +201,15 @@ class RunConfig:
             problems.append(
                 f"run.simulated_seconds: must be > 0, got {v['run.simulated_seconds']}"
             )
+        elif v["run.dt_ms"] > 0 and step_count(v["run.simulated_seconds"], v["run.dt_ms"]) < 1:
+            problems.append(f"run.simulated_seconds: {v['run.simulated_seconds']} s rounds to "
+                            f"0 steps of run.dt_ms = {v['run.dt_ms']} ms")
+        n_columns = v["grid.x"] * v["grid.y"]
         if v["run.ranks"] < 1:
             problems.append(f"run.ranks: must be >= 1, got {v['run.ranks']}")
+        elif 1 <= n_columns < v["run.ranks"]:
+            problems.append(f"run.ranks: {v['run.ranks']} ranks exceed the grid's "
+                            f"{n_columns} columns")
         if v["run.transport"] not in TRANSPORTS:
             problems.append(f"run.transport: expected one of {TRANSPORTS}, "
                             f"got {v['run.transport']!r}")

@@ -37,12 +37,12 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Engine, RunMetrics, StimulusSpec, _source_blocks, _unpack
+from .engine import Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks, step_count
 from .errors import (
     ConfigError,
     ExchangeError,
@@ -616,15 +616,15 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     "memory", by TCP over loopback for "tcp".  With ``rank``, only that
     rank runs here, over TCP to the other processes of ``cluster``
     ({rank: (host, port)}), linked by a rendezvous.  Each rank times its
-    own loop; the merged metrics take the slowest rank's time.  Returns
-    (merged RunMetrics, (steps, gids) raster sorted by (step, id), per-rank
-    metrics list, and the parts of the ranks run here).  The merged metrics
-    also time the partition, the STDP states and the links.
+    own loop.  Returns (the run's RunMetrics, (steps, gids) raster sorted
+    by (step, id), per-rank metrics list, and the parts of the ranks run
+    here), merged by ``merge_ranks``; the run's metrics also time the
+    partition, the STDP states and the links.
     """
-    if seconds <= 0:
-        raise ConfigError([f"seconds must be > 0, got {seconds}"])
+    n_steps = step_count(seconds, net.dt_ms)
+    if n_steps < 1:
+        raise ConfigError([f"seconds {seconds} rounds to 0 steps of {net.dt_ms} ms"])
     check_run_args(n_ranks, transport, rank, cluster)
-    n_steps = int(round(seconds * 1000.0 / net.dt_ms))
     t0 = time.perf_counter_ns()
     _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
     partition_ns = time.perf_counter_ns() - t0
@@ -679,11 +679,8 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     if failures:
         raise failures[0]
 
-    per_rank = [e.metrics(seconds, wall) for e, wall in zip(engines, walls)]
-    steps = np.concatenate([e.raster()[0] for e in engines])
-    gids = np.concatenate([e.raster()[1] for e in engines])
-    order = np.lexsort((gids, steps))
-    merged = replace(RunMetrics.merged(per_rank), partition_seconds=partition_ns / 1e9,
-                     stdp_init_seconds=stdp_ns / 1e9, link_seconds=link_ns / 1e9)
-    return merged, (steps[order], gids[order]), per_rank, parts
-
+    per_rank = [e.metrics(wall) for e, wall in zip(engines, walls)]
+    merged, raster = merge_ranks(zip(per_rank, (e.raster() for e in engines)))
+    merged.setup_seconds.update(partition=partition_ns / 1e9, stdp_init=stdp_ns / 1e9,
+                                link=link_ns / 1e9)
+    return merged, raster, per_rank, parts

@@ -7,7 +7,7 @@ system overhead.  Reference energy-per-event constants for published
 neuromorphic platforms are attached to comparison reports for context.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .errors import ConfigError, UndefinedMetricError
@@ -188,20 +188,9 @@ def comparison_report(rec_a: PlatformRecord, rec_b: PlatformRecord,
 
 
 def format_energy_report(report: EnergyReport, prefix: str = "energy") -> str:
-    """Machine-readable key-value rendering."""
-    lines = [
-        f"{prefix}.label = {report.label}",
-        f"{prefix}.power_w = {report.power_w!r}",
-        f"{prefix}.power_err_w = {report.power_err_w!r}",
-        f"{prefix}.energy_j = {report.energy_j!r}",
-        f"{prefix}.energy_err_j = {report.energy_err_j!r}",
-        f"{prefix}.joule_per_event = {report.joule_per_event!r}",
-        f"{prefix}.joule_per_event_err = {report.joule_per_event_err!r}",
-        f"{prefix}.wall_seconds = {report.wall_seconds!r}",
-        f"{prefix}.synaptic_events = {report.synaptic_events}",
-        f"{prefix}.baseline_w = {report.baseline_w!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Machine-readable key-value rendering, one line per field (a
+    float's ``str`` is its shortest repr)."""
+    return "".join(f"{prefix}.{f.name} = {getattr(report, f.name)}\n" for f in fields(report))
 
 
 def format_comparison_table(cmp: ComparisonReport) -> str:

@@ -14,8 +14,8 @@ delivered, one external event per Poisson arrival.
 """
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "StimulusSpec",
     "DelayRing",
     "RunMetrics",
+    "merge_ranks",
+    "step_count",
     "Engine",
     "expected_event_count",
     "calibrate_rate",
@@ -157,21 +159,38 @@ class DelayRing:
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
+def step_count(seconds: float, dt_ms: float) -> int:
+    """Steps of ``dt_ms`` that a run of ``seconds`` takes, rounded."""
+    return int(round(seconds * 1000.0 / dt_ms))
+
+
+def _shared(values: list):
+    """The run's value, which every rank must share."""
+    if any(v != values[0] for v in values):
+        raise ContractViolationError(f"ranks disagree on a run-wide value: {values}")
+    return values[0]
+
+
 @dataclass
 class RunMetrics:
-    """Counters for one run (or one rank of a run)."""
+    """Counters for one run or one rank of a run.
+
+    Each counter is one ``rows`` entry and merges over ranks by its
+    ``merge`` rule (``merge_ranks``): wall time is the slowest rank's,
+    simulated time the run's, and every other counter adds up.
+    ``setup_seconds`` times the setup by phase (``build``, ``partition``,
+    ``stdp_init``, ``link``).  It belongs to the process that ran the
+    setup: the driver fills it on the run's record, and no merge sums it.
+    """
 
     n_neurons: int
-    simulated_seconds: float
-    wall_seconds: float
+    simulated_seconds: float = field(metadata={"merge": _shared})  # the steps run
+    wall_seconds: float = field(metadata={"merge": max})  # the step loop
     total_spikes: int
     internal_synaptic_events: int
     external_synaptic_events: int
     table_bytes: int  # the rank's stored synapse and STDP tables
-    # the run's setup after the build, timed by run_simulation (0 per rank)
-    partition_seconds: float = 0.0
-    stdp_init_seconds: float = 0.0
-    link_seconds: float = 0.0
+    setup_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def mean_rate_hz(self) -> float:
@@ -190,19 +209,48 @@ class RunMetrics:
             return 0.0
         return self.total_events / self.wall_seconds
 
-    @staticmethod
-    def merged(parts: list) -> "RunMetrics":
-        """Combine per-rank metrics: neurons, counts and table bytes add
-        up, wall time is the slowest rank's."""
-        return RunMetrics(
-            n_neurons=sum(p.n_neurons for p in parts),
-            simulated_seconds=parts[0].simulated_seconds if parts else 0.0,
-            wall_seconds=max((p.wall_seconds for p in parts), default=0.0),
-            total_spikes=sum(p.total_spikes for p in parts),
-            internal_synaptic_events=sum(p.internal_synaptic_events for p in parts),
-            external_synaptic_events=sum(p.external_synaptic_events for p in parts),
-            table_bytes=sum(p.table_bytes for p in parts),
-        )
+    @classmethod
+    def _counters(cls):
+        return [f for f in fields(cls) if f.name != "setup_seconds"]
+
+    def rows(self, prefix: str) -> dict:
+        """``{f"{prefix}.{name}": value}`` for every counter, each setup
+        phase (``<phase>_seconds``) and the derived figures.  Written with
+        ``str``, a float is its shortest repr, which parses back exactly
+        (never ``repr``, which numpy 2 gives as ``np.float64(...)``)."""
+        values = {f.name: getattr(self, f.name) for f in self._counters()}
+        values.update((f"{phase}_seconds", s) for phase, s in self.setup_seconds.items())
+        values.update(total_events=self.total_events, mean_rate_hz=self.mean_rate_hz,
+                      events_per_second=self.events_per_second)
+        return {f"{prefix}.{name}": value for name, value in values.items()}
+
+    @classmethod
+    def from_rows(cls, doc: dict, prefix: str) -> "RunMetrics":
+        """The counters that ``rows(prefix)`` wrote into ``doc`` (text
+        values); one diagnostic per counter missing or malformed."""
+        values, problems = {}, []
+        for f in cls._counters():
+            key = f"{prefix}.{f.name}"
+            try:
+                values[f.name] = f.type(doc[key])
+            except (KeyError, ValueError):
+                problems.append(f"{key}: expected {f.type.__name__}, got {doc.get(key)!r}")
+        if problems:
+            raise ConfigError(problems)
+        return cls(**values)
+
+
+def merge_ranks(results) -> Tuple[RunMetrics, Tuple[np.ndarray, np.ndarray]]:
+    """Merge rank results ``[(RunMetrics, (steps, gids)), ...]`` into the
+    run's: each counter by its merge rule (a sum unless it names another),
+    and the rasters joined once and sorted by (step, id)."""
+    metrics, rasters = zip(*results)
+    merged = RunMetrics(**{
+        f.name: f.metadata.get("merge", sum)([getattr(m, f.name) for m in metrics])
+        for f in RunMetrics._counters()})
+    steps, gids = (np.concatenate(column) for column in zip(*rasters))
+    order = np.lexsort((gids, steps))
+    return merged, (steps[order], gids[order])
 
 
 class Engine:
@@ -267,8 +315,8 @@ class Engine:
         self.total_spikes = 0
         self.internal_events = 0
         self.external_events = 0
-        self._raster_steps = []
-        self._raster_gids = []
+        self._raster_steps = [np.empty(0, dtype=np.uint32)]  # empty first: a raster of none
+        self._raster_gids = [np.empty(0, dtype=np.uint32)]
         self._last_spiked_local = np.empty(0, dtype=np.int64)
 
     def step(self, t: int) -> np.ndarray:
@@ -348,14 +396,13 @@ class Engine:
         self.ring.advance()
 
     def raster(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self._raster_steps:
-            return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
         return np.concatenate(self._raster_steps), np.concatenate(self._raster_gids)
 
-    def metrics(self, simulated_seconds: float, wall_seconds: float) -> RunMetrics:
+    def metrics(self, wall_seconds: float) -> RunMetrics:
+        """The rank's counters, over the steps the run takes."""
         return RunMetrics(
             n_neurons=self.n_local,
-            simulated_seconds=simulated_seconds,
+            simulated_seconds=self.n_steps * self.dt_ms / 1000.0,
             wall_seconds=wall_seconds,
             total_spikes=self.total_spikes,
             internal_synaptic_events=self.internal_events,

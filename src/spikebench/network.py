@@ -426,19 +426,8 @@ def network_stats(net: Network) -> dict:
 
 def format_network_stats(stats: dict) -> str:
     """Structured-text rendering of :func:`network_stats`."""
-    lines = []
-    for key in (
-        "n_neurons",
-        "n_columns",
-        "neurons_per_column",
-        "n_excitatory",
-        "n_inhibitory",
-        "model",
-        "total_synapses",
-        "mean_fanout",
-        "p0",
-    ):
-        lines.append(f"network.{key} = {stats[key]}")
+    lines = [f"network.{key} = {value}" for key, value in stats.items()
+             if not isinstance(value, list)]
     for i, (c, lo, hi) in enumerate(
         zip(stats["fanout_hist_counts"], stats["fanout_hist_edges"], stats["fanout_hist_edges"][1:])
     ):

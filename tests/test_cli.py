@@ -7,12 +7,13 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spikebench.cli import main
-from spikebench.engine import load_raster_csv, raster_checksum
+from spikebench.engine import RunMetrics, load_raster_csv, raster_checksum
 
 
 TINY = {
@@ -170,11 +171,15 @@ def test_run_rejects_driver_arguments_before_building(tmp_path, monkeypatch, cap
     bad = [
         ["--rank", "0"],                                    # rank without cluster
         ["--cluster", str(cluster), "--ranks", "2"],         # cluster without rank
+        ["--ranks", "9"],                                   # more ranks than the 8 columns
+        ["--set=run.simulated_seconds=0.0004"],             # 0 steps of 1 ms
     ]
     for extra in bad:
-        assert main(["run", "--out", str(tmp_path / "o")] + extra + _tiny_args()) == 2
+        assert main(["run", "--out", str(tmp_path / "o")] + _tiny_args(extra)) == 2
     err = capsys.readouterr().err
     assert "needs a cluster" in err and "needs the rank" in err
+    assert "config error: run.ranks: 9 ranks exceed the grid's 8 columns" in err
+    assert "config error: run.simulated_seconds: 0.0004 s rounds to 0 steps" in err
 
 
 def test_run_energy_report_from_measured_events(tmp_path):
@@ -267,6 +272,17 @@ def test_report_takes_events_from_metrics_doc(tmp_path):
     assert doc["energy.server.synaptic_events"] == metrics["metrics.total_events"]
 
 
+def test_report_refuses_a_metrics_doc_without_its_counters(tmp_path, capsys):
+    doc = tmp_path / "metrics.kv"
+    doc.write_text("metrics.n_neurons = 1000\nmetrics.wall_seconds = soon\n")
+    assert main(["report", "--out", str(tmp_path / "rep"), "--metrics", str(doc),
+                 "--set=power.server.current=1.0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    # one diagnostic per counter missing or malformed; n_neurons parses
+    assert len(err) == 6 and "config error: metrics.wall_seconds: expected float, got 'soon'" in err
+    assert not (tmp_path / "rep" / "energy.kv").exists()
+
+
 def test_calibrate_writes_derived_config(tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -310,22 +326,49 @@ def test_bundled_config_by_name(tmp_path):
     assert (out / "metrics.kv").exists()
 
 
-def test_run_writes_per_rank_rows_that_sum_to_the_merged_counts(tmp_path):
-    out = tmp_path / "out"
-    code = main([
-        "run", "--config", "small-1k", "--out", str(out), "--ranks", "2",
-        "--set=run.simulated_seconds=0.2",
-    ])
-    assert code == 0
-    doc = _read_kv(out / "metrics.kv")
-    for key in ("total_spikes", "internal_synaptic_events", "external_synaptic_events",
-                "table_bytes"):
-        rows = [int(doc[f"metrics.rank{r}.{key}"]) for r in (0, 1)]
-        assert all(n > 0 for n in rows)
-        assert sum(rows) == int(doc[f"metrics.{key}"])
-    walls = [float(doc[f"metrics.rank{r}.wall_seconds"]) for r in (0, 1)]
-    assert float(doc["metrics.wall_seconds"]) == max(walls) > 0
+@pytest.fixture(scope="module")
+def two_rank_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("two_ranks")
+    assert main(["run", "--config", "small-1k", "--out", str(out), "--ranks", "2",
+                 "--set=run.simulated_seconds=0.2"]) == 0
+    return _read_kv(out / "metrics.kv")
+
+
+# the metrics.* keys of a 2-rank run, rank rows aside
+RUN_KEYS = {f"metrics.{name}" for name in (
+    "n_neurons", "simulated_seconds", "wall_seconds", "total_spikes",
+    "internal_synaptic_events", "external_synaptic_events", "total_events", "mean_rate_hz",
+    "events_per_second", "equivalent_synapses", "table_bytes", "raster_sha256",
+    "build_seconds", "partition_seconds", "stdp_init_seconds", "link_seconds", "cpu_seconds")}
+RANK_NAMES = ("n_neurons", "simulated_seconds", "wall_seconds", "total_spikes",
+              "internal_synaptic_events", "external_synaptic_events", "table_bytes",
+              "total_events", "mean_rate_hz", "events_per_second")
+
+
+def test_run_metrics_keys_are_pinned(two_rank_doc):
+    keys = {key for key in two_rank_doc if key.startswith("metrics.")}
+    assert keys == RUN_KEYS | {f"metrics.rank{r}.{name}" for r in (0, 1) for name in RANK_NAMES}
+    for key in keys - {"metrics.raster_sha256"}:
+        value = two_rank_doc[key]
+        # an integer, or a float written as the repr of a Python float
+        assert value.isdigit() or repr(float(value)) == value, (key, value)
+
+
+def test_run_writes_per_rank_rows_that_sum_to_the_merged_counts(two_rank_doc):
+    doc = two_rank_doc
     assert "metrics.rank2.wall_seconds" not in doc
+    for f in fields(RunMetrics):
+        if f.name == "setup_seconds":  # the run's, in no rank row (the pinned keys)
+            continue
+        rows = [f.type(doc[f"metrics.rank{r}.{f.name}"]) for r in (0, 1)]
+        run = f.type(doc[f"metrics.{f.name}"])
+        assert all(value > 0 for value in rows), f.name
+        if f.name == "wall_seconds":  # the slowest rank's loop
+            assert run == max(rows)
+        elif f.name == "simulated_seconds":  # one run, one simulated time
+            assert run == rows[0] == rows[1] == 0.2
+        else:
+            assert run == sum(rows), f.name
 
 
 def _free_ports(n):

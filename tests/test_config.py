@@ -67,6 +67,17 @@ def test_validation_field_diagnostics():
         cfg.require_valid()
 
 
+def test_validation_refuses_more_ranks_than_columns_and_runs_of_no_step():
+    cfg = load_bundled_config("small-1k").with_values(**{  # 5 x 2 columns
+        "run.ranks": 20, "run.simulated_seconds": 0.0004})
+    assert cfg.validate() == [
+        "run.simulated_seconds: 0.0004 s rounds to 0 steps of run.dt_ms = 1.0 ms",
+        "run.ranks: 20 ranks exceed the grid's 10 columns",
+    ]
+    fits = cfg.with_values(**{"run.ranks": 10, "run.simulated_seconds": 0.0006})
+    assert fits.validate() == []  # 0.6 steps round to one
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("# hello\n\ngrid.x = 3\n")
     assert cfg["grid.x"] == 3

@@ -20,6 +20,8 @@ from spikebench import rng
 from spikebench.distributed import run_simulation
 from spikebench.engine import (
     Engine,
+    RunMetrics,
+    merge_ranks,
     load_raster_binary,
     load_raster_csv,
     save_raster_binary,
@@ -401,3 +403,68 @@ def test_raster_checksum_order_invariant():
     gids = np.array([5, 6, 7], dtype=np.uint32)
     shuffled = raster_checksum(steps[::-1].copy(), gids[::-1].copy())
     assert raster_checksum(steps, gids) == shuffled
+
+
+# ------------------------------------------------------------- run metrics
+
+def _rank_metrics(**kw):
+    values = dict(n_neurons=50, simulated_seconds=0.3, wall_seconds=0.25, total_spikes=7,
+                  internal_synaptic_events=210, external_synaptic_events=3000,
+                  table_bytes=4096)
+    values.update(kw)
+    return RunMetrics(**values)
+
+
+def test_merge_ranks_applies_each_counters_rule_and_sorts_the_raster_once():
+    a = _rank_metrics(wall_seconds=0.25, total_spikes=3, table_bytes=100)
+    b = _rank_metrics(wall_seconds=0.5, total_spikes=4, table_bytes=200)
+    raster_a = (np.array([2, 0], dtype=np.uint32), np.array([10, 11], dtype=np.uint32))
+    raster_b = (np.array([0, 2], dtype=np.uint32), np.array([3, 1], dtype=np.uint32))
+    merged, (steps, gids) = merge_ranks([(a, raster_a), (b, raster_b)])
+    assert merged == RunMetrics(n_neurons=100, simulated_seconds=0.3, wall_seconds=0.5,
+                                total_spikes=7, internal_synaptic_events=420,
+                                external_synaptic_events=6000, table_bytes=300)
+    assert merged.setup_seconds == {}  # setup is the driver's, never a rank's
+    assert steps.tolist() == [0, 0, 2, 2] and gids.tolist() == [3, 11, 1, 10]
+    with pytest.raises(ContractViolationError):  # one run has one simulated time
+        merge_ranks([(a, raster_a), (_rank_metrics(simulated_seconds=0.2), raster_b)])
+
+
+def test_run_metrics_rows_write_floats_that_parse_back():
+    m = _rank_metrics(wall_seconds=np.float64(0.1) + 0.2,
+                      setup_seconds={"partition": 0.125, "link": 1e-5})
+    rows = m.rows("metrics.rank3")
+    assert list(rows) == [
+        f"metrics.rank3.{name}" for name in (
+            "n_neurons", "simulated_seconds", "wall_seconds", "total_spikes",
+            "internal_synaptic_events", "external_synaptic_events", "table_bytes",
+            "partition_seconds", "link_seconds",
+            "total_events", "mean_rate_hz", "events_per_second")]
+    assert str(rows["metrics.rank3.wall_seconds"]) == "0.30000000000000004"
+    assert rows["metrics.rank3.total_events"] == 3210
+    text = {key: str(value) for key, value in rows.items()}
+    back = RunMetrics.from_rows(text, "metrics.rank3")
+    assert back == _rank_metrics(wall_seconds=0.30000000000000004)
+    assert back.rows("metrics.rank3") == {k: v for k, v in rows.items()
+                                          if not k.endswith(("partition_seconds", "link_seconds"))}
+    assert all(type(v) is float for v in back.rows("metrics.rank3").values()
+               if not isinstance(v, int))
+    text.pop("metrics.rank3.total_spikes")
+    text["metrics.rank3.wall_seconds"] = "fast"
+    with pytest.raises(ConfigError) as err:
+        RunMetrics.from_rows(text, "metrics.rank3")
+    assert len(err.value.problems) == 2
+
+
+def test_simulated_time_is_the_steps_run():
+    net = _tiny_net()
+    stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)
+    # 1.5 steps of 1 ms round to 2 steps: the run reports the 2 ms it ran
+    metrics, (steps, _), per_rank, _ = run_simulation(net, seconds=0.0015, stim=stim,
+                                                      n_ranks=2)
+    assert steps.max(initial=0) <= 1
+    assert metrics.simulated_seconds == 0.002
+    assert [m.simulated_seconds for m in per_rank] == [0.002, 0.002]
+    assert metrics.mean_rate_hz == metrics.total_spikes / (net.n_neurons * 0.002)
+    with pytest.raises(ConfigError, match="rounds to 0 steps"):
+        run_simulation(net, seconds=0.0004, stim=stim)

@@ -185,12 +185,10 @@ class RunConfig:
         problems: List[str] = []
         v = self.values
         for section in _SECTIONS:
-            try:  # GridSpec lists its problems; the others raise on construction
-                built = self._section(section)
-                found = built.validate() if isinstance(built, GridSpec) else []
+            try:  # each section's dataclass checks itself on construction
+                self._section(section)
             except ConfigError as err:
-                found = err.problems
-            problems.extend(f"{section}: {p}" for p in found)
+                problems.extend(f"{section}: {p}" for p in err.problems)
         if v["model.kind"] not in MODEL_KINDS:
             problems.append(
                 f"model.kind: unknown model {v['model.kind']!r}; expected one of {MODEL_KINDS}"

@@ -669,6 +669,9 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
         finally:
             if endpoint is not None:
                 endpoint.close()
+            else:  # no transport took the links, so they are still the worker's
+                for sock in links[part.rank].values():
+                    sock.close()
 
     threads = [threading.Thread(target=worker, args=(i,), daemon=True)
                for i in range(len(engines))]

@@ -13,7 +13,9 @@ Synaptic events are counted exactly: one internal event per synapse
 delivered, one external event per Poisson arrival.
 """
 
+import bisect
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional, Tuple
 
@@ -54,19 +56,22 @@ __all__ = [
 # the Knuth loop's per-pass numpy overhead is spread over many lanes
 _STIMULUS_BLOCK_LANES = 1 << 16
 
-# synapses per block of whole sources that a pass over a table converts at
-# once: its temporaries stay a few hundred kB for any network, and stay in cache
+# synapses per block of whole spans that a pass over a table converts at
+# once: its temporaries stay a few hundred kB for any network, and stay in
+# cache.  Every span walk reads it here, at call time.
 _BLOCK_SYNAPSES = 1 << 16
 
 
-def _source_blocks(offsets: np.ndarray):
-    """Yield (s0, s1): consecutive runs of whole sources that together
-    hold at most ``_BLOCK_SYNAPSES`` synapses (or one larger source)."""
+def _source_blocks(offsets):
+    """Yield (s0, s1): consecutive runs of the spans
+    ``offsets[s]:offsets[s + 1]`` (an array or a list), each ending at the
+    span that brings it to ``_BLOCK_SYNAPSES`` synapses (the last may hold
+    fewer).  So a block holds fewer than ``_BLOCK_SYNAPSES`` plus its
+    longest span."""
     n = len(offsets) - 1
     s0 = 0
     while s0 < n:
-        s1 = int(np.searchsorted(offsets, offsets[s0] + _BLOCK_SYNAPSES, side="right")) - 1
-        s1 = min(max(s1, s0 + 1), n)
+        s1 = min(bisect.bisect_left(offsets, offsets[s0] + _BLOCK_SYNAPSES, s0 + 1), n)
         yield s0, s1
         s0 = s1
 
@@ -160,8 +165,9 @@ class DelayRing:
 
 
 def step_count(seconds: float, dt_ms: float) -> int:
-    """Steps of ``dt_ms`` that a run of ``seconds`` takes, rounded."""
-    return int(round(seconds * 1000.0 / dt_ms))
+    """Steps of ``dt_ms`` that a run of ``seconds`` takes, half steps
+    rounded up."""
+    return math.floor(seconds * 1000.0 / dt_ms + 0.5)
 
 
 def _shared(values: list):

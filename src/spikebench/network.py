@@ -72,7 +72,7 @@ class GridSpec:
         # round-half-up so 0.8*npc behaves as expected for small columns
         return int(math.floor(self.exc_fraction * self.neurons_per_column + 0.5))
 
-    def validate(self) -> list:
+    def __post_init__(self):
         problems = []
         if self.grid_x < 1 or self.grid_y < 1:
             problems.append(f"grid must be at least 1x1, got {self.grid_x}x{self.grid_y}")
@@ -96,10 +96,6 @@ class GridSpec:
             problems.append("w_exc and w_inh are magnitudes and must be >= 0")
         if not 0 <= self.seed < 2**64:
             problems.append(f"seed must fit in 64 bits, got {self.seed}")
-        return problems
-
-    def require_valid(self):
-        problems = self.validate()
         if problems:
             raise ConfigError(problems)
 
@@ -168,7 +164,6 @@ def _connection_kernel(spec: GridSpec):
     itself in its own column, and ``probs`` is ``p0 * exp(-d(c,c')/lambda)``
     (p0 <= 1, see normalize_fanout), with libm's ``math.exp`` per cell so
     that no SIMD loop numpy dispatches on the machine changes a draw."""
-    spec.require_valid()
     npc, n_cols = spec.neurons_per_column, spec.n_columns
     cids = np.arange(n_cols)
     gx, gy = cids % spec.grid_x, cids // spec.grid_x
@@ -332,28 +327,27 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     allocated before its first draw, and then reads each worker's words
     from a pipe into the table after it.
     """
-    spec.require_valid()
+    n, problems = spec.n_neurons, []
     if model not in MODEL_KINDS:
-        raise ConfigError([f"unknown model {model!r}; expected one of {MODEL_KINDS}"])
+        problems.append(f"unknown model {model!r}; expected one of {MODEL_KINDS}")
     if dt_ms <= 0:
-        raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
-    delay_lo = int(round(spec.delay_min_ms / dt_ms))
-    delay_hi = int(round(spec.delay_max_ms / dt_ms))
-    if delay_lo < 1:
-        raise ConfigError(
-            [f"delay_min_ms ({spec.delay_min_ms}) must be at least one step of dt ({dt_ms})"]
-        )
-    if delay_hi >= 2**15:
-        raise ConfigError([f"delay_max_ms/dt ({delay_hi}) exceeds the int16 delay range"])
-    n = spec.n_neurons
-    # every word delay * n + target is below (delay_hi + 1) * n, the cells
-    # of a 1-rank delay ring; a rank of a larger run holds fewer neurons
-    if (delay_hi + 1) * n >= 2**31:
-        raise ConfigError([
-            f"{delay_hi + 1} ring slots x {n} neurons is {(delay_hi + 1) * n} "
-            "synapse words, beyond int32 (2**31); use fewer neurons or a "
-            "shorter delay_max_ms"
-        ])
+        problems.append(f"dt_ms must be > 0, got {dt_ms}")
+    else:
+        delay_lo = int(round(spec.delay_min_ms / dt_ms))
+        delay_hi = int(round(spec.delay_max_ms / dt_ms))
+        if delay_lo < 1:
+            problems.append(
+                f"delay_min_ms ({spec.delay_min_ms}) must be at least one step of dt ({dt_ms})")
+        if delay_hi >= 2**15:
+            problems.append(f"delay_max_ms/dt ({delay_hi}) exceeds the int16 delay range")
+        # every word delay * n + target is below (delay_hi + 1) * n, the cells
+        # of a 1-rank delay ring; a rank of a larger run holds fewer neurons
+        if (delay_hi + 1) * n >= 2**31:
+            problems.append(f"{delay_hi + 1} ring slots x {n} neurons is {(delay_hi + 1) * n} "
+                            "synapse words, beyond int32 (2**31); use fewer neurons or a "
+                            "shorter delay_max_ms")
+    if problems:
+        raise ConfigError(problems)
 
     p0, probs, eligible = _connection_kernel(spec)
     npc = spec.neurons_per_column

@@ -21,14 +21,16 @@ Disabled parameters leave every weight bit-identical.
 """
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import forked
-from .engine import _BLOCK_SYNAPSES, _source_blocks, _unpack
+from . import engine, forked
+from .engine import _source_blocks, _unpack
 from .errors import ConfigError
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
@@ -130,8 +132,8 @@ class StdpState:
         # (plus one target's): fresh temporaries of that size are mapped and
         # faulted in anew whenever malloc's dynamic mmap threshold is below
         # them, which doubled depression's time
-        size = _BLOCK_SYNAPSES + int(max(counts.max(initial=0),
-                                         np.diff(self._by_target_bounds).max(initial=0)))
+        size = engine._BLOCK_SYNAPSES + int(max(counts.max(initial=0),
+                                                np.diff(self._by_target_bounds).max(initial=0)))
         self._words, self._delays, self._targets = (
             np.empty(size, dtype=part.in_words.dtype) for _ in range(3))
         self._src = np.empty(size, dtype=self._by_target_src.dtype)
@@ -207,38 +209,27 @@ class StdpState:
         self.post_trace *= self.decay_minus
 
         # depression: the spans of this step's excitatory sources are
-        # disjoint, so they are joined, depressed at once and written back
+        # disjoint, so they are joined, depressed at once and written back,
+        # in blocks, so a burst step's temporaries stay near 3 MB instead of
+        # growing with the step (16 MB on desk-stdp)
         exc = pre_sources[part.source_excitatory[pre_sources]]
         starts, lo, hi = (part.in_offsets[exc].tolist(), plastic[exc].tolist(),
                           plastic[exc + 1].tolist())
-        for i, j, size in _blocks(lo, hi):
-            self._depress(starts[i:j], lo[i:j], hi[i:j], size)
+        ends = list(itertools.accumulate(map(operator.sub, hi, lo), initial=0))
+        for i, j in _source_blocks(ends):
+            self._depress(starts[i:j], lo[i:j], hi[i:j], ends[j] - ends[i])
 
         # potentiation: the spiking targets' transpose runs, joined alike
         bounds = self._by_target_bounds
         lo = bounds.take(post_spiked_local).tolist()
         hi = bounds.take(post_spiked_local + 1).tolist()
-        for i, j, size in _blocks(lo, hi):
-            self._potentiate(lo[i:j], hi[i:j], size)
+        ends = list(itertools.accumulate(map(operator.sub, hi, lo), initial=0))
+        for i, j in _source_blocks(ends):
+            self._potentiate(lo[i:j], hi[i:j], ends[j] - ends[i])
 
         self.pre_trace[pre_sources] += 1.0
         if len(post_spiked_local):
             self.post_trace[post_spiked_local] += 1.0
-
-
-def _blocks(lo: list, hi: list):
-    """Yield (i, j, size): spans ``lo[k]:hi[k]``, k in [i, j), joined into
-    one block of ``size`` synapses that ends at the span bringing it to
-    ``_BLOCK_SYNAPSES``, so a burst step's temporaries stay near 3 MB
-    instead of growing with the step (16 MB on desk-stdp)."""
-    i = size = 0
-    for j, (a, b) in enumerate(zip(lo, hi), 1):
-        size += b - a
-        if size >= _BLOCK_SYNAPSES:
-            yield i, j, size
-            i, size = j, 0
-    if size:
-        yield i, len(lo), size
 
 
 def _key_shifts(n_local: int, n_global: int, fan: int) -> tuple:
@@ -351,9 +342,9 @@ def _transpose_sources(part, shifts: tuple, types: tuple, s0: int, s1: int, size
     bounds = np.searchsorted(key, np.arange(n_local + 1, dtype=np.int64) << target_shift)
     src, slot = np.empty(size, dtype=types[0]), np.empty(size, dtype=types[1])
     source_mask, slot_mask = (1 << (target_shift - source_shift)) - 1, (1 << source_shift) - 1
-    for a in range(0, size, _BLOCK_SYNAPSES):
+    for a in range(0, size, engine._BLOCK_SYNAPSES):
         # one mask and one shift per field; the key is no longer needed
-        block = key[a:a + _BLOCK_SYNAPSES]
+        block = key[a:a + engine._BLOCK_SYNAPSES]
         np.bitwise_and(block, slot_mask, out=slot[a:a + len(block)], casting="unsafe")
         block >>= source_shift
         np.bitwise_and(block, source_mask, out=src[a:a + len(block)], casting="unsafe")

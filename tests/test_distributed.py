@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import os
 import socket
 import threading
 import time
@@ -106,8 +107,9 @@ def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
     """A network with the given per-source fanouts, random targets and
     delays in [1, 20] steps; cheap enough to span many source blocks."""
     fanouts = np.asarray(fanouts, dtype=np.int64)
+    # the fanouts are given, so any valid target_fanout will do
     spec = GridSpec(grid_x=grid_x, grid_y=grid_y,
-                    neurons_per_column=len(fanouts) // (grid_x * grid_y))
+                    neurons_per_column=len(fanouts) // (grid_x * grid_y), target_fanout=1.0)
     assert spec.n_neurons == len(fanouts)
     offsets = np.zeros(len(fanouts) + 1, dtype=np.int64)
     np.cumsum(fanouts, out=offsets[1:])
@@ -124,9 +126,10 @@ def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
 def test_partition_table_order_with_empty_sources_at_block_edges(n_ranks):
-    # 64 sources of block/64 synapses fill a block exactly, so the empty
-    # sources right after them (65 and 66, 131) close their block; source
-    # 0 and the last source are empty, and source 300 alone exceeds a block
+    # 64 sources of block/64 synapses fill a block exactly, so the block
+    # ends at the 64th and the empty sources right after it (65 and 66, 131)
+    # start the next; source 0 and the last source are empty, and source
+    # 300, which alone exceeds a block, ends the block it joins
     block = engine._BLOCK_SYNAPSES
     fanout = block // 64
     fanouts = np.full(600, fanout)
@@ -136,8 +139,9 @@ def test_partition_table_order_with_empty_sources_at_block_edges(n_ranks):
     blocks = list(distributed._source_blocks(net.offsets))
     assert len(blocks) >= 6
     assert blocks[0][0] == 0 and blocks[-1][1] == net.n_neurons
-    assert any(fanouts[s1 - 1] == 0 for _, s1 in blocks[:-1])  # an empty block edge
-    assert (300, 301) in blocks
+    assert all(a == b for (_, a), (b, _) in zip(blocks, blocks[1:]))
+    assert blocks[:3] == [(0, 65), (65, 131), (131, 196)]  # empty block starts
+    assert (261, 301) in blocks
 
     # per-source brute force: each source's synapses in table order, kept
     # when the target lives on rank r, packed as delay * n_local + target
@@ -897,6 +901,24 @@ def test_rank_failure_before_the_start_barrier_raises_its_own_error(monkeypatch,
         run_simulation(_net(), seconds=0.5, stim=_stim(), n_ranks=2,
                        transport=transport, timeout=10.0)
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_rank_whose_transport_fails_closes_its_links(monkeypatch):
+    # rank 1's transport raises, so no transport owns its links: its worker
+    # must close them itself, or they stay open after the run has failed
+    class FailingTransport(distributed.TcpTransport):
+        def __init__(self, rank, socks):
+            if rank == 1:
+                raise RuntimeError("injected failure on rank 1")
+            super().__init__(rank, socks)
+
+    net = _net()
+    monkeypatch.setattr(distributed, "TcpTransport", FailingTransport)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="injected failure on rank 1"):
+        run_simulation(net, seconds=0.5, stim=_stim(), n_ranks=2, transport="memory",
+                       timeout=10.0)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_rank_loop_timers_start_together(monkeypatch):

@@ -26,6 +26,7 @@ from spikebench.engine import (
     load_raster_csv,
     save_raster_binary,
     save_raster_csv,
+    step_count,
 )
 from spikebench.neurons import NeuronState, izhikevich_preset, step_izhikevich
 
@@ -454,6 +455,12 @@ def test_run_metrics_rows_write_floats_that_parse_back():
     with pytest.raises(ConfigError) as err:
         RunMetrics.from_rows(text, "metrics.rank3")
     assert len(err.value.problems) == 2
+
+
+def test_half_steps_round_up():
+    # Python's round would give 0, 2 and 2 steps: half steps to even
+    assert [step_count(s, 1.0) for s in (0.0005, 0.0015, 0.0025)] == [1, 2, 3]
+    assert step_count(0.0004, 1.0) == 0 and step_count(0.3, 1.0) == 300
 
 
 def test_simulated_time_is_the_steps_run():

@@ -67,10 +67,34 @@ def test_infeasible_fanout_raises():
     spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=39.0)
     with pytest.raises(InfeasibleSpecError):
         normalize_fanout(spec)
-    # fanout >= total neurons is rejected at validation
-    spec2 = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=40.0)
-    with pytest.raises(ConfigError):
-        normalize_fanout(spec2)
+    # fanout >= total neurons is rejected when the spec is made
+    with pytest.raises(ConfigError, match=r"target_fanout \(40.0\) must be below the neuron "
+                                          r"count \(40\)"):
+        GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=40.0)
+
+
+def test_grid_spec_checks_itself_on_construction():
+    with pytest.raises(ConfigError) as err:
+        GridSpec(grid_x=0)
+    assert err.value.problems == ["grid must be at least 1x1, got 0x10"]
+    with pytest.raises(ConfigError) as err:  # every problem at once
+        GridSpec(neurons_per_column=0, exc_fraction=1.0, decay_lambda=0.0, seed=-1)
+    assert len(err.value.problems) == 4
+
+
+def test_build_reports_every_bad_argument_at_once():
+    spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=5.0)
+    with pytest.raises(ConfigError) as err:
+        build_network(spec, dt_ms=0.0, model="hh")
+    assert err.value.problems == [
+        "unknown model 'hh'; expected one of ('izhikevich', 'adaptive_lif')",
+        "dt_ms must be > 0, got 0.0",
+    ]
+    # with a valid dt, the delay checks report beside the model's
+    with pytest.raises(ConfigError) as err:
+        build_network(dataclasses.replace(spec, delay_min_ms=0.4), dt_ms=1.0, model="hh")
+    assert len(err.value.problems) == 2
+    assert "delay_min_ms (0.4) must be at least one step of dt (1.0)" in err.value.problems[1]
 
 
 def test_mean_fanout_within_two_percent(small_net, small_spec):

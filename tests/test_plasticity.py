@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spikebench import (ConfigError, GridSpec, SpikebenchError, StimulusSpec, build_network,
-                        forked, plasticity, raster_checksum)
+                        engine, forked, plasticity, raster_checksum)
 from spikebench.distributed import partition, run_simulation
 from spikebench.plasticity import StdpParams, StdpState, depress, potentiate, stdp_delta_w
 
@@ -297,9 +297,30 @@ def test_process_step_matches_reference_rule_on_small_1k(n_ranks):
 
 
 def test_depression_in_blocks_matches_reference_rule(monkeypatch):
-    # about 32k depressed synapses a step: blocks of 1,000 split each step
-    monkeypatch.setattr(plasticity, "_BLOCK_SYNAPSES", 1000)
-    _check_process_step_against_reference(1)
+    # about 32k synapses a step in each phase: blocks of 1,000 split each
+    # step's depression and potentiation, and the state's scratch shrinks
+    # with them, as both read the one block size
+    monkeypatch.setattr(engine, "_BLOCK_SYNAPSES", 1000)
+    blocks = {"_depress": [], "_potentiate": []}
+
+    def spy(name):
+        phase = getattr(StdpState, name)
+
+        def run(self, *args):  # the block's size is the last argument
+            blocks[name].append((args[-1], len(self._words)))
+            return phase(self, *args)
+        return run
+
+    for name in blocks:
+        monkeypatch.setattr(StdpState, name, spy(name))
+    (part,) = _check_process_step_against_reference(1)
+    plastic = np.repeat(part.source_excitatory, np.diff(part.in_offsets))
+    longest = max(np.diff(part.in_offsets)[part.source_excitatory].max(),
+                  np.bincount(part.in_targets[plastic]).max())
+    for name, seen in blocks.items():
+        assert len(seen) > 10 * 50, name  # 50 steps, each cut into many blocks
+        assert {scratch for _, scratch in seen} == {1000 + longest}
+        assert 1000 <= max(size for size, _ in seen) < 1000 + longest
 
 
 def _check_process_step_against_reference(n_ranks):
@@ -315,6 +336,7 @@ def _check_process_step_against_reference(n_ranks):
     for part, ref in zip(parts, ref_parts):
         _replay_against_reference(part, ref, params, n_steps=50)
         assert (part.in_weights == params.w_max).any() and (part.in_weights == 0.0).any()
+    return parts
 
 
 def _replay_against_reference(part, ref, params, n_steps):

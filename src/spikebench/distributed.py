@@ -25,7 +25,8 @@ process by an AF_UNIX socket pair, ``tcp`` by TCP over loopback.
 
 Every run goes through `run_simulation`.  It runs every rank of a run
 as a thread of this process, or, given ``rank`` and ``cluster``, just
-that rank, talking TCP to the processes that run the others.  It opens
+that rank, talking TCP to the processes that run the others; either way
+`partition` builds the tables of the ranks run here, no others.  It opens
 every link before any rank starts: by `loopback_links` for thread
 ranks, by a rendezvous from a `rank host:port` cluster file for a
 cluster rank.  Each rank closes its own transport; closing is the stop
@@ -152,20 +153,23 @@ def _owner(gids: np.ndarray, neurons_per_column: int, n_ranks: int) -> np.ndarra
     return (gids // neurons_per_column) % n_ranks
 
 
-def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
-              ) -> Tuple[np.ndarray, List[RankPartition]]:
+def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0,
+              rank: Optional[int] = None) -> Tuple[np.ndarray, List[RankPartition]]:
     """Split the network over ``n_ranks`` ranks -> (column_to_rank, parts).
 
-    The union of the per-rank incoming tables is exactly the full synapse
+    ``parts`` holds every rank's part, or only ``rank``'s if given.  The
+    union of the per-rank incoming tables is exactly the full synapse
     multiset, and every per-rank structure depends only on (network,
-    n_ranks), never on construction order.  ``w_exc_scale`` multiplies
-    excitatory weights (the calibration knob).
+    n_ranks), never on construction order or on which ranks are built.
+    ``w_exc_scale`` multiplies excitatory weights (the calibration knob).
 
     At one rank the network's own ``offsets`` and ``words`` are the
-    table, shared without a copy.  Otherwise each rank's ``in_words`` is
-    allocated once at its final length (the build's synapse counts of the
-    rank's columns), then filled in one pass over blocks of whole sources,
-    in source order; no temporary is sized to the network's synapse count.
+    table, shared without a copy.  Otherwise each built rank's
+    ``in_words`` is allocated once at its final length (the build's
+    synapse counts of the rank's columns), then filled in one pass over
+    blocks of whole sources, in source order; no temporary is sized to the
+    network's synapse count.  The pass also records which ranks each
+    source has synapses on, for the built ranks' peer lists.
     """
     spec = net.spec
     if n_ranks < 1:
@@ -180,39 +184,44 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
     column_to_rank = neuron_rank[::npc].copy()
     exc = np.asarray(net.is_excitatory(gids))
     source_weights = net.source_weights(w_exc_scale)
-    # ring length is a global property; the build bounds the delays, and
-    # its int32 check covers every word delay * n_local + target
-    n_slots = int(round(spec.delay_max_ms / net.dt_ms)) + 1
-
+    built = range(n_ranks) if rank is None else [rank]
     local_gids = [np.flatnonzero(neuron_rank == r) for r in range(n_ranks)]
     offsets, net_words = net.offsets, net.words
     if n_ranks == 1:  # the network's words are delay * n + target already
-        in_offsets, in_words = [offsets], [net_words]
+        in_offsets, in_words = {0: offsets}, {0: net_words}
     else:
         # each gid is local to exactly one rank, so one table serves them all
         gid_to_local = np.empty(n, dtype=np.int32)
         for lg in local_gids:
             gid_to_local[lg] = np.arange(len(lg), dtype=np.int32)
-        in_words = [np.empty(int(net.column_synapses[column_to_rank == r].sum()), dtype=np.int32)
-                    for r in range(n_ranks)]
-        in_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in range(n_ranks)]
-        filled = [0] * n_ranks
+        in_words = {r: np.empty(int(net.column_synapses[column_to_rank == r].sum()),
+                                dtype=np.int32) for r in built}
+        in_offsets = {r: np.zeros(n + 1, dtype=np.int64) for r in built}
+        # reach[r, s]: source s has synapses on rank r
+        reach = np.zeros((n_ranks, n), dtype=bool)
+        filled = dict.fromkeys(built, 0)
         for s0, s1 in _source_blocks(offsets):
             a, b = int(offsets[s0]), int(offsets[s1])
-            ends = offsets[s0 + 1:s1 + 1] - a   # block-relative end of each source
+            bounds = offsets[s0:s1 + 1] - a   # block-relative start, then each source's end
             delays, targets = _unpack(net_words[a:b], n)
             local = gid_to_local.take(targets)
             block_rank = neuron_rank.take(targets)
             for r in range(n_ranks):
-                n_local, pos = len(local_gids[r]), filled[r]
                 # synapses are source-ordered, so the rank-r synapses of
                 # each source are the entries of sel up to its block end
                 sel = np.flatnonzero(block_rank == r)
+                cut = np.searchsorted(sel, bounds)
+                np.greater(cut[1:], cut[:-1], out=reach[r, s0:s1])
+                if r not in filled:
+                    continue
+                n_local, pos = len(local_gids[r]), filled[r]
                 words = local.take(sel)
                 words += np.multiply(delays.take(sel), n_local, dtype=np.int32)
                 in_words[r][pos:pos + len(words)] = words
-                in_offsets[r][s0 + 1:s1 + 1] = pos + np.searchsorted(sel, ends)
+                in_offsets[r][s0 + 1:s1 + 1] = pos + cut[1:]
                 filled[r] = pos + len(words)
+        # local spikes never travel
+        reach[neuron_rank, gids] = False
 
     parts = [
         RankPartition(
@@ -220,7 +229,7 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             n_ranks=n_ranks,
             neurons_per_column=npc,
             model=net.model,
-            n_slots=n_slots,
+            n_slots=net.n_slots,
             local_gids=local_gids[r],
             local_excitatory=exc[local_gids[r]],
             source_excitatory=exc,
@@ -228,25 +237,17 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0
             in_words=in_words[r],
             source_weights=source_weights,
         )
-        for r in range(n_ranks)
+        for r in built
     ]
 
-    # communication graph: rank a sends to rank b if some a-local source
-    # has a synapse whose target lives on b.  reach[s, b] records that
-    # source s projects onto rank b; own-rank entries are cleared, since
-    # local spikes never travel.
+    # communication graph: a rank sends each peer its sources that reach
+    # the peer, and hears from the owners of the sources that reach it
     if n_ranks > 1:
-        reach = np.stack([np.diff(p.in_offsets) > 0 for p in parts], axis=1)
-        reach[gids, neuron_rank] = False
         for part in parts:
-            local_reach = reach[part.local_gids]
-            for peer in np.flatnonzero(local_reach.any(axis=0)):
-                part.out_peers.append(int(peer))
-                part.peer_sources[int(peer)] = part.local_gids[local_reach[:, peer]]
-        for r, part in enumerate(parts):
-            part.in_peers = sorted(
-                p.rank for p in parts if r in p.out_peers
-            )
+            sends = reach[:, part.local_gids]
+            part.out_peers = np.flatnonzero(sends.any(axis=1)).tolist()
+            part.peer_sources = {p: part.local_gids[sends[p]] for p in part.out_peers}
+            part.in_peers = np.unique(neuron_rank[reach[part.rank]]).tolist()
     return column_to_rank, parts
 
 
@@ -614,22 +615,20 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     Without ``rank``, every rank runs here, each pair of ranks linked
     before any rank starts: by an AF_UNIX socket pair for transport
     "memory", by TCP over loopback for "tcp".  With ``rank``, only that
-    rank runs here, over TCP to the other processes of ``cluster``
-    ({rank: (host, port)}), linked by a rendezvous.  Each rank times its
-    own loop.  Returns (the run's RunMetrics, (steps, gids) raster sorted
-    by (step, id), per-rank metrics list, and the parts of the ranks run
-    here), merged by ``merge_ranks``; the run's metrics also time the
-    partition, the STDP states and the links.
+    rank is partitioned and run here, over TCP to the other processes of
+    ``cluster`` ({rank: (host, port)}), linked by a rendezvous.  Each rank
+    times its own loop.  Returns (the run's RunMetrics, (steps, gids)
+    raster sorted by (step, id), per-rank metrics list, and the parts of
+    the ranks run here), merged by ``merge_ranks``; the run's metrics also
+    time the partition, the STDP states and the links.
     """
     n_steps = step_count(seconds, net.dt_ms)
     if n_steps < 1:
         raise ConfigError([f"seconds {seconds} rounds to 0 steps of {net.dt_ms} ms"])
     check_run_args(n_ranks, transport, rank, cluster)
     t0 = time.perf_counter_ns()
-    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
+    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale, rank=rank)
     partition_ns = time.perf_counter_ns() - t0
-    if rank is not None:
-        parts = [parts[rank]]
     plastic = stdp_params is not None and stdp_params.enabled
     t0 = time.perf_counter_ns()
     stdps = [StdpState(p, stdp_params, net.dt_ms) if plastic else None for p in parts]

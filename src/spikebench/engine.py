@@ -40,6 +40,7 @@ __all__ = [
     "DelayRing",
     "RunMetrics",
     "merge_ranks",
+    "ms_steps",
     "step_count",
     "Engine",
     "expected_event_count",
@@ -104,6 +105,8 @@ class StimulusSpec:
             )
         if self.ext_rate_hz < 0:
             problems.append(f"ext_rate_hz must be >= 0, got {self.ext_rate_hz}")
+        if not 0 <= self.seed < 2**64:
+            problems.append(f"seed must fit in 64 bits, got {self.seed}")
         if problems:
             raise ConfigError(problems)
 
@@ -164,10 +167,15 @@ class DelayRing:
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
+def ms_steps(ms: float, dt_ms: float) -> int:
+    """Steps of ``dt_ms`` in ``ms`` milliseconds, half steps rounded up:
+    the one rule for durations and delays."""
+    return math.floor(ms / dt_ms + 0.5)
+
+
 def step_count(seconds: float, dt_ms: float) -> int:
-    """Steps of ``dt_ms`` that a run of ``seconds`` takes, half steps
-    rounded up."""
-    return math.floor(seconds * 1000.0 / dt_ms + 0.5)
+    """Steps of ``dt_ms`` that a run of ``seconds`` takes."""
+    return ms_steps(seconds * 1000.0, dt_ms)
 
 
 def _shared(values: list):

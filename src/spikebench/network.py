@@ -8,7 +8,7 @@ source columns.  Targets are sampled with replacement (multiple synapses
 between a pair are allowed; self-synapses are excluded), weights are set
 by the source class (+w_exc for excitatory sources, -w_inh for
 inhibitory) and axonal delays are uniform integers in
-[delay_min_ms/dt, delay_max_ms/dt] steps.
+[delay_min_ms/dt, delay_max_ms/dt] steps, each bound rounded half up.
 
 Construction is keyed per source neuron (Philox4x64-10 keyed by
 (seed, source id)), so the result is bit-identical for any build order,
@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import forked, rng
+from .engine import ms_steps
 from .errors import ConfigError, InfeasibleSpecError
 
 __all__ = [
@@ -109,7 +110,9 @@ class Network:
     ``source_weights()[s]``.  These two arrays are the table of a 1-rank
     run, which uses them as they are.  ``column_synapses[c]`` counts the
     synapses onto column c's neurons, which sizes a rank's table.
-    ``model`` selects the neuron family simulated on it.
+    ``n_slots`` is the delay ring's length, the longest delay in steps
+    plus one, for every rank.  ``model`` selects the neuron family
+    simulated on it.
     """
 
     spec: GridSpec
@@ -118,6 +121,7 @@ class Network:
     offsets: np.ndarray          # int64, n_neurons + 1
     words: np.ndarray            # int32, delay * n_neurons + target
     column_synapses: np.ndarray  # int64, n_columns
+    n_slots: int
     p0: float = field(default=0.0)
 
     @property
@@ -333,9 +337,9 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     if dt_ms <= 0:
         problems.append(f"dt_ms must be > 0, got {dt_ms}")
     else:
-        delay_lo = int(round(spec.delay_min_ms / dt_ms))
-        delay_hi = int(round(spec.delay_max_ms / dt_ms))
-        if delay_lo < 1:
+        delay_lo = ms_steps(spec.delay_min_ms, dt_ms)
+        delay_hi = ms_steps(spec.delay_max_ms, dt_ms)
+        if spec.delay_min_ms < dt_ms:  # no delay can be shorter than a step
             problems.append(
                 f"delay_min_ms ({spec.delay_min_ms}) must be at least one step of dt ({dt_ms})")
         if delay_hi >= 2**15:
@@ -385,7 +389,8 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
     np.cumsum(counts_per_source, out=offsets[1:])
     # a view: the unused tail was never written, so it holds no pages
     return Network(spec=spec, dt_ms=dt_ms, model=model, offsets=offsets,
-                   words=words[:filled], column_synapses=column_synapses, p0=p0)
+                   words=words[:filled], column_synapses=column_synapses,
+                   n_slots=delay_hi + 1, p0=p0)
 
 
 def count_equivalent_synapses(net: Network, ext_per_neuron: int) -> int:

@@ -182,6 +182,21 @@ def test_run_rejects_driver_arguments_before_building(tmp_path, monkeypatch, cap
     assert "config error: run.simulated_seconds: 0.0004 s rounds to 0 steps" in err
 
 
+def test_run_refuses_a_stimulus_seed_outside_64_bits(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built with a stimulus seed outside 64 bits")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+    # --seed S sets stimulus.seed to S + 1, so 2**64 - 1 is refused too
+    for extra, seed in ((["--set=stimulus.seed=-1"], -1),
+                        ([f"--set=stimulus.seed={2**64 + 7}"], 2**64 + 7),
+                        (["--seed", str(2**64 - 1)], 2**64)):
+        capsys.readouterr()
+        assert main(["run", "--out", str(tmp_path / "o")] + _tiny_args(extra)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: stimulus: seed must fit in 64 bits, got {seed}"]
+
+
 def test_run_energy_report_from_measured_events(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--out", str(out)] + _tiny_args([

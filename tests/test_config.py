@@ -78,6 +78,14 @@ def test_validation_refuses_more_ranks_than_columns_and_runs_of_no_step():
     assert fits.validate() == []  # 0.6 steps round to one
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_stimulus_seed_outside_64_bits_is_refused(seed):
+    # a masked seed would draw the stimulus of another, valid seed
+    cfg = RunConfig().with_values(**{"stimulus.seed": seed})
+    assert cfg.validate() == [f"stimulus: seed must fit in 64 bits, got {seed}"]
+    assert RunConfig().with_values(**{"stimulus.seed": 2**64 - 1}).validate() == []
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("# hello\n\ngrid.x = 3\n")
     assert cfg["grid.x"] == 3

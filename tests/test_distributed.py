@@ -121,7 +121,8 @@ def _hand_net(fanouts, grid_x=4, grid_y=3, seed=0):
     return Network(spec=spec, dt_ms=1.0, model="adaptive_lif", offsets=offsets,
                    words=words.astype(np.int32),
                    column_synapses=np.bincount(targets // spec.neurons_per_column,
-                                               minlength=spec.n_columns))
+                                               minlength=spec.n_columns),
+                   n_slots=21)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
@@ -212,12 +213,14 @@ def test_rank_tables_match_pinned_digests(config):
     # the build's preallocation holds these networks without growing
     assert net.total_synapses <= network._table_capacity(net.spec)
     for n_ranks in (1, 2, 3, 4):
-        _, parts = partition(net, n_ranks)
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part.in_offsets.tobytes())
-            digest.update(part.in_words.tobytes())
-        assert digest.hexdigest() == _TABLE_SHA256[config, n_ranks], n_ranks
+        # every rank built in one call, then each rank built alone
+        for parts in (partition(net, n_ranks)[1],
+                      [partition(net, n_ranks, rank=r)[1][0] for r in range(n_ranks)]):
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(part.in_offsets.tobytes())
+                digest.update(part.in_words.tobytes())
+            assert digest.hexdigest() == _TABLE_SHA256[config, n_ranks], n_ranks
 
 
 @pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])
@@ -330,6 +333,51 @@ def test_partition_communication_graph_matches_brute_force(n_ranks):
         assert part.out_peers == sorted(expected)
         assert {peer: srcs.tolist() for peer, srcs in part.peer_sources.items()} == expected
         assert part.in_peers == sorted({owner[s] for s, peer in pairs if peer == part.rank})
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
+def test_partition_of_one_rank_equals_that_rank_of_every_rank(n_ranks, sparse):
+    # the sparse net sends each peer only some of a rank's sources, and at
+    # 4 ranks some pairs of ranks exchange nothing, so a peer list read
+    # from the wrong rank's synapses shows
+    net = _net(target_fanout=3.0, decay_lambda=0.5) if sparse else _net()
+    columns, every = partition(net, n_ranks)
+    if sparse and n_ranks > 1:
+        assert all(len(s) < p.n_local for p in every for s in p.peer_sources.values())
+    if sparse and n_ranks == 4:
+        assert any(len(p.in_peers) < n_ranks - 1 for p in every)
+    for r, whole in enumerate(every):
+        column_to_rank, alone = partition(net, n_ranks, rank=r)
+        assert np.array_equal(column_to_rank, columns)
+        assert len(alone) == 1
+        part = alone[0]
+        assert part.rank == r and part.n_slots == whole.n_slots == net.n_slots
+        assert np.array_equal(part.local_gids, whole.local_gids)
+        assert part.in_offsets.tobytes() == whole.in_offsets.tobytes()
+        assert part.in_words.tobytes() == whole.in_words.tobytes()
+        assert part.out_peers == whole.out_peers and part.in_peers == whole.in_peers
+        assert part.peer_sources.keys() == whole.peer_sources.keys()
+        for peer, sources in whole.peer_sources.items():
+            assert part.peer_sources[peer].tobytes() == sources.tobytes()
+        if n_ranks == 1:
+            assert part.in_words is net.words and part.in_offsets is net.offsets
+
+
+def test_partition_of_one_rank_allocates_only_its_own_table():
+    # rank 0's table is about half of the two; building both, even to keep
+    # one, would raise the peak by the other rank's table
+    net = _hand_net(np.full(3000, 4 * 2**20 // 3000), grid_x=5, grid_y=6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, (part,) = partition(net, 2, rank=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = part.in_words.nbytes + part.in_offsets.nbytes
+    assert table_bytes > 0.4 * (net.words.nbytes + 2 * net.offsets.nbytes)
+    assert peak - before < 1.5 * table_bytes
 
 
 # ---------------------------------------------------------- wire frames
@@ -653,6 +701,36 @@ def test_concurrent_tcp_runs_in_one_process_do_not_collide():
     assert errors == []
     assert raster_checksum(*results[0]) == raster_checksum(*results[1])
     assert len(results[0][0]) > 0
+
+
+def test_cluster_rank_builds_only_its_own_partition(monkeypatch):
+    # both ranks of a 2-rank cluster, as threads of this process: each
+    # run_simulation builds one RankPartition, its own, and the two rank
+    # rasters merge into the thread-rank run's
+    built = []
+
+    class CountedPartition(distributed.RankPartition):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((threading.get_ident(), self.rank))
+
+    net, stim = _net(), _stim()
+    _, expected, _, _ = run_simulation(net, seconds=0.3, stim=stim, n_ranks=2)
+    monkeypatch.setattr(distributed, "RankPartition", CountedPartition)
+    cluster = {r: ("127.0.0.1", _free_port()) for r in range(2)}
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(lambda r: run_simulation(
+            net, seconds=0.3, stim=stim, n_ranks=2, rank=r, cluster=cluster, timeout=20.0),
+            range(2)))
+    assert sorted(rank for _, rank in built) == [0, 1]
+    assert len({thread for thread, _ in built}) == 2
+    for r, (_, _, per_rank, parts) in enumerate(runs):
+        assert [p.rank for p in parts] == [r] and len(per_rank) == 1
+    steps = np.concatenate([raster[0] for _, raster, _, _ in runs])
+    gids = np.concatenate([raster[1] for _, raster, _, _ in runs])
+    order = np.lexsort((gids, steps))
+    assert len(steps) > 0
+    assert raster_checksum(steps[order], gids[order]) == raster_checksum(*expected)
 
 
 def test_cluster_file_parsing(tmp_path):

@@ -19,7 +19,7 @@ from spikebench import (
     network_stats,
     normalize_fanout,
 )
-from spikebench import forked, network, rng
+from spikebench import distributed, forked, network, rng
 from spikebench.network import format_network_stats
 
 
@@ -221,6 +221,22 @@ def test_delay_min_below_dt_rejected():
     assert net.delay_steps.min() >= 1
 
 
+@pytest.mark.parametrize("delays_ms, steps", [((2.5, 3.5), (3, 4)), ((1.5, 2.5), (2, 3))])
+def test_delay_bounds_round_half_steps_up(delays_ms, steps):
+    # half to even would build 2-4 steps for [2.5, 3.5] ms, and only 2
+    # steps, with a ring of 3, for [1.5, 2.5] ms
+    spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=10.0,
+                    delay_min_ms=delays_ms[0], delay_max_ms=delays_ms[1])
+    net = build_network(spec, dt_ms=1.0)
+    assert (int(net.delay_steps.min()), int(net.delay_steps.max())) == steps
+    assert net.n_slots == steps[1] + 1
+    for n_ranks in (1, 2):
+        assert all(p.n_slots == net.n_slots for p in distributed.partition(net, n_ranks)[1])
+    # a minimum below one step is refused, even where it would round up to one
+    with pytest.raises(ConfigError, match="delay_min_ms"):
+        build_network(dataclasses.replace(spec, delay_min_ms=0.75), dt_ms=1.0)
+
+
 def _reference_source(spec, dt_ms, s):
     """Targets and delays of source ``s`` from numpy's own calls, as the
     module docstring describes them: per-source Philox stream, binomial
@@ -239,8 +255,8 @@ def _reference_source(spec, dt_ms, s):
     tgt_col = np.repeat(cols, gen.binomial(eligible, probs))
     slots = np.floor(gen.random(len(tgt_col)) * eligible[tgt_col]).astype(np.int64)
     slots[(tgt_col == col) & (slots >= s - col * npc)] += 1
-    lo = round(spec.delay_min_ms / dt_ms)
-    hi = round(spec.delay_max_ms / dt_ms)
+    lo = math.floor(spec.delay_min_ms / dt_ms + 0.5)  # half steps round up
+    hi = math.floor(spec.delay_max_ms / dt_ms + 0.5)
     delays = gen.integers(lo, hi + 1, size=len(tgt_col))
     return tgt_col * npc + slots, delays
 

@@ -7,26 +7,26 @@ the power/energy/joule-per-event chain and prints the comparison table
 with the published-platform reference costs.
 """
 
-from spikebench import PlatformRecord, PowerMeasurement, comparison_report, energy_report
+from dataclasses import replace
+
+from spikebench import PlatformRecord, energy_report
 from spikebench.energy import format_comparison_table, format_energy_report
 
 EVENTS = 235_000_000
-server = PlatformRecord("server", PowerMeasurement(current=1.15), 9.1, EVENTS)
-embedded = PlatformRecord("embedded", PowerMeasurement(current=0.08), 30.0, EVENTS)
+records = {
+    "server": PlatformRecord(current=1.15, wall_seconds=9.1, events=EVENTS),
+    "embedded": PlatformRecord(current=0.08, wall_seconds=30.0, events=EVENTS),
+}
 
-for record in (server, embedded):
-    report = energy_report(record)
-    print(format_energy_report(report, prefix=f"energy.{record.label}"))
-
-cmp = comparison_report(server, embedded)
-print(format_comparison_table(cmp))
+reports = [energy_report(record, label) for label, record in records.items()]
+for report in reports:
+    print(format_energy_report(report, prefix=f"energy.{report.label}"))
+print(format_comparison_table(*reports))
 
 print("with an idle baseline subtracted the picture shifts:")
-for baseline_server, baseline_embedded in ((190.0, 8.8),):
-    adjusted = comparison_report(server, embedded,
-                                 baseline_a_w=baseline_server,
-                                 baseline_b_w=baseline_embedded)
-    print(f"  baseline {baseline_server} W / {baseline_embedded} W -> "
-          f"energy ratio {adjusted.energy_ratio_ab:.2f}x, "
-          f"{adjusted.a.joule_per_event*1e6:.2f} / "
-          f"{adjusted.b.joule_per_event*1e6:.2f} uJ per event")
+baselines = {"server": 190.0, "embedded": 8.8}
+a, b = (energy_report(replace(records[label], baseline_w=baselines[label]), label)
+        for label in records)
+print(f"  baseline {baselines['server']} W / {baselines['embedded']} W -> "
+      f"energy ratio {a.energy_j / b.energy_j:.2f}x, "
+      f"{a.joule_per_event*1e6:.2f} / {b.joule_per_event*1e6:.2f} uJ per event")

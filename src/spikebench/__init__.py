@@ -13,17 +13,7 @@ The package is organized by concern:
 * cli          `spikebench run|calibrate|report`
 """
 
-from .energy import (
-    ComparisonReport,
-    EnergyReport,
-    PlatformRecord,
-    PowerMeasurement,
-    comparison_report,
-    electrical_power,
-    energy_per_event,
-    energy_report,
-    energy_to_solution,
-)
+from .energy import EnergyReport, PlatformRecord, energy_report
 from .engine import (
     DelayRing,
     Engine,

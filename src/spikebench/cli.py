@@ -19,6 +19,7 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 """
 
 import argparse
+import dataclasses
 import os
 import platform
 import resource
@@ -35,12 +36,7 @@ from .config import (
     load_bundled_config,
     parse_config,
 )
-from .energy import (
-    comparison_report,
-    energy_report,
-    format_comparison_table,
-    format_energy_report,
-)
+from .energy import energy_report, format_comparison_table, format_energy_report
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -53,7 +49,10 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, check=lambda cfg: None) -> RunConfig:
+    """The config the arguments name, validated in one pass: ``check(cfg)``
+    may raise a ConfigError of the command's own, whose problems join
+    ``RunConfig.validate``'s."""
     if args.config:
         if os.path.exists(args.config):
             cfg = parse_config(args.config)
@@ -68,7 +67,14 @@ def _load_config(args) -> RunConfig:
         cfg = cfg.with_values(**{"run.ranks": args.ranks})
     if getattr(args, "transport", None) is not None:
         cfg = cfg.with_values(**{"run.transport": args.transport})
-    return cfg.require_valid()
+    problems = cfg.validate()
+    try:
+        check(cfg)
+    except ConfigError as err:
+        problems += err.problems
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def _provenance(cfg: RunConfig) -> dict:
@@ -137,33 +143,23 @@ def _write_energy(cfg: RunConfig, out_dir: str, measured) -> tuple:
     zero ``power.<label>.events`` takes its event count; a zero
     ``power.<label>.wall_seconds`` takes its loop time,
     ``metrics.wall_seconds``, and energy.kv names the key each time came
-    from.  Returns (path, {label: record})."""
+    from.  Returns (path, [EnergyReport per label])."""
     lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
-    records = {}
+    wall, events = (measured.wall_seconds, measured.total_events) if measured else (0.0, 0)
+    reports = []
     for label in cfg.power_labels():
-        wall_key = f"power.{label}.wall_seconds"
-        if cfg[wall_key] == 0:
-            if measured is None:
-                raise ConfigError([
-                    f"{wall_key} is 0 and no run supplied its time; set it, or "
-                    "pass the run's metrics (report --metrics FILE)"
-                ])
-            wall_key = "metrics.wall_seconds"
-        record = cfg.power_record(label, wall_seconds=measured.wall_seconds if measured else 0.0,
-                                  events=measured.total_events if measured else 0)
-        if record.synaptic_events == 0:
-            raise UndefinedMetricError(
-                f"power.{label}.events is 0 and no measured event count supplied one; "
-                "joule-per-event needs a positive event count"
-            )
-        report = energy_report(record, baseline_w=cfg[f"power.{label}.baseline_w"])
-        lines.append(format_energy_report(report, prefix=f"energy.{label}").rstrip())
+        record = cfg.power_record(label)
+        wall_key = f"power.{label}.wall_seconds" if record.wall_seconds else "metrics.wall_seconds"
+        record = dataclasses.replace(record, wall_seconds=record.wall_seconds or wall,
+                                     events=record.events or events)
+        reports.append(energy_report(record, label))
+        lines.append(format_energy_report(reports[-1], prefix=f"energy.{label}").rstrip())
         lines.append(f"energy.{label}.wall_seconds_from = {wall_key}")
-        records[label] = record
+    os.makedirs(out_dir, exist_ok=True)  # once every record has its report
     path = os.path.join(out_dir, "energy.kv")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path, records
+    return path, reports
 
 
 def _cpu_seconds(who) -> float:
@@ -173,10 +169,10 @@ def _cpu_seconds(who) -> float:
 
 def cmd_run(args) -> int:
     children_s = _cpu_seconds(resource.RUSAGE_CHILDREN)
-    cfg = _load_config(args)
-    out_dir = args.out
     cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
-    distributed.check_run_args(cfg["run.ranks"], cfg["run.transport"], args.rank, cluster)
+    cfg = _load_config(
+        args, lambda cfg: distributed.check_run_args(cfg["run.ranks"], args.rank, cluster))
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     spec = cfg.grid_spec()
     build_ns = time.perf_counter_ns()
@@ -267,29 +263,33 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = _load_config(args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def _check_report(cfg: RunConfig) -> None:
+    """Refuse a report of no record, and a comparison whose two records
+    would both take the one run's loop time: its time ratio would be 1 by
+    construction, and its energy ratio only the power ratio."""
     labels = cfg.power_labels()
     if not labels:
         raise ConfigError(
             ["no power records configured; set power.<label>.current (labels: server, embedded)"]
         )
+    keys = [f"power.{label}.wall_seconds" for label in labels]
+    if len(keys) == 2 and not any(cfg[key] for key in keys):
+        raise ConfigError([f"{keys[0]} and {keys[1]} are both 0, so both platforms would take "
+                           "the one run's loop time and the table would compare that run with "
+                           "itself; set at least one of them"])
+
+
+def cmd_report(args) -> int:
+    cfg = _load_config(args, _check_report)
+    out_dir = args.out
     measured = None
     if args.metrics:
         measured = engine_mod.RunMetrics.from_rows(_read_kv(args.metrics), "metrics")
-    energy_path, records = _write_energy(cfg, out_dir, measured)
+    energy_path, reports = _write_energy(cfg, out_dir, measured)
     print(f"wrote {energy_path}")
 
-    if len(records) == 2:
-        a, b = (records[lab] for lab in labels)
-        cmp = comparison_report(
-            a, b,
-            baseline_a_w=cfg[f"power.{labels[0]}.baseline_w"],
-            baseline_b_w=cfg[f"power.{labels[1]}.baseline_w"],
-        )
-        table = format_comparison_table(cmp)
+    if len(reports) == 2:
+        table = format_comparison_table(*reports)
         table_path = os.path.join(out_dir, "comparison.txt")
         with open(table_path, "w") as fh:
             fh.write(table)

@@ -2,22 +2,22 @@
 
 Every key has a schema entry (type + default); parsing collects one
 diagnostic per offending line or field instead of stopping at the first.
-The ``grid``, ``model.lif``, ``stimulus`` and ``stdp`` keys are the fields
-of the dataclasses built from them, which declare their types and defaults.
-Emit-then-parse of any valid configuration is the identity (floats are
-written with repr, which round-trips exactly).
+The ``grid``, ``model.lif``, ``stimulus``, ``stdp`` and ``power.<label>``
+keys are the fields of the dataclasses built from them, which declare
+their types and defaults and check their values.  Emit-then-parse of any
+valid configuration is the identity (floats are written with repr, which
+round-trips exactly).
 
-Platform power records (for the energy report) live under
-``power.<label>.*``; a record is considered present when its current is
-positive.  ``events = 0`` and ``wall_seconds = 0`` mean "use the event
-count and the loop time measured by the run this config drives".
+Each platform's power record (for the energy report) is the
+``power.<label>`` section, one ``energy.PlatformRecord``; a record is
+present when its current is positive.
 """
 
 import importlib.resources
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from .energy import PlatformRecord, PowerMeasurement
+from .energy import PlatformRecord
 from .errors import ConfigError
 from .distributed import TRANSPORTS
 from .network import GridSpec, MODEL_KINDS
@@ -38,6 +38,7 @@ _SECTIONS = {
     "stimulus": StimulusSpec,
     "model.lif": AdaptiveLifParams,
     "stdp": StdpParams,
+    **{f"power.{label}": PlatformRecord for label in _POWER_LABELS},
 }
 _FIELD_KEYS = {"grid_x": "x", "grid_y": "y"}
 
@@ -64,14 +65,9 @@ SCHEMA: Dict[str, Tuple[type, object]] = {
     "run.w_exc_scale": (float, 1.0),
     "run.raster_format": (str, "csv"),
     "run.timeout_seconds": (float, 30.0),
+    **_declared("power.server"),
+    **_declared("power.embedded"),
 }
-for _label in _POWER_LABELS:
-    SCHEMA[f"power.{_label}.voltage"] = (float, PowerMeasurement.voltage)
-    SCHEMA[f"power.{_label}.current"] = (float, 0.0)
-    SCHEMA[f"power.{_label}.current_error"] = (float, PowerMeasurement.current_error)
-    SCHEMA[f"power.{_label}.wall_seconds"] = (float, 0.0)
-    SCHEMA[f"power.{_label}.events"] = (int, 0)
-    SCHEMA[f"power.{_label}.baseline_w"] = (float, 0.0)
 
 
 def _parse_value(kind: type, raw: str):
@@ -157,25 +153,11 @@ class RunConfig:
     def stdp_params(self) -> StdpParams:
         return self._section("stdp")
 
-    def power_record(self, label: str, wall_seconds: float = 0.0,
-                     events: int = 0) -> Optional[PlatformRecord]:
+    def power_record(self, label: str) -> Optional[PlatformRecord]:
         """The platform record under power.<label>.*, or None if absent
-        (absence = non-positive current).  A configured time or event
-        count of 0 takes the run's measured ``wall_seconds`` or ``events``."""
-        v = self.values
-        current = v[f"power.{label}.current"]
-        if current <= 0:
-            return None
-        return PlatformRecord(
-            label=label,
-            measurement=PowerMeasurement(
-                current=current,
-                voltage=v[f"power.{label}.voltage"],
-                current_error=v[f"power.{label}.current_error"],
-            ),
-            wall_seconds=v[f"power.{label}.wall_seconds"] or wall_seconds,
-            synaptic_events=v[f"power.{label}.events"] or events,
-        )
+        (absence = zero current)."""
+        record = self._section(f"power.{label}")
+        return record if record.current > 0 else None
 
     def power_labels(self) -> List[str]:
         return [lab for lab in _POWER_LABELS if self.values[f"power.{lab}.current"] > 0]
@@ -221,11 +203,6 @@ class RunConfig:
             problems.append(
                 f"run.timeout_seconds: must be > 0, got {v['run.timeout_seconds']}"
             )
-        for label in self.power_labels():
-            try:  # a time of 0 is the run's own, known only once it has run
-                self.power_record(label, wall_seconds=1.0)
-            except ConfigError as err:
-                problems.extend(f"power.{label}: {p}" for p in err.problems)
         return problems
 
     def require_valid(self) -> "RunConfig":

@@ -391,6 +391,8 @@ def loopback_links(parts: List[RankPartition], timeout: float, transport: str
     connect then accept, so the owner of each socket is known without a
     hello.  If a link fails, every socket made so far is closed.
     """
+    if transport not in TRANSPORTS:
+        raise ConfigError([f"unknown transport {transport!r}; expected one of {TRANSPORTS}"])
     links = {part.rank: {} for part in parts}
     server = (socket.create_server(("127.0.0.1", 0)) if transport == "tcp"
               else contextlib.nullcontext())
@@ -575,18 +577,15 @@ def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
         engine.advance()
 
 
-def check_run_args(n_ranks: int, transport: str, rank: Optional[int] = None,
+def check_run_args(n_ranks: int, rank: Optional[int] = None,
                    cluster: Optional[Dict[int, Tuple[str, int]]] = None) -> None:
-    """Reject bad driver arguments, one diagnostic each, before any work.
+    """Reject bad rank and cluster arguments, one diagnostic each, before
+    any work.  (``partition`` refuses fewer than one rank.)
 
     ``rank`` and ``cluster`` go together: a cluster names every rank's
     address, and ``rank`` says which of them runs here.
     """
     problems = []
-    if n_ranks < 1:
-        problems.append(f"need at least one rank, got {n_ranks}")
-    if transport not in TRANSPORTS:
-        problems.append(f"unknown transport {transport!r}")
     if rank is not None and cluster is None:
         problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")
     if cluster is not None and rank is None:
@@ -625,7 +624,7 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     n_steps = step_count(seconds, net.dt_ms)
     if n_steps < 1:
         raise ConfigError([f"seconds {seconds} rounds to 0 steps of {net.dt_ms} ms"])
-    check_run_args(n_ranks, transport, rank, cluster)
+    check_run_args(n_ranks, rank, cluster)
     t0 = time.perf_counter_ns()
     _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale, rank=rank)
     partition_ns = time.perf_counter_ns() - t0

@@ -182,6 +182,45 @@ def test_run_rejects_driver_arguments_before_building(tmp_path, monkeypatch, cap
     assert "config error: run.simulated_seconds: 0.0004 s rounds to 0 steps" in err
 
 
+def test_run_reports_config_rank_and_cluster_problems_in_one_pass(tmp_path, monkeypatch,
+                                                                   capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built before the run's arguments were checked")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+    assert main(["run", "--out", str(tmp_path / "o"), "--rank", "3"]
+                + _tiny_args(["--set=run.ranks=0"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run.ranks: must be >= 1, got 0",
+        "config error: rank 3 needs a cluster (CLI: --cluster FILE)",
+        "config error: rank 3 outside [0, 0)",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_refuses_a_stray_power_key_without_a_current(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path / "o")]
+                + _tiny_args(["--set=power.embedded.voltage=-5"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: power.embedded: voltage must be > 0, got -5.0"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_refuses_a_baseline_above_the_measured_power_before_building(tmp_path, monkeypatch,
+                                                                         capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built with a baseline above the measured power")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out)] + _tiny_args(
+        ["--set=power.server.current=1.0", "--set=power.server.baseline_w=1000"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: power.server: baseline_w must lie in [0, voltage * current = 220.0 W], "
+        "got 1000.0"]
+    assert not (out / "raster.csv").exists() and not (out / "metrics.kv").exists()
+
+
 def test_run_refuses_a_stimulus_seed_outside_64_bits(tmp_path, monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("network built with a stimulus seed outside 64 bits")
@@ -232,6 +271,7 @@ def test_energy_from_the_runs_own_time_reproduces_metrics(tmp_path, capsys):
                  "--set=power.server.events=1000"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "power.server.wall_seconds is 0" in err[0], err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_report_reproduces_measured_table(tmp_path, capsys):
@@ -251,6 +291,40 @@ def test_report_reproduces_measured_table(tmp_path, capsys):
     doc = _read_kv(out / "energy.kv")
     assert float(doc["energy.server.energy_j"]) == pytest.approx(2302.3, rel=1e-9)
     assert float(doc["energy.embedded.energy_j"]) == pytest.approx(528.0, rel=1e-9)
+
+
+def test_report_refuses_to_compare_one_run_with_itself(tmp_path, capsys):
+    run = tmp_path / "run"
+    both = ["--set=power.server.current=1.15", "--set=power.embedded.current=0.08"]
+    # run still writes a record per label, each from the run's own time
+    assert main(["run", "--out", str(run)] + _tiny_args(both)) == 0
+    doc = _read_kv(run / "energy.kv")
+    wall = _read_kv(run / "metrics.kv")["metrics.wall_seconds"]
+    assert doc["energy.server.wall_seconds"] == doc["energy.embedded.wall_seconds"] == wall
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", "--out", str(rep), "--metrics", str(run / "metrics.kv")]
+                + both) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert "power.server.wall_seconds and power.embedded.wall_seconds are both 0" in err[0]
+    assert not rep.exists()
+
+
+def test_comparison_prints_a_sub_second_run_with_four_digits(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["run", "--out", str(run)] + _tiny_args()) == 0
+    wall = float(_read_kv(run / "metrics.kv")["metrics.wall_seconds"])
+    assert wall < 1.0
+    rep = tmp_path / "rep"
+    assert main(["report", "--out", str(rep), "--metrics", str(run / "metrics.kv"),
+                 "--set=power.server.current=1.15", "--set=power.embedded.current=0.08",
+                 "--set=power.embedded.wall_seconds=30.0"]) == 0
+    rows = (rep / "comparison.txt").read_text().splitlines()
+    assert rows[2].split()[-5:-3] == [f"{253.0 * wall:.4g}", "J"]
+    assert rows[3].split()[-5:] == ["253", "W", "17.6", "W", "14.37x"]
+    assert rows[4].split()[-5:-1] == [f"{wall:.4g}", "s", "30", "s"]
+    assert rows[4].split()[-4] != "0.0"
 
 
 def test_report_single_record_no_ratios(tmp_path):

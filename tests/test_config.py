@@ -5,7 +5,14 @@ import hashlib
 
 import pytest
 
-from spikebench import AdaptiveLifParams, ConfigError, GridSpec, StdpParams, StimulusSpec
+from spikebench import (
+    AdaptiveLifParams,
+    ConfigError,
+    GridSpec,
+    PlatformRecord,
+    StdpParams,
+    StimulusSpec,
+)
 from spikebench.config import (
     SCHEMA,
     RunConfig,
@@ -141,10 +148,60 @@ def test_power_records():
     })
     assert cfg.power_labels() == ["server"]
     record = cfg.power_record("server")
-    assert record.measurement.voltage == 220.0
-    assert record.measurement.current == 1.15
+    assert record.voltage == 220.0
+    assert record.current == 1.15
     assert record.wall_seconds == 9.1
-    assert record.synaptic_events == 235_000_000
+    assert record.events == 235_000_000
+    assert cfg.power_record("embedded") is None
+
+
+# the parent revision's emit_config text of the power sections below
+POWER_TEXT = """\
+power.server.voltage = 230.0
+power.server.current = 1.15
+power.server.current_error = 0.01
+power.server.wall_seconds = 9.1
+power.server.events = 235000000
+power.server.baseline_w = 53.0
+power.embedded.voltage = 220.0
+power.embedded.current = 0.08
+power.embedded.current_error = 0.005
+power.embedded.wall_seconds = 30.0
+power.embedded.events = 7
+power.embedded.baseline_w = 1.5
+"""
+
+
+def test_power_sections_are_the_platform_record():
+    records = {"server": PlatformRecord(voltage=230.0, current=1.15, current_error=0.01,
+                                        wall_seconds=9.1, events=235_000_000, baseline_w=53.0),
+               "embedded": PlatformRecord(current=0.08, wall_seconds=30.0, events=7,
+                                          baseline_w=1.5)}
+    cfg = RunConfig().with_values(**{f"power.{label}.{f.name}": getattr(record, f.name)
+                                     for label, record in records.items()
+                                     for f in dataclasses.fields(record)})
+    assert cfg.validate() == []
+    assert {label: cfg.power_record(label) for label in records} == records
+    text = emit_config(cfg)
+    # same keys, order, types and values as before; the rest of the text
+    # is the default config's
+    assert text.split("\n\n")[-1].splitlines() == POWER_TEXT.splitlines()
+    assert text.split("\n\n")[:-1] == emit_config(RunConfig()).split("\n\n")[:-1]
+    assert parse_config_text(text).values == cfg.values
+
+
+def test_every_power_key_is_checked_with_or_without_a_current():
+    # a record with no current is absent from the report, but a stray key
+    # is still refused, one diagnostic each, prefixed by its section
+    cfg = RunConfig().with_values(**{"power.embedded.voltage": -5.0,
+                                     "power.server.current_error": -1.0})
+    assert cfg.power_labels() == []
+    assert cfg.validate() == ["power.server: current_error must be >= 0, got -1.0",
+                              "power.embedded: voltage must be > 0, got -5.0"]
+    cfg = RunConfig().with_values(**{"power.server.current": 1.0,
+                                     "power.server.baseline_w": 1000.0})
+    assert cfg.validate() == [
+        "power.server: baseline_w must lie in [0, voltage * current = 220.0 W], got 1000.0"]
 
 
 def test_typed_views_construct_domain_objects():
@@ -168,7 +225,8 @@ def test_parse_config_file(tmp_path):
 
 
 SECTIONS = {"grid": GridSpec, "model.lif": AdaptiveLifParams,
-            "stimulus": StimulusSpec, "stdp": StdpParams}
+            "stimulus": StimulusSpec, "stdp": StdpParams,
+            "power.server": PlatformRecord, "power.embedded": PlatformRecord}
 
 
 def test_each_dataclass_field_is_one_schema_key():
@@ -178,8 +236,8 @@ def test_each_dataclass_field_is_one_schema_key():
             key = f"{section}.{f.name}".replace("grid.grid_", "grid.")
             assert SCHEMA[key] == (f.type, f.default)
             declared.add(key)
-    assert {k for k in SCHEMA if k.startswith(("grid.", "model.lif.", "stimulus.", "stdp."))} \
-        == declared
+    assert {k for k in SCHEMA
+            if k.startswith(("grid.", "model.lif.", "stimulus.", "stdp.", "power."))} == declared
 
 
 def test_schema_types_are_plain_types():

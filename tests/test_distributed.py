@@ -767,10 +767,25 @@ def test_cluster_file_parsing(tmp_path):
 def test_check_run_args_rejects_each_cluster_rank_that_does_not_exist():
     cluster = {r: ("127.0.0.1", 5000 + abs(r)) for r in (0, 1, 7, -3)}
     with pytest.raises(ConfigError) as exc_info:
-        check_run_args(2, "tcp", 0, cluster)
+        check_run_args(2, 0, cluster)
     assert exc_info.value.problems == ["cluster rank -3 outside [0, 2)",
                                        "cluster rank 7 outside [0, 2)"]
-    check_run_args(2, "tcp", 0, {0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
+    check_run_args(2, 0, {0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
+
+
+def test_library_run_refuses_no_rank_and_an_unknown_transport_where_they_are_used():
+    # partition owns the rank count and loopback_links the transport, so
+    # no rule has a second copy in the driver's argument check
+    net = _net()
+    with pytest.raises(InfeasiblePartitionError, match="at least one rank, got 0"):
+        run_simulation(net, seconds=0.01, stim=_stim(), n_ranks=0)
+    _, parts = partition(net, 2)
+    with pytest.raises(ConfigError) as exc_info:
+        loopback_links(parts, 5.0, "carrier-pigeon")
+    assert exc_info.value.problems == [
+        "unknown transport 'carrier-pigeon'; expected one of ('memory', 'tcp')"]
+    with pytest.raises(ConfigError):
+        run_simulation(net, seconds=0.01, stim=_stim(), n_ranks=2, transport="carrier-pigeon")
 
 
 # ------------------------------------------------------------ TCP links

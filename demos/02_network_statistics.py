@@ -26,7 +26,7 @@ net = build_network(spec, dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
 stats = network_stats(net)
 print(format_network_stats(stats))
 
-equivalent = count_equivalent_synapses(net, cfg["stimulus.ext_synapses_per_neuron"])
+equivalent = count_equivalent_synapses(net, cfg.stimulus())
 print(f"equivalent synapses (internal + external): {equivalent:,} "
       f"(internal {net.total_synapses:,} + 10000 x 594 external)")
 

@@ -29,8 +29,6 @@ from .errors import (
     ContractViolationError,
     ExchangeError,
     FrameCorruptionError,
-    InfeasiblePartitionError,
-    InfeasibleSpecError,
     NumericalDivergenceError,
     ProtocolViolationError,
     SpikebenchError,

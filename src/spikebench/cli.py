@@ -4,8 +4,8 @@ Subcommands:
 
 * ``run``        execute a benchmark run, write raster + metrics (+ energy
                  report when power inputs are configured)
-* ``calibrate``  find the excitatory weight scale hitting the target rate
-                 and write a derived config
+* ``calibrate``  find the excitatory weight ``grid.w_exc`` hitting the
+                 target rate and write a derived config
 * ``report``     turn measured electrical inputs into the energy report
                  and, with two platform records, the comparison table
 
@@ -20,6 +20,7 @@ listed in FILE (`rank host:port` lines), and writes rank-local artifacts.
 
 import argparse
 import dataclasses
+import math
 import os
 import platform
 import resource
@@ -49,10 +50,9 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _load_config(args, check=lambda cfg: None) -> RunConfig:
-    """The config the arguments name, validated in one pass: ``check(cfg)``
-    may raise a ConfigError of the command's own, whose problems join
-    ``RunConfig.validate``'s."""
+def _load_config(args, own, **placed) -> RunConfig:
+    """The config the arguments name, refused with every problem of
+    ``RunConfig.validate(**placed)`` and of the command's ``own(cfg)``."""
     if args.config:
         if os.path.exists(args.config):
             cfg = parse_config(args.config)
@@ -67,11 +67,7 @@ def _load_config(args, check=lambda cfg: None) -> RunConfig:
         cfg = cfg.with_values(**{"run.ranks": args.ranks})
     if getattr(args, "transport", None) is not None:
         cfg = cfg.with_values(**{"run.transport": args.transport})
-    problems = cfg.validate()
-    try:
-        check(cfg)
-    except ConfigError as err:
-        problems += err.problems
+    problems = cfg.validate(**placed) + own(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -169,26 +165,26 @@ def _cpu_seconds(who) -> float:
 
 def cmd_run(args) -> int:
     children_s = _cpu_seconds(resource.RUSAGE_CHILDREN)
-    cluster = distributed.parse_cluster_file(args.cluster) if args.cluster else None
-    cfg = _load_config(
-        args, lambda cfg: distributed.check_run_args(cfg["run.ranks"], args.rank, cluster))
+    cluster, bad_lines = None, []
+    if args.cluster:
+        try:
+            cluster = distributed.parse_cluster_file(args.cluster)
+        except ConfigError as err:  # the lines' own diagnostics; --rank is
+            bad_lines = err.problems  # checked against the cluster once it reads
+    placed = {} if bad_lines else {"rank": args.rank, "cluster": cluster}
+    cfg = _load_config(args, lambda cfg: bad_lines, **placed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    spec = cfg.grid_spec()
     build_ns = time.perf_counter_ns()
-    net = network_mod.build_network(spec, dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
+    net = network_mod.build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"],
+                                    model=cfg["model.kind"])
     build_ns = time.perf_counter_ns() - build_ns
-    stim = cfg.stimulus()
-    lif = cfg.lif_params()
-    stdp = cfg.stdp_params()
-    equivalent = network_mod.count_equivalent_synapses(
-        net, cfg["stimulus.ext_synapses_per_neuron"]
-    )
+    equivalent = network_mod.count_equivalent_synapses(net, cfg.stimulus())
 
     metrics, (steps, gids), per_rank, parts = distributed.run_simulation(
-        net, seconds=cfg["run.simulated_seconds"], stim=stim,
+        net, seconds=cfg["run.simulated_seconds"], stim=cfg.stimulus(),
         n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],
-        lif_params=lif, stdp_params=stdp, w_exc_scale=cfg["run.w_exc_scale"],
+        lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params(),
         timeout=cfg["run.timeout_seconds"], rank=args.rank, cluster=cluster,
     )
     metrics.setup_seconds["build"] = build_ns / 1e9
@@ -225,62 +221,72 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _calibrate_problems(args, cfg: RunConfig) -> list:
+    """The calibrate flags' problems, one diagnostic per flag."""
+    dt_ms = cfg["run.dt_ms"]  # build_network refuses a dt at or below 0
+    probe = dt_ms <= 0 or (args.probe_seconds < math.inf
+                           and engine_mod.step_count(args.probe_seconds, dt_ms) >= 1)
+    return [f"{flag}: must be {rule}, got {value}" for flag, value, ok, rule in (
+        ("--target-hz", args.target_hz, 0 < args.target_hz < math.inf, "finite and > 0"),
+        ("--band-hz", args.band_hz, 0 < args.band_hz < math.inf, "finite and > 0"),
+        ("--warmup-seconds", args.warmup_seconds, 0 <= args.warmup_seconds < math.inf,
+         "finite and >= 0"),
+        ("--probe-seconds", args.probe_seconds, probe,
+         f"finite and at least one step of run.dt_ms = {dt_ms} ms"),
+    ) if not ok]
+
+
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, lambda cfg: _calibrate_problems(args, cfg))
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    spec = cfg.grid_spec()
-    net = network_mod.build_network(spec, dt_ms=cfg["run.dt_ms"], model=cfg["model.kind"])
-    stim = cfg.stimulus()
-    lif = cfg.lif_params()
-    stdp = cfg.stdp_params()
-
-    dt_ms = cfg["run.dt_ms"]
+    net = network_mod.build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"],
+                                    model=cfg["model.kind"])
+    stim, lif, stdp = cfg.stimulus(), cfg.lif_params(), cfg.stdp_params()
+    dt_ms, w_exc = cfg["run.dt_ms"], cfg["grid.w_exc"]
     warmup_steps = engine_mod.step_count(args.warmup_seconds, dt_ms)
     probe_steps = engine_mod.step_count(args.probe_seconds, dt_ms)
 
     def probe(scale: float) -> float:
-        # rate is read over the post-warmup window so the adaptation
-        # transient does not bias the estimate of the long-run rate
+        # the one table at each probe's weight (the build never reads it);
+        # the rate after the warmup is unbiased by the adaptation transient
+        scaled = dataclasses.replace(net, spec=dataclasses.replace(net.spec, w_exc=w_exc * scale))
         _, (steps, _), _, _ = distributed.run_simulation(
-            net, seconds=args.warmup_seconds + args.probe_seconds, stim=stim,
-            n_ranks=1, lif_params=lif, stdp_params=stdp, w_exc_scale=scale,
+            scaled, seconds=args.warmup_seconds + args.probe_seconds, stim=stim,
+            n_ranks=1, lif_params=lif, stdp_params=stdp,
         )
         return engine_mod.rate_in_window(
             steps, net.n_neurons, dt_ms, warmup_steps, warmup_steps + probe_steps
         )
 
     scale, achieved = engine_mod.calibrate_rate(
-        probe, target_hz=args.target_hz, band_hz=args.band_hz,
-        initial_scale=cfg["run.w_exc_scale"],
-    )
-    derived = cfg.with_values(**{"run.w_exc_scale": scale})
+        probe, target_hz=args.target_hz, band_hz=args.band_hz)
+    derived = cfg.with_values(**{"grid.w_exc": w_exc * scale})
     out_path = os.path.join(out_dir, "calibrated.cfg")
     with open(out_path, "w") as fh:
         fh.write(emit_config(derived))
-    print(f"calibrated w_exc scale {scale!r} (probe rate {achieved:.3f} Hz)")
+    print(f"calibrated grid.w_exc {derived['grid.w_exc']!r}, {scale!r} x {w_exc!r} "
+          f"(probe rate {achieved:.3f} Hz)")
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
-def _check_report(cfg: RunConfig) -> None:
+def _report_problems(cfg: RunConfig) -> list:
     """Refuse a report of no record, and a comparison whose two records
     would both take the one run's loop time: its time ratio would be 1 by
     construction, and its energy ratio only the power ratio."""
-    labels = cfg.power_labels()
-    if not labels:
-        raise ConfigError(
-            ["no power records configured; set power.<label>.current (labels: server, embedded)"]
-        )
-    keys = [f"power.{label}.wall_seconds" for label in labels]
+    keys = [f"power.{label}.wall_seconds" for label in cfg.power_labels()]
+    if not keys:
+        return ["no power records configured; set power.<label>.current (labels: server, embedded)"]
     if len(keys) == 2 and not any(cfg[key] for key in keys):
-        raise ConfigError([f"{keys[0]} and {keys[1]} are both 0, so both platforms would take "
-                           "the one run's loop time and the table would compare that run with "
-                           "itself; set at least one of them"])
+        return [f"{keys[0]} and {keys[1]} are both 0, so both platforms would take the one "
+                "run's loop time and the table would compare that run with itself; set at "
+                "least one of them"]
+    return []
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args, _check_report)
+    cfg = _load_config(args, _report_problems)
     out_dir = args.out
     measured = None
     if args.metrics:
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transport for single-host multi-rank runs")
     p_run.set_defaults(func=cmd_run)
 
-    p_cal = sub.add_parser("calibrate", help="calibrate the excitatory weight scale")
+    p_cal = sub.add_parser("calibrate", help="calibrate the excitatory weight grid.w_exc")
     common(p_cal)
     p_cal.add_argument("--target-hz", type=float, default=5.1)
     p_cal.add_argument("--band-hz", type=float, default=1.5)

@@ -1,11 +1,12 @@
 """Run configuration: flat `key = value` text with dotted section names.
 
 Every key has a schema entry (type + default); parsing collects one
-diagnostic per offending line or field instead of stopping at the first.
-The ``grid``, ``model.lif``, ``stimulus``, ``stdp`` and ``power.<label>``
-keys are the fields of the dataclasses built from them, which declare
-their types and defaults and check their values.  Emit-then-parse of any
-valid configuration is the identity (floats are written with repr, which
+diagnostic per offending line or field instead of stopping at the first,
+and refuses a float that is not finite for every key.  The ``grid``,
+``model.lif``, ``stimulus``, ``stdp`` and ``power.<label>`` keys are the
+fields of the dataclasses built from them, which declare their types and
+defaults and check their values.  Emit-then-parse of any valid
+configuration is the identity (floats are written with repr, which
 round-trips exactly).
 
 Each platform's power record (for the energy report) is the
@@ -13,16 +14,18 @@ Each platform's power record (for the energy report) is the
 present when its current is positive.
 """
 
+import functools
 import importlib.resources
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .energy import PlatformRecord
 from .errors import ConfigError
-from .distributed import TRANSPORTS
-from .network import GridSpec, MODEL_KINDS
+from .distributed import check_run_args
+from .network import GridSpec, check_build_args
 from .neurons import AdaptiveLifParams
-from .engine import StimulusSpec, step_count
+from .engine import StimulusSpec
 from .plasticity import StdpParams
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config",
@@ -62,7 +65,6 @@ SCHEMA: Dict[str, Tuple[type, object]] = {
     "run.simulated_seconds": (float, 3.0),
     "run.ranks": (int, 1),
     "run.transport": (str, "memory"),
-    "run.w_exc_scale": (float, 1.0),
     "run.raster_format": (str, "csv"),
     "run.timeout_seconds": (float, 30.0),
     **_declared("power.server"),
@@ -79,7 +81,10 @@ def _parse_value(kind: type, raw: str):
         if lowered in ("true", "false"):
             return lowered == "true"
         raise ValueError(f"expected true/false, got {raw!r}")
-    return kind(raw)
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _format_value(kind: type, value) -> str:
@@ -163,46 +168,31 @@ class RunConfig:
         return [lab for lab in _POWER_LABELS if self.values[f"power.{lab}.current"] > 0]
 
     # validation --------------------------------------------------------
-    def validate(self) -> List[str]:
+    def validate(self, rank: Optional[int] = None,
+                 cluster: Optional[Dict[int, Tuple[str, int]]] = None) -> List[str]:
+        """Every problem of this config as a run's inputs (of ``rank`` of
+        ``cluster``, if given), one diagnostic each, from each rule's one
+        owner: the section dataclasses, then ``check_build_args`` (the
+        grid's rules once the grid is valid) and ``check_run_args``."""
         problems: List[str] = []
-        v = self.values
-        for section in _SECTIONS:
-            try:  # each section's dataclass checks itself on construction
-                self._section(section)
+
+        def check(owner, prefix=""):
+            try:
+                return owner()
             except ConfigError as err:
-                problems.extend(f"{section}: {p}" for p in err.problems)
-        if v["model.kind"] not in MODEL_KINDS:
-            problems.append(
-                f"model.kind: unknown model {v['model.kind']!r}; expected one of {MODEL_KINDS}"
-            )
-        if v["run.dt_ms"] <= 0:
-            problems.append(f"run.dt_ms: must be > 0, got {v['run.dt_ms']}")
-        if v["run.simulated_seconds"] <= 0:
-            problems.append(
-                f"run.simulated_seconds: must be > 0, got {v['run.simulated_seconds']}"
-            )
-        elif v["run.dt_ms"] > 0 and step_count(v["run.simulated_seconds"], v["run.dt_ms"]) < 1:
-            problems.append(f"run.simulated_seconds: {v['run.simulated_seconds']} s rounds to "
-                            f"0 steps of run.dt_ms = {v['run.dt_ms']} ms")
-        n_columns = v["grid.x"] * v["grid.y"]
-        if v["run.ranks"] < 1:
-            problems.append(f"run.ranks: must be >= 1, got {v['run.ranks']}")
-        elif 1 <= n_columns < v["run.ranks"]:
-            problems.append(f"run.ranks: {v['run.ranks']} ranks exceed the grid's "
-                            f"{n_columns} columns")
-        if v["run.transport"] not in TRANSPORTS:
-            problems.append(f"run.transport: expected one of {TRANSPORTS}, "
-                            f"got {v['run.transport']!r}")
+                problems.extend(prefix + p for p in err.problems)
+
+        built = {section: check(functools.partial(self._section, section), f"{section}: ")
+                 for section in _SECTIONS}
+        spec, v = built["grid"], self.values
+        check(lambda: check_build_args(spec, v["run.dt_ms"], v["model.kind"]))
+        check(lambda: check_run_args(
+            n_columns=spec and spec.n_columns, dt_ms=v["run.dt_ms"], n_ranks=v["run.ranks"],
+            seconds=v["run.simulated_seconds"], transport=v["run.transport"],
+            timeout=v["run.timeout_seconds"], rank=rank, cluster=cluster))
         if v["run.raster_format"] not in ("csv", "binary"):
-            problems.append(
-                f"run.raster_format: expected csv or binary, got {v['run.raster_format']!r}"
-            )
-        if v["run.w_exc_scale"] < 0:
-            problems.append(f"run.w_exc_scale: must be >= 0, got {v['run.w_exc_scale']}")
-        if v["run.timeout_seconds"] <= 0:
-            problems.append(
-                f"run.timeout_seconds: must be > 0, got {v['run.timeout_seconds']}"
-            )
+            problems.append(f"run.raster_format: expected csv or binary, "
+                            f"got {v['run.raster_format']!r}")
         return problems
 
     def require_valid(self) -> "RunConfig":

@@ -44,13 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .engine import Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks, step_count
-from .errors import (
-    ConfigError,
-    ExchangeError,
-    FrameCorruptionError,
-    InfeasiblePartitionError,
-    ProtocolViolationError,
-)
+from .errors import ConfigError, ExchangeError, FrameCorruptionError, ProtocolViolationError
 from .neurons import AdaptiveLifParams
 from .network import Network
 from .plasticity import StdpParams, StdpState
@@ -108,7 +102,7 @@ class RankPartition:
     source_excitatory: np.ndarray     # bool per global neuron
     in_offsets: np.ndarray            # int64, n_global + 1
     in_words: np.ndarray              # int32, delay * n_local + local target
-    source_weights: np.ndarray        # float64 per global neuron, scaled
+    source_weights: np.ndarray        # float64 per global neuron
     in_weights: Optional[np.ndarray] = None  # float64 per plastic synapse, STDP only
     out_peers: List[int] = field(default_factory=list)
     in_peers: List[int] = field(default_factory=list)
@@ -153,7 +147,7 @@ def _owner(gids: np.ndarray, neurons_per_column: int, n_ranks: int) -> np.ndarra
     return (gids // neurons_per_column) % n_ranks
 
 
-def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0,
+def partition(net: Network, n_ranks: int,
               rank: Optional[int] = None) -> Tuple[np.ndarray, List[RankPartition]]:
     """Split the network over ``n_ranks`` ranks -> (column_to_rank, parts).
 
@@ -161,7 +155,6 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0,
     union of the per-rank incoming tables is exactly the full synapse
     multiset, and every per-rank structure depends only on (network,
     n_ranks), never on construction order or on which ranks are built.
-    ``w_exc_scale`` multiplies excitatory weights (the calibration knob).
 
     At one rank the network's own ``offsets`` and ``words`` are the
     table, shared without a copy.  Otherwise each built rank's
@@ -171,19 +164,13 @@ def partition(net: Network, n_ranks: int, w_exc_scale: float = 1.0,
     network's synapse count.  The pass also records which ranks each
     source has synapses on, for the built ranks' peer lists.
     """
-    spec = net.spec
-    if n_ranks < 1:
-        raise InfeasiblePartitionError(f"need at least one rank, got {n_ranks}")
-    if n_ranks > spec.n_columns:
-        raise InfeasiblePartitionError(
-            f"{n_ranks} ranks exceed the {spec.n_columns} available columns"
-        )
-    n, npc = net.n_neurons, spec.neurons_per_column
+    check_run_args(n_columns=net.spec.n_columns, n_ranks=n_ranks)
+    n, npc = net.n_neurons, net.spec.neurons_per_column
     gids = np.arange(n, dtype=np.int64)
     neuron_rank = _owner(gids, npc, n_ranks).astype(np.int32)
     column_to_rank = neuron_rank[::npc].copy()
     exc = np.asarray(net.is_excitatory(gids))
-    source_weights = net.source_weights(w_exc_scale)
+    source_weights = net.source_weights()
     built = range(n_ranks) if rank is None else [rank]
     local_gids = [np.flatnonzero(neuron_rank == r) for r in range(n_ranks)]
     offsets, net_words = net.offsets, net.words
@@ -391,8 +378,7 @@ def loopback_links(parts: List[RankPartition], timeout: float, transport: str
     connect then accept, so the owner of each socket is known without a
     hello.  If a link fails, every socket made so far is closed.
     """
-    if transport not in TRANSPORTS:
-        raise ConfigError([f"unknown transport {transport!r}; expected one of {TRANSPORTS}"])
+    check_run_args(transport=transport)
     links = {part.rank: {} for part in parts}
     server = (socket.create_server(("127.0.0.1", 0)) if transport == "tcp"
               else contextlib.nullcontext())
@@ -577,15 +563,31 @@ def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
         engine.advance()
 
 
-def check_run_args(n_ranks: int, rank: Optional[int] = None,
+def check_run_args(*, n_columns: Optional[int] = None, dt_ms: float = 1.0,
+                   seconds: Optional[float] = None, n_ranks: int = 1, transport: str = "memory",
+                   timeout: float = 30.0, rank: Optional[int] = None,
                    cluster: Optional[Dict[int, Tuple[str, int]]] = None) -> None:
-    """Reject bad rank and cluster arguments, one diagnostic each, before
-    any work.  (``partition`` refuses fewer than one rank.)
-
-    ``rank`` and ``cluster`` go together: a cluster names every rank's
-    address, and ``rank`` says which of them runs here.
+    """Refuse ``run_simulation``'s arguments before any work: one
+    ConfigError listing every rule they break, each naming its config key
+    or CLI flag.  ``seconds`` and ``n_columns`` (the grid's) are checked
+    when given, the run's length only at a ``dt_ms`` above 0 (the build
+    refuses any other).  ``rank`` and ``cluster`` go together: a cluster
+    names every rank's address, and ``rank`` says which of them runs here.
     """
     problems = []
+    if seconds is not None and not seconds > 0:
+        problems.append(f"run.simulated_seconds: must be > 0, got {seconds}")
+    elif seconds is not None and dt_ms > 0 and step_count(seconds, dt_ms) < 1:
+        problems.append(f"run.simulated_seconds: {seconds} s rounds to 0 steps of "
+                        f"run.dt_ms = {dt_ms} ms")
+    if n_ranks < 1:
+        problems.append(f"run.ranks: must be >= 1, got {n_ranks}")
+    elif n_columns is not None and n_ranks > n_columns:
+        problems.append(f"run.ranks: {n_ranks} ranks exceed the grid's {n_columns} columns")
+    if transport not in TRANSPORTS:
+        problems.append(f"run.transport: expected one of {TRANSPORTS}, got {transport!r}")
+    if not timeout > 0:
+        problems.append(f"run.timeout_seconds: must be > 0, got {timeout}")
     if rank is not None and cluster is None:
         problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")
     if cluster is not None and rank is None:
@@ -605,8 +607,7 @@ def check_run_args(n_ranks: int, rank: Optional[int] = None,
 def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
                    n_ranks: int = 1, transport: str = "memory",
                    lif_params: Optional[AdaptiveLifParams] = None,
-                   stdp_params: Optional[StdpParams] = None,
-                   w_exc_scale: float = 1.0, timeout: float = 30.0,
+                   stdp_params: Optional[StdpParams] = None, timeout: float = 30.0,
                    rank: Optional[int] = None,
                    cluster: Optional[Dict[int, Tuple[str, int]]] = None):
     """Run the benchmark with ``n_ranks`` ranks, each a thread of this process.
@@ -621,12 +622,12 @@ def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,
     the ranks run here), merged by ``merge_ranks``; the run's metrics also
     time the partition, the STDP states and the links.
     """
+    check_run_args(n_columns=net.spec.n_columns, dt_ms=net.dt_ms, seconds=seconds,
+                   n_ranks=n_ranks, transport=transport, timeout=timeout, rank=rank,
+                   cluster=cluster)
     n_steps = step_count(seconds, net.dt_ms)
-    if n_steps < 1:
-        raise ConfigError([f"seconds {seconds} rounds to 0 steps of {net.dt_ms} ms"])
-    check_run_args(n_ranks, rank, cluster)
     t0 = time.perf_counter_ns()
-    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale, rank=rank)
+    _, parts = partition(net, n_ranks, rank=rank)
     partition_ns = time.perf_counter_ns() - t0
     plastic = stdp_params is not None and stdp_params.enabled
     t0 = time.perf_counter_ns()

@@ -105,8 +105,7 @@ class StimulusSpec:
             )
         if self.ext_rate_hz < 0:
             problems.append(f"ext_rate_hz must be >= 0, got {self.ext_rate_hz}")
-        if not 0 <= self.seed < 2**64:
-            problems.append(f"seed must fit in 64 bits, got {self.seed}")
+        problems += rng.seed_problems(self.seed)
         if problems:
             raise ConfigError(problems)
 
@@ -124,8 +123,6 @@ class DelayRing:
     """
 
     def __init__(self, n_slots: int, n_local: int):
-        if n_slots < 2:
-            raise ConfigError([f"ring needs at least 2 slots, got {n_slots}"])
         self.n_slots = n_slots
         self.n_local = n_local
         self.buf = np.zeros((n_slots, n_local), dtype=np.float64)
@@ -285,8 +282,6 @@ class Engine:
     def __init__(self, part, stim: StimulusSpec, dt_ms: float = 1.0,
                  lif_params: Optional[AdaptiveLifParams] = None,
                  stdp=None, *, n_steps: int):
-        if dt_ms <= 0:
-            raise ConfigError([f"dt_ms must be > 0, got {dt_ms}"])
         self.part = part
         self.stim = stim
         self.dt_ms = dt_ms
@@ -318,13 +313,11 @@ class Engine:
             self.v = self._c.copy()
             self.w = self._b * self.v
             self.refr = None
-        elif self.model == "adaptive_lif":
+        else:  # adaptive_lif: build_network refuses any other model
             self.lif = lif_params if lif_params is not None else AdaptiveLifParams()
             self.v = np.full(self.n_local, self.lif.v_rest, dtype=np.float64)
             self.w = np.zeros(self.n_local, dtype=np.float64)
             self.refr = np.zeros(self.n_local, dtype=np.float64)
-        else:
-            raise ConfigError([f"unknown model {self.model!r}"])
 
         self.total_spikes = 0
         self.internal_events = 0

@@ -18,14 +18,6 @@ class ConfigError(SpikebenchError):
         super().__init__("; ".join(self.problems))
 
 
-class InfeasibleSpecError(SpikebenchError):
-    """Network spec cannot be realized (e.g. required p0 > 1)."""
-
-
-class InfeasiblePartitionError(SpikebenchError):
-    """More ranks requested than columns available."""
-
-
 class NumericalDivergenceError(SpikebenchError):
     """A neuron state became non-finite during integration."""
 

@@ -27,14 +27,15 @@ from typing import Optional
 import numpy as np
 
 from . import forked, rng
-from .engine import ms_steps
-from .errors import ConfigError, InfeasibleSpecError
+from .engine import StimulusSpec, ms_steps
+from .errors import ConfigError
 
 __all__ = [
     "GridSpec",
     "Network",
     "connection_probability",
     "normalize_fanout",
+    "check_build_args",
     "build_network",
     "count_equivalent_synapses",
     "network_stats",
@@ -95,8 +96,7 @@ class GridSpec:
             )
         if self.w_exc < 0 or self.w_inh < 0:
             problems.append("w_exc and w_inh are magnitudes and must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            problems.append(f"seed must fit in 64 bits, got {self.seed}")
+        problems += rng.seed_problems(self.seed)
         if problems:
             raise ConfigError(problems)
 
@@ -155,11 +155,11 @@ class Network:
         """Vector-friendly excitatory test by id."""
         return (np.asarray(gid) % self.spec.neurons_per_column) < self.spec.n_exc_per_column
 
-    def source_weights(self, w_exc_scale: float = 1.0) -> np.ndarray:
+    def source_weights(self) -> np.ndarray:
         """The weight of every synapse of each source, one float64 per
-        source: ``w_exc * w_exc_scale`` if it is excitatory, else ``-w_inh``."""
+        source: ``w_exc`` if it is excitatory, else ``-w_inh``; the build reads neither."""
         exc = self.is_excitatory(np.arange(self.n_neurons))
-        return np.where(exc, float(self.spec.w_exc) * w_exc_scale, -float(self.spec.w_inh))
+        return np.where(exc, float(self.spec.w_exc), -float(self.spec.w_inh))
 
 
 def _connection_kernel(spec: GridSpec):
@@ -178,13 +178,12 @@ def _connection_kernel(spec: GridSpec):
     np.fill_diagonal(eligible, npc - 1)
     mean_reach = float((kernel * eligible).sum(axis=1).mean())
     if mean_reach <= 0.0:
-        raise InfeasibleSpecError("network has no eligible targets")
+        raise ConfigError([f"grid.target_fanout: {spec.target_fanout} cannot be met: "
+                           "no neuron has an eligible target"])
     p0 = spec.target_fanout / mean_reach
     if p0 > 1.0:
-        raise InfeasibleSpecError(
-            f"target_fanout {spec.target_fanout} needs p0 = {p0:.4f} > 1; "
-            "grid too small for the requested fanout"
-        )
+        raise ConfigError([f"grid.target_fanout: {spec.target_fanout} needs p0 = {p0:.4f} > 1; "
+                           "grid too small for the requested fanout"])
     return p0, p0 * kernel, eligible
 
 
@@ -196,7 +195,7 @@ def normalize_fanout(spec: GridSpec) -> float:
     p0 * sum_c' exp(-d(c,c')/lambda) * n_eligible(c,c'), with the source
     itself excluded from its own column's eligible pool.  p0 is fixed so
     the mean over source columns hits the target; a required p0 > 1 means
-    the grid is too small for the requested fanout.
+    the grid is too small for the requested fanout (a ConfigError).
     """
     return _connection_kernel(spec)[0]
 
@@ -320,41 +319,54 @@ def _write_columns(build, lo: int, hi: int, capacity: int, out) -> None:
     out.write(words[:filled])
 
 
-def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif") -> Network:
-    """Build the full network deterministically from spec.seed.
-
-    Every source's synapse list is a pure function of (seed, source id,
-    spec), so the result does not depend on build order or partitioning.
-    The columns are split into contiguous ranges of about equal expected
-    synapse count, one per CPU.  This process forks a worker for every
-    range but the first, builds the first straight into one table
-    allocated before its first draw, and then reads each worker's words
-    from a pipe into the table after it.
-    """
-    n, problems = spec.n_neurons, []
+def check_build_args(spec: Optional[GridSpec], dt_ms: float = 1.0,
+                     model: str = "adaptive_lif"):
+    """Refuse what ``build_network`` cannot build, one diagnostic per broken
+    rule naming its config key -> the spec's connection kernel (not computed
+    for a ring beyond int32 words; a spec of None checks model and dt_ms)."""
+    problems = []
     if model not in MODEL_KINDS:
-        problems.append(f"unknown model {model!r}; expected one of {MODEL_KINDS}")
+        problems.append(f"model.kind: unknown model {model!r}; expected one of {MODEL_KINDS}")
     if dt_ms <= 0:
-        problems.append(f"dt_ms must be > 0, got {dt_ms}")
-    else:
-        delay_lo = ms_steps(spec.delay_min_ms, dt_ms)
-        delay_hi = ms_steps(spec.delay_max_ms, dt_ms)
+        problems.append(f"run.dt_ms: must be > 0, got {dt_ms}")
+    elif spec is not None:
+        n, delay_hi = spec.n_neurons, ms_steps(spec.delay_max_ms, dt_ms)
         if spec.delay_min_ms < dt_ms:  # no delay can be shorter than a step
-            problems.append(
-                f"delay_min_ms ({spec.delay_min_ms}) must be at least one step of dt ({dt_ms})")
+            problems.append(f"grid.delay_min_ms ({spec.delay_min_ms}) must be at least one "
+                            f"step of run.dt_ms ({dt_ms})")
         if delay_hi >= 2**15:
-            problems.append(f"delay_max_ms/dt ({delay_hi}) exceeds the int16 delay range")
+            problems.append(f"grid.delay_max_ms / run.dt_ms ({delay_hi}) exceeds the int16 range")
         # every word delay * n + target is below (delay_hi + 1) * n, the cells
         # of a 1-rank delay ring; a rank of a larger run holds fewer neurons
         if (delay_hi + 1) * n >= 2**31:
             problems.append(f"{delay_hi + 1} ring slots x {n} neurons is {(delay_hi + 1) * n} "
                             "synapse words, beyond int32 (2**31); use fewer neurons or a "
-                            "shorter delay_max_ms")
+                            "shorter grid.delay_max_ms")
+            spec = None  # too large for its kernel too
+    try:
+        kernel = None if spec is None else _connection_kernel(spec)
+    except ConfigError as err:
+        problems += err.problems
     if problems:
         raise ConfigError(problems)
+    return kernel
 
-    p0, probs, eligible = _connection_kernel(spec)
-    npc = spec.neurons_per_column
+
+def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif") -> Network:
+    """Build the full network deterministically from spec.seed.
+
+    Every source's synapse list is a pure function of (seed, source id,
+    spec), so the result does not depend on build order or partitioning.
+    ``check_build_args`` checks the arguments first.  The columns are
+    split into contiguous ranges of about equal expected synapse count,
+    one per CPU.  This process forks a worker for every range but the
+    first, builds the first straight into one table allocated before its
+    first draw, and then reads each worker's words from a pipe into the
+    table after it.
+    """
+    p0, probs, eligible = check_build_args(spec, dt_ms, model)
+    n, npc = spec.n_neurons, spec.neurons_per_column
+    delay_lo, delay_hi = ms_steps(spec.delay_min_ms, dt_ms), ms_steps(spec.delay_max_ms, dt_ms)
     n_cols = spec.n_columns
     expected = npc * (probs * eligible).sum(axis=1)  # synapses from each column
     bounds = forked.balanced_ranges(expected, forked.worker_count(expected.sum(), n_cols))
@@ -393,11 +405,9 @@ def build_network(spec: GridSpec, dt_ms: float = 1.0, model: str = "adaptive_lif
                    n_slots=delay_hi + 1, p0=p0)
 
 
-def count_equivalent_synapses(net: Network, ext_per_neuron: int) -> int:
-    """Internal synapses plus the modeled external input synapses."""
-    if ext_per_neuron < 0:
-        raise ConfigError([f"ext_per_neuron must be >= 0, got {ext_per_neuron}"])
-    return net.total_synapses + net.n_neurons * int(ext_per_neuron)
+def count_equivalent_synapses(net: Network, stim: StimulusSpec) -> int:
+    """Internal synapses plus the external input synapses ``stim`` models."""
+    return net.total_synapses + net.n_neurons * int(stim.ext_synapses_per_neuron)
 
 
 def network_stats(net: Network) -> dict:

@@ -156,6 +156,11 @@ def izhikevich_preset(kind: str) -> IzhikevichParams:
         raise ConfigError([f"unknown neuron class {kind!r}; expected RS or FS"]) from None
 
 
+def _check_dt(dt: float) -> None:
+    if not dt > 0:
+        raise ConfigError([f"dt must be > 0, got {dt}"])
+
+
 def step_izhikevich(
     state: NeuronState,
     params: IzhikevichParams,
@@ -168,8 +173,7 @@ def step_izhikevich(
     Returns the new state and whether the neuron spiked this step.
     Raises NumericalDivergenceError if the state becomes non-finite.
     """
-    if not dt > 0:
-        raise ConfigError([f"dt must be > 0, got {dt}"])
+    _check_dt(dt)
     v, u = state.v, state.w
     if v >= params.v_peak:
         new = replace(
@@ -198,8 +202,7 @@ def step_adaptive_lif(
     step: Optional[int] = None,
 ) -> Tuple[NeuronState, bool]:
     """Advance one adaptive LIF neuron by dt milliseconds."""
-    if not dt > 0:
-        raise ConfigError([f"dt must be > 0, got {dt}"])
+    _check_dt(dt)
     v, c, refr = state.v, state.w, state.refr_remaining
     c2 = c - dt * (c / params.tau_c)
     if refr > 0.0:

@@ -35,6 +35,11 @@ _M2 = 0x94D049BB133111EB
 _U53 = 1.0 / 9007199254740992.0
 
 
+def seed_problems(seed: int) -> list:
+    """A seed is one 64-bit word; a wider one would key another's streams."""
+    return [] if 0 <= seed < 2**64 else [f"seed must fit in 64 bits, got {seed}"]
+
+
 def mix64(x: int) -> int:
     """Splitmix64 finalizer over a Python int (mod 2^64)."""
     x &= _MASK

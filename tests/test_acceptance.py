@@ -6,6 +6,7 @@ calibration; the full module budget is dominated by criterion 3's ten
 3-second desk runs.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -54,18 +55,24 @@ def desk_net(desk_cfg):
 
 
 @pytest.fixture(scope="module")
-def desk_scale(tmp_path_factory, desk_cfg):
-    """Excitatory weight scale written by the real `calibrate` subcommand."""
+def desk_w_exc(tmp_path_factory, desk_cfg):
+    """Excitatory weight grid.w_exc written by the real `calibrate` subcommand."""
     out = tmp_path_factory.mktemp("calibration")
     code = main(["calibrate", "--config", "paper-desk", "--out", str(out)])
     assert code == 0
     derived = parse_config(out / "calibrated.cfg")
-    return derived["run.w_exc_scale"]
+    return derived["grid.w_exc"]
 
 
 @pytest.fixture(scope="module")
-def desk_seed_runs(desk_cfg, desk_net, desk_scale):
-    """Ten 3-second desk runs at the calibrated scale, stimulus seeds 0..9."""
+def desk_calibrated_net(desk_net, desk_w_exc):
+    """The desk network at the calibrated weight (the build never reads it)."""
+    return dataclasses.replace(desk_net, spec=dataclasses.replace(desk_net.spec, w_exc=desk_w_exc))
+
+
+@pytest.fixture(scope="module")
+def desk_seed_runs(desk_cfg, desk_calibrated_net):
+    """Ten 3-second desk runs at the calibrated weight, stimulus seeds 0..9."""
     runs = []
     for seed in range(10):
         stim = StimulusSpec(
@@ -75,8 +82,8 @@ def desk_seed_runs(desk_cfg, desk_net, desk_scale):
             seed=seed,
         )
         metrics, _, _, _ = run_simulation(
-            desk_net, seconds=desk_cfg["run.simulated_seconds"], stim=stim,
-            lif_params=desk_cfg.lif_params(), w_exc_scale=desk_scale,
+            desk_calibrated_net, seconds=desk_cfg["run.simulated_seconds"], stim=stim,
+            lif_params=desk_cfg.lif_params(),
         )
         runs.append(metrics)
     return runs
@@ -117,9 +124,7 @@ def test_criterion_1_table_arithmetic_reproduction():
 
 
 def test_criterion_2_equivalent_synapse_count(desk_cfg, desk_net):
-    total = count_equivalent_synapses(
-        desk_net, desk_cfg["stimulus.ext_synapses_per_neuron"]
-    )
+    total = count_equivalent_synapses(desk_net, desk_cfg.stimulus())
     target = 17_890_000
     assert abs(total - target) / target < 0.02
     _pass(2, f"desk build reports {total} equivalent synapses "
@@ -191,16 +196,16 @@ def test_criterion_4_partition_transparency(small_cfg):
              f"per-rank counters sum to P=1 totals {p1_counters}")
 
 
-def test_criterion_5_firing_rate_band(desk_cfg, desk_net, desk_scale):
+def test_criterion_5_firing_rate_band(desk_cfg, desk_net, desk_calibrated_net, desk_w_exc):
     stim = desk_cfg.stimulus()
     metrics, (steps, gids), _, _ = run_simulation(
-        desk_net, seconds=desk_cfg["run.simulated_seconds"], stim=stim,
-        lif_params=desk_cfg.lif_params(), w_exc_scale=desk_scale,
+        desk_calibrated_net, seconds=desk_cfg["run.simulated_seconds"], stim=stim,
+        lif_params=desk_cfg.lif_params(),
     )
     assert 3.6 <= metrics.mean_rate_hz <= 6.6
     # exact event conservation at desk scale: recount from the raster
     assert metrics.internal_synaptic_events == int(desk_net.fanouts[gids].sum())
-    _pass(5, f"calibrated scale {desk_scale!r}: fresh 3 s run at "
+    _pass(5, f"calibrated grid.w_exc {desk_w_exc!r}: fresh 3 s run at "
              f"{metrics.mean_rate_hz:.3f} Hz lies in [3.6, 6.6]; "
              f"internal events equal the raster recount exactly")
 

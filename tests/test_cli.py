@@ -198,6 +198,67 @@ def test_run_reports_config_rank_and_cluster_problems_in_one_pass(tmp_path, monk
     assert not (tmp_path / "o").exists()
 
 
+def _no_build(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built before the run's inputs were checked")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+
+
+def test_run_reports_a_build_rule_beside_a_run_rule_in_one_pass(tmp_path, monkeypatch,
+                                                                capsys):
+    _no_build(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out)] + _tiny_args(
+        ["--set=run.ranks=0", "--set=run.dt_ms=2", "--set=grid.delay_min_ms=1"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: grid.delay_min_ms (1.0) must be at least one step of run.dt_ms (2.0)",
+        "config error: run.ranks: must be >= 1, got 0",
+    ]
+    assert not out.exists()
+
+
+def test_run_refuses_an_infeasible_fanout_as_a_validation_failure(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 190 of the tiny grid's 200 neurons is below the neuron count, so the
+    # grid section accepts it; the build's fanout rule does not
+    _no_build(monkeypatch)
+    assert main(["run", "--out", str(tmp_path / "o")]
+                + _tiny_args(["--set=grid.target_fanout=190", "--ranks", "9"])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("config error: grid.target_fanout: 190.0 needs p0 = ")
+    assert err[0].endswith(" > 1; grid too small for the requested fanout")
+    assert err[1] == "config error: run.ranks: 9 ranks exceed the grid's 8 columns"
+
+
+def test_run_reports_bad_cluster_lines_beside_the_config_problems(tmp_path, monkeypatch,
+                                                                  capsys):
+    _no_build(monkeypatch)
+    cluster = tmp_path / "cluster.txt"
+    cluster.write_text("0 localhost\n1 127.0.0.1:0\n")
+    assert main(["run", "--out", str(tmp_path / "o"), "--rank", "0", "--cluster", str(cluster)]
+                + _tiny_args(["--set=run.ranks=0", "--set=run.timeout_seconds=0"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run.ranks: must be >= 1, got 0",
+        "config error: run.timeout_seconds: must be > 0, got 0.0",
+        f"config error: {cluster}:1: expected 'rank host:port', got '0 localhost'",
+        f"config error: {cluster}:2: port 0 outside [1, 65535]",
+    ]
+
+
+def test_run_refuses_values_that_are_not_finite_before_building(tmp_path, monkeypatch,
+                                                                capsys):
+    _no_build(monkeypatch)
+    bad = ["run.simulated_seconds=nan", "run.timeout_seconds=nan", "grid.decay_lambda=nan",
+           "grid.delay_max_ms=inf", "stimulus.ext_rate_hz=nan", "grid.w_exc=nan"]
+    assert main(["run", "--out", str(tmp_path / "o"), "--ranks", "2"]
+                + _tiny_args([f"--set={item}" for item in bad])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --set {key}: must be a finite number, got {raw!r}"
+        for key, _, raw in (item.partition("=") for item in bad)]
+
+
 def test_run_refuses_a_stray_power_key_without_a_current(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]
                 + _tiny_args(["--set=power.embedded.voltage=-5"])) == 2
@@ -372,19 +433,63 @@ def test_report_refuses_a_metrics_doc_without_its_counters(tmp_path, capsys):
     assert not (tmp_path / "rep" / "energy.kv").exists()
 
 
-def test_calibrate_writes_derived_config(tmp_path):
+def _calibrated(tmp_path, capsys, extra):
+    """Calibrate the tiny config -> (derived config, the scale found)."""
     out = tmp_path / "out"
-    code = main([
-        "calibrate", "--out", str(out),
-        "--target-hz", "13.0", "--band-hz", "9.0",
-        "--probe-seconds", "0.2", "--warmup-seconds", "0.2",
-    ] + _tiny_args())
-    assert code == 0
+    assert main(["calibrate", "--out", str(out)] + extra + _tiny_args()) == 0
     derived = out / "calibrated.cfg"
     assert derived.exists()
+    printed = capsys.readouterr().out.splitlines()[0].split()
+    assert printed[:2] == ["calibrated", "grid.w_exc"] and printed[4] == "x"
     from spikebench.config import parse_config
-    cfg = parse_config(derived)
-    assert cfg["run.w_exc_scale"] > 0
+    return parse_config(derived), float(printed[3]), derived.read_text()
+
+
+def test_calibrate_writes_derived_config(tmp_path, capsys):
+    cfg, scale, text = _calibrated(tmp_path, capsys, [
+        "--target-hz", "13.0", "--band-hz", "9.0",
+        "--probe-seconds", "0.2", "--warmup-seconds", "0.2"])
+    assert cfg["grid.w_exc"] > 0 and scale > 0
+    assert "w_exc_scale" not in text
+
+
+def test_calibrate_writes_the_weight_it_found_into_grid_w_exc(tmp_path, capsys):
+    # a band the unscaled weight misses, so the search moves the weight;
+    # the derived config is the input with grid.w_exc = w_exc * scale, the
+    # product each probe ran with, and nothing else changed
+    from spikebench.config import RunConfig, apply_overrides
+    cfg, scale, text = _calibrated(tmp_path, capsys, [
+        "--target-hz", "40.0", "--band-hz", "10.0",
+        "--probe-seconds", "0.1", "--warmup-seconds", "0.1"])
+    assert scale != 1.0 and cfg["grid.w_exc"] == float(TINY["grid.w_exc"]) * scale
+    tiny = apply_overrides(RunConfig(), [f"{k}={v}" for k, v in TINY.items()])
+    assert cfg.values == {**tiny.values, "grid.w_exc": cfg["grid.w_exc"]}
+    assert "w_exc_scale" not in text and f"grid.w_exc = {cfg['grid.w_exc']!r}\n" in text
+
+
+def test_calibrate_refuses_each_bad_flag_before_building(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("network built before the calibrate flags were checked")
+
+    monkeypatch.setattr("spikebench.network.build_network", no_build)
+    out = tmp_path / "o"
+    assert main(["calibrate", "--out", str(out), "--probe-seconds", "0", "--band-hz", "-1",
+                 "--warmup-seconds", "-0.5", "--target-hz", "0"]
+                + _tiny_args(["--set=run.ranks=0"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run.ranks: must be >= 1, got 0",
+        "config error: --target-hz: must be finite and > 0, got 0.0",
+        "config error: --band-hz: must be finite and > 0, got -1.0",
+        "config error: --warmup-seconds: must be finite and >= 0, got -0.5",
+        "config error: --probe-seconds: must be finite and at least one step of "
+        "run.dt_ms = 1.0 ms, got 0.0",
+    ]
+    assert not out.exists()
+    # a probe of half a step rounds up to one, and is accepted
+    assert main(["calibrate", "--out", str(out), "--probe-seconds", "0.0005",
+                 "--warmup-seconds", "nan"] + _tiny_args()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --warmup-seconds: must be finite and >= 0, got nan"]
 
 
 def test_calibrate_impossible_target_exits_1(tmp_path):

@@ -261,4 +261,32 @@ def test_default_views_equal_dataclass_defaults():
      "7bb2f6d358fd00e5288321e44ed9c8ff6695e76c230a08355b1fde2930eed318"),
 ], ids=["default", "paper-desk"])
 def test_emitted_config_is_pinned(cfg, digest):
-    assert hashlib.sha256(emit_config(cfg()).encode()).hexdigest() == digest
+    # the 50 keys keep the order and text they had beside the dropped
+    # run.w_exc_scale key, whose line was the only difference
+    text = emit_config(cfg())
+    assert len(SCHEMA) == 50 and "w_exc_scale" not in text
+    old = text.replace("run.transport = memory\n",
+                       "run.transport = memory\nrun.w_exc_scale = 1.0\n")
+    assert hashlib.sha256(old.encode()).hexdigest() == digest
+
+
+def test_every_float_key_refuses_a_value_that_is_not_finite():
+    # nan compares false with every bound, so no section check could see
+    # it; inf overflows the step count.  The parser refuses both, one
+    # diagnostic per key, in the same pass as every other bad line.
+    float_keys = [key for key, (kind, _) in SCHEMA.items() if kind is float]
+    assert "run.simulated_seconds" in float_keys and "grid.w_exc" in float_keys
+    for raw in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(RunConfig(), [f"{key}={raw}" for key in float_keys] + ["run.x=1"])
+        assert err.value.problems == [
+            f"--set {key}: must be a finite number, got {raw!r}" for key in float_keys
+        ] + ["--set: unknown key 'run.x'"]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("run.simulated_seconds = nan\ngrid.w_exc = 0.5\n"
+                          "stimulus.ext_rate_hz = inf\n", source="x.cfg")
+    assert err.value.problems == [
+        "x.cfg:1: run.simulated_seconds: must be a finite number, got 'nan'",
+        "x.cfg:3: stimulus.ext_rate_hz: must be a finite number, got 'inf'",
+    ]
+    assert apply_overrides(RunConfig(), ["grid.w_exc=1e300"])["grid.w_exc"] == 1e300

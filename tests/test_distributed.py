@@ -1,6 +1,7 @@
 """Partitioning, wire protocol, transports, and partition transparency."""
 
 import contextlib
+import dataclasses
 import hashlib
 import os
 import socket
@@ -15,7 +16,6 @@ import pytest
 from spikebench import (
     FrameCorruptionError,
     GridSpec,
-    InfeasiblePartitionError,
     Network,
     ProtocolViolationError,
     StimulusSpec,
@@ -49,6 +49,11 @@ def _net(seed=5, **kw):
     return build_network(GridSpec(**defaults), dt_ms=1.0)
 
 
+def _with_w_exc(net, w_exc):
+    """``net`` with another excitatory weight: the build never reads it."""
+    return dataclasses.replace(net, spec=dataclasses.replace(net.spec, w_exc=w_exc))
+
+
 def _stim(**kw):
     defaults = dict(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)
     defaults.update(kw)
@@ -63,9 +68,9 @@ def test_partition_balance_and_errors():
     counts = np.bincount(column_to_rank, minlength=4)
     assert counts.max() - counts.min() <= 1
     assert sum(p.n_local for p in parts) == net.n_neurons
-    with pytest.raises(InfeasiblePartitionError):
+    with pytest.raises(ConfigError, match="^run.ranks: 9 ranks exceed the grid's 8 columns$"):
         partition(net, 9)  # only 8 columns
-    with pytest.raises(InfeasiblePartitionError):
+    with pytest.raises(ConfigError, match="^run.ranks: must be >= 1, got 0$"):
         partition(net, 0)
 
 
@@ -82,7 +87,7 @@ def test_partition_single_rank_all_local():
 @pytest.mark.parametrize("w_exc_scale", [1.0, 1.37])
 def test_partition_union_reproduces_network_multiset(w_exc_scale, n_ranks):
     net = _net()
-    _, parts = partition(net, n_ranks, w_exc_scale=w_exc_scale)
+    _, parts = partition(_with_w_exc(net, net.spec.w_exc * w_exc_scale), n_ranks)
     rows = []
     n = net.n_neurons
     for part in parts:
@@ -228,11 +233,12 @@ def test_partition_keeps_one_weight_per_source(w_exc_scale):
     net = _net()
     exc = net.is_excitatory(np.arange(net.n_neurons))
     rule = np.where(exc, net.spec.w_exc * w_exc_scale, -net.spec.w_inh)
-    _, parts = partition(net, 2, w_exc_scale=w_exc_scale)
+    scaled = _with_w_exc(net, net.spec.w_exc * w_exc_scale)
+    _, parts = partition(scaled, 2)
     for part in parts:
         assert part.in_weights is None
         assert np.array_equal(part.source_weights.view(np.int64),
-                              net.source_weights(w_exc_scale).view(np.int64))
+                              scaled.source_weights().view(np.int64))
         assert np.array_equal(part.source_weights.view(np.int64), rule.view(np.int64))
 
 
@@ -767,25 +773,49 @@ def test_cluster_file_parsing(tmp_path):
 def test_check_run_args_rejects_each_cluster_rank_that_does_not_exist():
     cluster = {r: ("127.0.0.1", 5000 + abs(r)) for r in (0, 1, 7, -3)}
     with pytest.raises(ConfigError) as exc_info:
-        check_run_args(2, 0, cluster)
+        check_run_args(n_ranks=2, rank=0, cluster=cluster)
     assert exc_info.value.problems == ["cluster rank -3 outside [0, 2)",
                                        "cluster rank 7 outside [0, 2)"]
-    check_run_args(2, 0, {0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
+    check_run_args(n_ranks=2, rank=0, cluster={0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
 
 
-def test_library_run_refuses_no_rank_and_an_unknown_transport_where_they_are_used():
-    # partition owns the rank count and loopback_links the transport, so
-    # no rule has a second copy in the driver's argument check
+def test_library_run_refuses_its_arguments_before_partition(monkeypatch):
+    # check_run_args owns every rule on run_simulation's arguments and
+    # runs before partition, with STDP on as well; the public functions
+    # that need one of its rules call the same owner
     net = _net()
-    with pytest.raises(InfeasiblePartitionError, match="at least one rank, got 0"):
-        run_simulation(net, seconds=0.01, stim=_stim(), n_ranks=0)
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("partitioned before the run's arguments were checked")
+
+    monkeypatch.setattr(distributed, "partition", no_partition)
+    transport = "run.transport: expected one of ('memory', 'tcp'), got 'carrier-pigeon'"
+    cases = [
+        (dict(n_ranks=0), ["run.ranks: must be >= 1, got 0"]),
+        (dict(n_ranks=9), ["run.ranks: 9 ranks exceed the grid's 8 columns"]),
+        (dict(n_ranks=2, transport="carrier-pigeon"), [transport]),
+        (dict(timeout=0.0), ["run.timeout_seconds: must be > 0, got 0.0"]),
+        (dict(timeout=-1), ["run.timeout_seconds: must be > 0, got -1"]),
+        (dict(seconds=0.0004), [
+            "run.simulated_seconds: 0.0004 s rounds to 0 steps of run.dt_ms = 1.0 ms"]),
+        (dict(seconds=0.0, n_ranks=2, transport="carrier-pigeon", timeout=float("nan"),
+              rank=2), [
+            "run.simulated_seconds: must be > 0, got 0.0", transport,
+            "run.timeout_seconds: must be > 0, got nan",
+            "rank 2 needs a cluster (CLI: --cluster FILE)", "rank 2 outside [0, 2)"]),
+    ]
+    for kwargs, problems in cases:
+        with pytest.raises(ConfigError) as exc_info:
+            run_simulation(net, **{"seconds": 0.01, "stim": _stim(),
+                                   "stdp_params": StdpParams(enabled=True), **kwargs})
+        assert exc_info.value.problems == problems
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="^run.ranks: must be >= 1, got 0$"):
+        partition(net, 0)
     _, parts = partition(net, 2)
     with pytest.raises(ConfigError) as exc_info:
         loopback_links(parts, 5.0, "carrier-pigeon")
-    assert exc_info.value.problems == [
-        "unknown transport 'carrier-pigeon'; expected one of ('memory', 'tcp')"]
-    with pytest.raises(ConfigError):
-        run_simulation(net, seconds=0.01, stim=_stim(), n_ranks=2, transport="carrier-pigeon")
+    assert exc_info.value.problems == [transport]
 
 
 # ------------------------------------------------------------ TCP links

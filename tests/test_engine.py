@@ -1,5 +1,7 @@
 """Engine loop: stimulus, delay ring, event accounting, calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -367,7 +369,9 @@ def test_calibrate_deterministic_given_seeds():
     stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)
 
     def probe(scale):
-        m, _, _, _ = run_simulation(net, seconds=0.25, stim=stim, w_exc_scale=scale)
+        scaled = dataclasses.replace(
+            net, spec=dataclasses.replace(net.spec, w_exc=net.spec.w_exc * scale))
+        m, _, _, _ = run_simulation(scaled, seconds=0.25, stim=stim)
         return m.mean_rate_hz
 
     out1 = calibrate_rate(probe, target_hz=probe(1.0), band_hz=0.5)

@@ -37,7 +37,7 @@ def _run(case: str, n_ranks: int, transport: str):
     metrics, (steps, gids), _, _ = run_simulation(
         net, seconds=cfg["run.simulated_seconds"], stim=cfg.stimulus(),
         n_ranks=n_ranks, transport=transport, lif_params=cfg.lif_params(),
-        stdp_params=cfg.stdp_params(), w_exc_scale=cfg["run.w_exc_scale"],
+        stdp_params=cfg.stdp_params(),
     )
     return raster_checksum(steps, gids), metrics.total_events
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import signal
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from spikebench import (
     ConfigError,
     GridSpec,
-    InfeasibleSpecError,
     SpikebenchError,
+    StimulusSpec,
     build_network,
     connection_probability,
     count_equivalent_synapses,
@@ -65,7 +66,7 @@ def test_connection_probability_rejects_negative_distance(small_spec):
 
 def test_infeasible_fanout_raises():
     spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=39.0)
-    with pytest.raises(InfeasibleSpecError):
+    with pytest.raises(ConfigError, match=r"^grid.target_fanout: 39.0 needs p0 = \d+\.\d{4} > 1"):
         normalize_fanout(spec)
     # fanout >= total neurons is rejected when the spec is made
     with pytest.raises(ConfigError, match=r"target_fanout \(40.0\) must be below the neuron "
@@ -87,14 +88,63 @@ def test_build_reports_every_bad_argument_at_once():
     with pytest.raises(ConfigError) as err:
         build_network(spec, dt_ms=0.0, model="hh")
     assert err.value.problems == [
-        "unknown model 'hh'; expected one of ('izhikevich', 'adaptive_lif')",
-        "dt_ms must be > 0, got 0.0",
+        "model.kind: unknown model 'hh'; expected one of ('izhikevich', 'adaptive_lif')",
+        "run.dt_ms: must be > 0, got 0.0",
     ]
     # with a valid dt, the delay checks report beside the model's
     with pytest.raises(ConfigError) as err:
         build_network(dataclasses.replace(spec, delay_min_ms=0.4), dt_ms=1.0, model="hh")
     assert len(err.value.problems) == 2
-    assert "delay_min_ms (0.4) must be at least one step of dt (1.0)" in err.value.problems[1]
+    assert ("grid.delay_min_ms (0.4) must be at least one step of run.dt_ms (1.0)"
+            in err.value.problems[1])
+
+
+def test_check_build_args_lists_every_rule_before_any_draw(monkeypatch):
+    # the build's rules, the fanout's among them, in one ConfigError from
+    # the function that build_network calls first; nothing is drawn
+    def no_draw(*args):
+        raise RuntimeError("drew a synapse")
+
+    monkeypatch.setattr(rng, "philox_generator", no_draw)
+    spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=39.0)
+    for check in (network.check_build_args, build_network):
+        with pytest.raises(ConfigError) as err:
+            check(spec, 2.0, "hh")
+        problems = err.value.problems
+        assert problems[:2] == [
+            "model.kind: unknown model 'hh'; expected one of ('izhikevich', 'adaptive_lif')",
+            "grid.delay_min_ms (1.0) must be at least one step of run.dt_ms (2.0)",
+        ]
+        assert len(problems) == 3 and re.fullmatch(
+            r"grid.target_fanout: 39.0 needs p0 = \d\.\d{4} > 1; "
+            r"grid too small for the requested fanout", problems[2])
+    with pytest.raises(ConfigError) as err:  # no neuron has a target to reach
+        network.check_build_args(GridSpec(grid_x=1, grid_y=1, neurons_per_column=1,
+                                          target_fanout=0.5))
+    assert err.value.problems == [
+        "grid.target_fanout: 0.5 cannot be met: no neuron has an eligible target"]
+    # a spec of None stands for a grid with problems of its own
+    with pytest.raises(ConfigError) as err:
+        network.check_build_args(None, 0.0, "adaptive_lif")
+    assert err.value.problems == ["run.dt_ms: must be > 0, got 0.0"]
+    network.check_build_args(dataclasses.replace(spec, target_fanout=5.0), 1.0)
+
+
+def test_the_weight_is_one_input_that_only_source_weights_reads(small_spec, small_net):
+    # the build never reads w_exc: a network given a * 1.37 through
+    # replace holds the table of one built with it, and its weights are
+    # those the former second knob, source_weights(1.37), formed
+    a = small_spec.w_exc
+    given = dataclasses.replace(small_net, spec=dataclasses.replace(small_spec, w_exc=a * 1.37))
+    direct = build_network(dataclasses.replace(small_spec, w_exc=a * 1.37), dt_ms=1.0)
+    exc = small_net.is_excitatory(np.arange(small_net.n_neurons))
+    knob = np.where(exc, float(a) * 1.37, -float(small_spec.w_inh))
+    for net in (given, direct):
+        assert net.offsets.tobytes() == small_net.offsets.tobytes()
+        assert net.words.tobytes() == small_net.words.tobytes()
+        assert net.source_weights().tobytes() == knob.tobytes()
+    with pytest.raises(TypeError):  # no second knob
+        small_net.source_weights(1.37)
 
 
 def test_mean_fanout_within_two_percent(small_net, small_spec):
@@ -158,11 +208,12 @@ def test_count_equivalent_synapses_examples(small_net):
     empty = build_network(
         GridSpec(grid_x=1, grid_y=1, neurons_per_column=2, target_fanout=0.5,
                  decay_lambda=1.0, seed=1), dt_ms=1.0)
-    assert count_equivalent_synapses(empty, 0) == empty.total_synapses
+    none = StimulusSpec(ext_synapses_per_neuron=0)
+    assert count_equivalent_synapses(empty, none) == empty.total_synapses
     # 1K neurons at fanout 200, no external: the smallest scaling point
-    total = count_equivalent_synapses(small_net, 0)
+    total = count_equivalent_synapses(small_net, none)
     assert abs(total - 200_000) / 200_000 < 0.02
-    with_ext = count_equivalent_synapses(small_net, 594)
+    with_ext = count_equivalent_synapses(small_net, StimulusSpec(ext_synapses_per_neuron=594))
     assert with_ext == small_net.total_synapses + small_net.n_neurons * 594
 
 

@@ -48,7 +48,7 @@ def _reference(net, cfg, n_steps):
     lam = stim.events_per_step(dt)
     offsets = net.offsets.tolist()
     delay, target = zip(*(divmod(word, n) for word in net.words.tolist()))
-    weight = np.repeat(net.source_weights(cfg["run.w_exc_scale"]), net.fanouts).tolist()
+    weight = np.repeat(net.source_weights(), net.fanouts).tolist()
     exc = [bool(e) for e in net.is_excitatory(np.arange(n))]
 
     if net.model == "izhikevich":
@@ -114,10 +114,9 @@ def _reference(net, cfg, n_steps):
 @pytest.mark.parametrize("n_ranks, transport", [(1, "memory"), (2, "memory"), (2, "tcp")])
 def test_engine_matches_the_scalar_reference(case, n_ranks, transport):
     cfg, net, (raster, internal, external, weight) = _case(case)
-    scale = cfg["run.w_exc_scale"]
     metrics, (steps, gids), _, parts = run_simulation(
         net, seconds=SECONDS, stim=cfg.stimulus(), n_ranks=n_ranks, transport=transport,
-        lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params(), w_exc_scale=scale)
+        lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params())
     assert len(raster) > 100
     assert list(zip(steps.tolist(), gids.tolist())) == raster
     assert (metrics.internal_synaptic_events, metrics.external_synaptic_events) == (
@@ -133,5 +132,5 @@ def test_engine_matches_the_scalar_reference(case, n_ranks, transport):
         expected = [weight[g] for s in np.flatnonzero(exc).tolist()
                     for g in range(offsets[s], offsets[s + 1]) if words[g] % n in local]
         assert part.in_weights.tobytes() == np.array(expected).tobytes()
-        assert part.source_weights.tobytes() == net.source_weights(scale).tobytes()
-    assert any((part.in_weights != scale * net.spec.w_exc).any() for part in parts)
+        assert part.source_weights.tobytes() == net.source_weights().tobytes()
+    assert any((part.in_weights != net.spec.w_exc).any() for part in parts)

@@ -32,7 +32,6 @@ from .errors import (
     NumericalDivergenceError,
     ProtocolViolationError,
     SpikebenchError,
-    UndefinedMetricError,
 )
 from .network import (
     GridSpec,

@@ -30,20 +30,9 @@ import time
 import numpy as np
 
 from . import distributed, engine as engine_mod, network as network_mod
-from .config import (
-    RunConfig,
-    apply_overrides,
-    emit_config,
-    load_bundled_config,
-    parse_config,
-)
+from .config import POWER_LABELS, RunConfig, emit_config, parse_inputs
 from .energy import energy_report, format_comparison_table, format_energy_report
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    SpikebenchError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, SpikebenchError, read_input
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,26 +40,28 @@ EXIT_VALIDATION = 2
 
 
 def _load_config(args, own, **placed) -> RunConfig:
-    """The config the arguments name, refused with every problem of
-    ``RunConfig.validate(**placed)`` and of the command's ``own(cfg)``."""
-    if args.config:
-        if os.path.exists(args.config):
-            cfg = parse_config(args.config)
-        else:
-            cfg = load_bundled_config(args.config)
-    else:
-        cfg = RunConfig()
-    cfg = apply_overrides(cfg, args.set or [])
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_values(**{"grid.seed": args.seed, "stimulus.seed": args.seed + 1})
-    if getattr(args, "ranks", None) is not None:
-        cfg = cfg.with_values(**{"run.ranks": args.ranks})
-    if getattr(args, "transport", None) is not None:
-        cfg = cfg.with_values(**{"run.transport": args.transport})
-    problems = cfg.validate(**placed) + own(cfg)
+    """The config the arguments name, read in one pass (``parse_inputs``),
+    refused with every problem of its inputs, of ``cfg.validate(**placed)``
+    and of the command's ``own(cfg)``, which skips a key that reads None."""
+    flags = [("--set", item) for item in args.set or []]
+    if args.seed is not None:
+        flags += [("--seed", f"grid.seed={args.seed}"),
+                  ("--seed", f"stimulus.seed={args.seed + 1}")]
+    flags += [(f"--{name}", f"run.{name}={getattr(args, name)}")  # --ranks, --transport
+              for name in ("ranks", "transport") if getattr(args, name, None) is not None]
+    cfg, problems = parse_inputs(args.config, flags)
+    problems += cfg.validate(**placed) + own(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
+
+
+def _read(reader, path):
+    """(``reader(path)``, []), or (None, its problems) if it refuses the file."""
+    try:
+        return (reader(path) if path else None), []
+    except ConfigError as err:
+        return None, err.problems
 
 
 def _provenance(cfg: RunConfig) -> dict:
@@ -83,16 +74,16 @@ def _write_kv(path, mapping: dict) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _read_kv(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, raw = line.partition("=")
-            out[key.strip()] = raw.strip()
-    return out
+def _read_metrics(path) -> engine_mod.RunMetrics:
+    """The counters of the metrics document at ``path`` (report --metrics)."""
+    doc = {}
+    for line in read_input(path, "--metrics").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, _, raw = line.partition("=")
+        doc[key.strip()] = raw.strip()
+    return engine_mod.RunMetrics.from_rows(doc, "metrics")
 
 
 def _machine() -> dict:
@@ -165,12 +156,8 @@ def _cpu_seconds(who) -> float:
 
 def cmd_run(args) -> int:
     children_s = _cpu_seconds(resource.RUSAGE_CHILDREN)
-    cluster, bad_lines = None, []
-    if args.cluster:
-        try:
-            cluster = distributed.parse_cluster_file(args.cluster)
-        except ConfigError as err:  # the lines' own diagnostics; --rank is
-            bad_lines = err.problems  # checked against the cluster once it reads
+    # the lines' own diagnostics; --rank is checked against the cluster once it reads
+    cluster, bad_lines = _read(distributed.parse_cluster_file, args.cluster)
     placed = {} if bad_lines else {"rank": args.rank, "cluster": cluster}
     cfg = _load_config(args, lambda cfg: bad_lines, **placed)
     out_dir = args.out
@@ -223,9 +210,9 @@ def cmd_run(args) -> int:
 
 def _calibrate_problems(args, cfg: RunConfig) -> list:
     """The calibrate flags' problems, one diagnostic per flag."""
-    dt_ms = cfg["run.dt_ms"]  # build_network refuses a dt at or below 0
-    probe = dt_ms <= 0 or (args.probe_seconds < math.inf
-                           and engine_mod.step_count(args.probe_seconds, dt_ms) >= 1)
+    dt_ms = cfg["run.dt_ms"]  # None did not parse; build_network refuses a dt at or below 0
+    probe = dt_ms is None or dt_ms <= 0 or (
+        args.probe_seconds < math.inf and engine_mod.step_count(args.probe_seconds, dt_ms) >= 1)
     return [f"{flag}: must be {rule}, got {value}" for flag, value, ok, rule in (
         ("--target-hz", args.target_hz, 0 < args.target_hz < math.inf, "finite and > 0"),
         ("--band-hz", args.band_hz, 0 < args.band_hz < math.inf, "finite and > 0"),
@@ -249,15 +236,15 @@ def cmd_calibrate(args) -> int:
 
     def probe(scale: float) -> float:
         # the one table at each probe's weight (the build never reads it);
-        # the rate after the warmup is unbiased by the adaptation transient
+        # the rate after the warmup is unbiased by the adaptation transient.
+        # The run is given whole steps, so it runs exactly warmup + probe.
         scaled = dataclasses.replace(net, spec=dataclasses.replace(net.spec, w_exc=w_exc * scale))
         _, (steps, _), _, _ = distributed.run_simulation(
-            scaled, seconds=args.warmup_seconds + args.probe_seconds, stim=stim,
+            scaled, seconds=(warmup_steps + probe_steps) * dt_ms / 1000.0, stim=stim,
             n_ranks=1, lif_params=lif, stdp_params=stdp,
         )
-        return engine_mod.rate_in_window(
-            steps, net.n_neurons, dt_ms, warmup_steps, warmup_steps + probe_steps
-        )
+        spikes = int((steps >= warmup_steps).sum())
+        return spikes / (net.n_neurons * probe_steps * dt_ms / 1000.0)
 
     scale, achieved = engine_mod.calibrate_rate(
         probe, target_hz=args.target_hz, band_hz=args.band_hz)
@@ -275,10 +262,12 @@ def _report_problems(cfg: RunConfig) -> list:
     """Refuse a report of no record, and a comparison whose two records
     would both take the one run's loop time: its time ratio would be 1 by
     construction, and its energy ratio only the power ratio."""
+    if None in (cfg[f"power.{label}.current"] for label in POWER_LABELS):
+        return []  # both rules read every current
     keys = [f"power.{label}.wall_seconds" for label in cfg.power_labels()]
     if not keys:
         return ["no power records configured; set power.<label>.current (labels: server, embedded)"]
-    if len(keys) == 2 and not any(cfg[key] for key in keys):
+    if [cfg[key] for key in keys] == [0, 0]:
         return [f"{keys[0]} and {keys[1]} are both 0, so both platforms would take the one "
                 "run's loop time and the table would compare that run with itself; set at "
                 "least one of them"]
@@ -286,11 +275,9 @@ def _report_problems(cfg: RunConfig) -> list:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args, _report_problems)
+    measured, bad_doc = _read(_read_metrics, args.metrics)
+    cfg = _load_config(args, lambda cfg: _report_problems(cfg) + bad_doc)
     out_dir = args.out
-    measured = None
-    if args.metrics:
-        measured = engine_mod.RunMetrics.from_rows(_read_kv(args.metrics), "metrics")
     energy_path, reports = _write_energy(cfg, out_dir, measured)
     print(f"wrote {energy_path}")
 
@@ -320,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a benchmark run")
     common(p_run)
-    p_run.add_argument("--ranks", type=int, help="number of ranks (overrides run.ranks)")
+    p_run.add_argument("--ranks", help="number of ranks (overrides run.ranks)")
     p_run.add_argument("--rank", type=int,
                        help="run exactly this rank of a multi-process cluster run")
     p_run.add_argument("--cluster", help="cluster file with `rank host:port` lines")
-    p_run.add_argument("--transport", choices=distributed.TRANSPORTS,
-                       help="transport for single-host multi-rank runs")
+    p_run.add_argument("--transport", help="transport for single-host multi-rank runs, "
+                       "memory|tcp (overrides run.transport)")
     p_run.set_defaults(func=cmd_run)
 
     p_cal = sub.add_parser("calibrate", help="calibrate the excitatory weight grid.w_exc")
@@ -350,16 +337,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UndefinedMetricError) as err:
-        if isinstance(err, ConfigError):
-            for problem in err.problems:
-                print(f"config error: {problem}", file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
+    except ConfigError as err:
+        for problem in err.problems:
+            print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CalibrationError as err:
-        print(f"calibration failed: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     except SpikebenchError as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME

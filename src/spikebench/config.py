@@ -17,21 +17,22 @@ present when its current is positive.
 import functools
 import importlib.resources
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .energy import PlatformRecord
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .distributed import check_run_args
 from .network import GridSpec, check_build_args
 from .neurons import AdaptiveLifParams
 from .engine import StimulusSpec
 from .plasticity import StdpParams
 
-__all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config",
+__all__ = ["RunConfig", "parse_config", "parse_config_text", "parse_inputs", "emit_config",
            "apply_overrides", "load_bundled_config", "bundled_config_names"]
 
-_POWER_LABELS = ("server", "embedded")
+POWER_LABELS = ("server", "embedded")
 
 # section -> the dataclass whose fields are its keys, types and defaults,
 # in validate's order: field f is key "<section>.f", except GridSpec's
@@ -41,7 +42,7 @@ _SECTIONS = {
     "stimulus": StimulusSpec,
     "model.lif": AdaptiveLifParams,
     "stdp": StdpParams,
-    **{f"power.{label}": PlatformRecord for label in _POWER_LABELS},
+    **{f"power.{label}": PlatformRecord for label in POWER_LABELS},
 }
 _FIELD_KEYS = {"grid_x": "x", "grid_y": "y"}
 
@@ -95,15 +96,25 @@ def _format_value(kind: type, value) -> str:
     return str(value)
 
 
-def _parse_items(items, messages: Tuple[str, str, str], values: Dict[str, object]
-                 ) -> "RunConfig":
-    """Parse ``key = value`` items, given as (place, text) pairs, over
-    ``values``.  ``messages`` are the diagnostics for an item with no
-    ``=``, an unknown key and a bad value; raises ConfigError listing
-    every bad item."""
-    no_equals, unknown, bad_value = messages
+_LINE = ("{at}: expected 'key = value', got {item!r}", "{at}: unknown key {key!r}",
+         "{at}: {key}: {err}")
+_FLAG = ("{at} {item!r}: expected key=value", "{at}: unknown key {key!r}", "{at} {key}: {err}")
+
+
+def _lines(text: str, source: str) -> list:
+    """The items of config text: each line but blanks and comments."""
+    lines = ((f"{source}:{lineno}", line.strip())
+             for lineno, line in enumerate(text.splitlines(), 1))
+    return [(_LINE, at, item) for at, item in lines if item and not item.startswith("#")]
+
+
+def _parse_items(items, values: Dict[str, object]) -> List[str]:
+    """Parse (messages, place, "key = value") items into ``values`` in
+    order, a later item winning; a value that does not parse reads None.
+    ``messages`` are the diagnostics for an item with no ``=``, an unknown
+    key and a bad value; returns one per bad item."""
     problems: List[str] = []
-    for at, item in items:
+    for (no_equals, unknown, bad_value), at, item in items:
         if "=" not in item:
             problems.append(no_equals.format(at=at, item=item))
             continue
@@ -115,7 +126,14 @@ def _parse_items(items, messages: Tuple[str, str, str], values: Dict[str, object
         try:
             values[key] = _parse_value(SCHEMA[key][0], raw)
         except ValueError as err:
+            values[key] = None
             problems.append(bad_value.format(at=at, key=key, err=err))
+    return problems
+
+
+def _parsed(items, values: Dict[str, object]) -> "RunConfig":
+    """The config of ``items`` over ``values``, or a ConfigError of them."""
+    problems = _parse_items(items, values)
     if problems:
         raise ConfigError(problems)
     return RunConfig(values)
@@ -142,9 +160,10 @@ class RunConfig:
 
     # typed views -------------------------------------------------------
     def _section(self, section: str):
-        """The section's dataclass, built from its keys."""
+        """The section's dataclass, built from its keys; None if one is None."""
         cls = _SECTIONS[section]
-        return cls(**{f.name: self.values[_key(section, f.name)] for f in fields(cls)})
+        kwargs = {f.name: self.values[_key(section, f.name)] for f in fields(cls)}
+        return None if None in kwargs.values() else cls(**kwargs)
 
     def grid_spec(self) -> GridSpec:
         return self._section("grid")
@@ -165,7 +184,7 @@ class RunConfig:
         return record if record.current > 0 else None
 
     def power_labels(self) -> List[str]:
-        return [lab for lab in _POWER_LABELS if self.values[f"power.{lab}.current"] > 0]
+        return [lab for lab in POWER_LABELS if self.values[f"power.{lab}.current"] > 0]
 
     # validation --------------------------------------------------------
     def validate(self, rank: Optional[int] = None,
@@ -173,7 +192,8 @@ class RunConfig:
         """Every problem of this config as a run's inputs (of ``rank`` of
         ``cluster``, if given), one diagnostic each, from each rule's one
         owner: the section dataclasses, then ``check_build_args`` (the
-        grid's rules once the grid is valid) and ``check_run_args``."""
+        grid's rules once the grid is valid) and ``check_run_args``.  A key
+        that reads None (did not parse) skips every rule that reads it."""
         problems: List[str] = []
 
         def check(owner, prefix=""):
@@ -190,7 +210,7 @@ class RunConfig:
             n_columns=spec and spec.n_columns, dt_ms=v["run.dt_ms"], n_ranks=v["run.ranks"],
             seconds=v["run.simulated_seconds"], transport=v["run.transport"],
             timeout=v["run.timeout_seconds"], rank=rank, cluster=cluster))
-        if v["run.raster_format"] not in ("csv", "binary"):
+        if v["run.raster_format"] not in (None, "csv", "binary"):
             problems.append(f"run.raster_format: expected csv or binary, "
                             f"got {v['run.raster_format']!r}")
         return problems
@@ -204,13 +224,7 @@ class RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse flat key-value text; raises ConfigError listing every bad line."""
-    lines = ((f"{source}:{lineno}", line.strip())
-             for lineno, line in enumerate(text.splitlines(), 1))
-    return _parse_items(
-        ((at, item) for at, item in lines if item and not item.startswith("#")),
-        ("{at}: expected 'key = value', got {item!r}", "{at}: unknown key {key!r}",
-         "{at}: {key}: {err}"),
-        {})
+    return _parsed(_lines(text, source), {})
 
 
 def parse_config(path) -> RunConfig:
@@ -220,11 +234,25 @@ def parse_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: List[str]) -> RunConfig:
     """Apply `key=value` override strings (the --set flag)."""
-    return _parse_items(
-        (("--set", item) for item in overrides),
-        ("{at} {item!r}: expected key=value", "{at}: unknown key {key!r}",
-         "{at} {key}: {err}"),
-        dict(cfg.values))
+    return _parsed([(_FLAG, "--set", item) for item in overrides], dict(cfg.values))
+
+
+def parse_inputs(source: Optional[str], flags: List[Tuple[str, str]]
+                 ) -> Tuple[RunConfig, List[str]]:
+    """One pass over config ``source`` (a file path, else a bundled name) and
+    then the (flag, "key=value") items of ``--set`` and the other flags, a
+    later value winning -> (the config, one diagnostic per bad input).  A
+    source that cannot be read leaves every key None until a flag sets it."""
+    values, problems, items = {}, [], []
+    try:
+        if source and os.path.exists(source):
+            items = _lines(read_input(source, "--config"), source)
+        elif source:  # a packaged config, whose lines all parse
+            values = dict(load_bundled_config(source).values)
+    except ConfigError as err:
+        values, problems = dict.fromkeys(SCHEMA), err.problems
+    problems += _parse_items(items + [(_FLAG, flag, item) for flag, item in flags], values)
+    return RunConfig(values), problems
 
 
 def emit_config(cfg: RunConfig) -> str:

@@ -44,7 +44,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .engine import Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks, step_count
-from .errors import ConfigError, ExchangeError, FrameCorruptionError, ProtocolViolationError
+from .errors import (ConfigError, ExchangeError, FrameCorruptionError, ProtocolViolationError,
+                     read_input)
 from .neurons import AdaptiveLifParams
 from .network import Network
 from .plasticity import StdpParams, StdpState
@@ -280,30 +281,25 @@ def parse_cluster_file(path) -> Dict[int, Tuple[str, int]]:
     """
     cluster = {}
     problems = []
-    try:
-        fh = open(path)
-    except OSError as err:
-        raise ConfigError([f"cluster file {path}: {err.strerror}"]) from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rank_s, addr = line.split()
-                host, port_s = addr.rsplit(":", 1)
-                rank, port = int(rank_s), int(port_s)
-            except ValueError:
-                problems.append(f"{where}: expected 'rank host:port', got {line!r}")
-                continue
-            if not host:
-                problems.append(f"{where}: no host before ':{port_s}'")
-            if not 1 <= port <= 65535:
-                problems.append(f"{where}: port {port} outside [1, 65535]")
-            if rank in cluster:
-                problems.append(f"{where}: rank {rank} given twice")
-            cluster[rank] = (host, port)
+    for lineno, line in enumerate(read_input(path, "cluster file").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rank_s, addr = line.split()
+            host, port_s = addr.rsplit(":", 1)
+            rank, port = int(rank_s), int(port_s)
+        except ValueError:
+            problems.append(f"{where}: expected 'rank host:port', got {line!r}")
+            continue
+        if not host:
+            problems.append(f"{where}: no host before ':{port_s}'")
+        if not 1 <= port <= 65535:
+            problems.append(f"{where}: port {port} outside [1, 65535]")
+        if rank in cluster:
+            problems.append(f"{where}: rank {rank} given twice")
+        cluster[rank] = (host, port)
     if problems:
         raise ConfigError(problems)
     return cluster
@@ -563,38 +559,39 @@ def _rank_loop(engine: Engine, comm: Communicator, n_steps: int) -> None:
         engine.advance()
 
 
-def check_run_args(*, n_columns: Optional[int] = None, dt_ms: float = 1.0,
-                   seconds: Optional[float] = None, n_ranks: int = 1, transport: str = "memory",
-                   timeout: float = 30.0, rank: Optional[int] = None,
+def check_run_args(*, n_columns: Optional[int] = None, dt_ms: Optional[float] = 1.0,
+                   seconds: Optional[float] = None, n_ranks: Optional[int] = 1,
+                   transport: Optional[str] = "memory", timeout: Optional[float] = 30.0,
+                   rank: Optional[int] = None,
                    cluster: Optional[Dict[int, Tuple[str, int]]] = None) -> None:
     """Refuse ``run_simulation``'s arguments before any work: one
     ConfigError listing every rule they break, each naming its config key
-    or CLI flag.  ``seconds`` and ``n_columns`` (the grid's) are checked
-    when given, the run's length only at a ``dt_ms`` above 0 (the build
-    refuses any other).  ``rank`` and ``cluster`` go together: a cluster
-    names every rank's address, and ``rank`` says which of them runs here.
+    or CLI flag.  An argument of None is unknown and skips each rule that
+    reads it; the run's length is checked only at a ``dt_ms`` above 0 (the
+    build refuses any other).  ``rank`` and ``cluster`` go together: a
+    cluster names every rank's address, and ``rank`` says which runs here.
     """
     problems = []
     if seconds is not None and not seconds > 0:
         problems.append(f"run.simulated_seconds: must be > 0, got {seconds}")
-    elif seconds is not None and dt_ms > 0 and step_count(seconds, dt_ms) < 1:
+    elif None not in (seconds, dt_ms) and dt_ms > 0 and step_count(seconds, dt_ms) < 1:
         problems.append(f"run.simulated_seconds: {seconds} s rounds to 0 steps of "
                         f"run.dt_ms = {dt_ms} ms")
-    if n_ranks < 1:
+    if n_ranks is not None and n_ranks < 1:
         problems.append(f"run.ranks: must be >= 1, got {n_ranks}")
-    elif n_columns is not None and n_ranks > n_columns:
+    elif None not in (n_ranks, n_columns) and n_ranks > n_columns:
         problems.append(f"run.ranks: {n_ranks} ranks exceed the grid's {n_columns} columns")
-    if transport not in TRANSPORTS:
+    if transport is not None and transport not in TRANSPORTS:
         problems.append(f"run.transport: expected one of {TRANSPORTS}, got {transport!r}")
-    if not timeout > 0:
+    if timeout is not None and not timeout > 0:
         problems.append(f"run.timeout_seconds: must be > 0, got {timeout}")
     if rank is not None and cluster is None:
         problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")
     if cluster is not None and rank is None:
         problems.append("a cluster needs the rank to run here (CLI: --rank R)")
-    if rank is not None and not 0 <= rank < n_ranks:
+    if None not in (rank, n_ranks) and not 0 <= rank < n_ranks:
         problems.append(f"rank {rank} outside [0, {n_ranks})")
-    if cluster is not None:
+    if None not in (cluster, n_ranks):
         missing = [r for r in range(n_ranks) if r not in cluster]
         if missing:
             problems.append(f"cluster has no address for ranks {missing}")

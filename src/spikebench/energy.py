@@ -9,7 +9,7 @@ constants of published neuromorphic platforms for context.
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError
 
 __all__ = [
     "PlatformRecord",
@@ -81,14 +81,15 @@ def energy_report(record: PlatformRecord, label: str) -> EnergyReport:
     """The platform's power V*I less its baseline, the energy over its wall
     time and the joules per event, each with the error V*dI carries.  The
     record's time and event count must be known (> 0) by now."""
+    problems = []
     if record.wall_seconds == 0:
-        raise ConfigError([f"power.{label}.wall_seconds is 0 and no run supplied its time; "
-                           "set it, or pass the run's metrics (report --metrics FILE)"])
+        problems.append(f"power.{label}.wall_seconds is 0 and no run supplied its time; "
+                        "set it, or pass the run's metrics (report --metrics FILE)")
     if record.events == 0:
-        raise UndefinedMetricError(
-            f"power.{label}.events is 0 and no measured event count supplied one; "
-            "joule-per-event needs a positive event count"
-        )
+        problems.append(f"power.{label}.events is 0 and no measured event count supplied one; "
+                        "joule-per-event needs a positive event count")
+    if problems:
+        raise ConfigError(problems)
     power_err = record.voltage * record.current_error
     net_power = record.voltage * record.current - record.baseline_w
     energy = net_power * record.wall_seconds

@@ -50,7 +50,6 @@ __all__ = [
     "save_raster_csv",
     "load_raster_csv",
     "raster_checksum",
-    "rate_in_window",
 ]
 
 # Poisson lanes (neurons x steps) drawn per stimulus block: large enough that
@@ -527,20 +526,6 @@ def load_raster_csv(path) -> Tuple[np.ndarray, np.ndarray]:
             steps.append(int(s))
             gids.append(int(g))
     return np.asarray(steps, dtype=np.uint32), np.asarray(gids, dtype=np.uint32)
-
-
-def rate_in_window(steps: np.ndarray, n_neurons: int, dt_ms: float,
-                   start_step: int, end_step: int) -> float:
-    """Mean firing rate (Hz) over raster steps in [start_step, end_step).
-
-    Calibration probes use this to read the settled rate after the
-    adaptation transient instead of the run-long average.
-    """
-    if end_step <= start_step or n_neurons == 0:
-        return 0.0
-    n = int(((steps >= start_step) & (steps < end_step)).sum())
-    window_seconds = (end_step - start_step) * dt_ms / 1000.0
-    return n / (n_neurons * window_seconds)
 
 
 def raster_checksum(steps: np.ndarray, gids: np.ndarray) -> str:

@@ -1,4 +1,4 @@
-"""Exception types for the simulator and its tools."""
+"""Exception types for the simulator and its tools, and the input-file reader."""
 
 
 class SpikebenchError(Exception):
@@ -12,10 +12,20 @@ class ConfigError(SpikebenchError):
     """
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def read_input(path, name: str) -> str:
+    """The text of the input file at ``path``; a file that cannot be read
+    as text is refused with one diagnostic naming it ``name`` (its flag)."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as err:
+        raise ConfigError([f"{name} {path}: {err.strerror}"]) from None
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"{name} {path}: {err}"]) from None
 
 
 class NumericalDivergenceError(SpikebenchError):
@@ -53,8 +63,3 @@ class CalibrationError(SpikebenchError):
     def __init__(self, message, achieved_hz=None):
         self.achieved_hz = achieved_hz
         super().__init__(message)
-
-
-class UndefinedMetricError(SpikebenchError):
-    """A derived metric is undefined for the given inputs (e.g. zero events)."""
-

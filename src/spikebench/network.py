@@ -319,15 +319,18 @@ def _write_columns(build, lo: int, hi: int, capacity: int, out) -> None:
     out.write(words[:filled])
 
 
-def check_build_args(spec: Optional[GridSpec], dt_ms: float = 1.0,
-                     model: str = "adaptive_lif"):
+def check_build_args(spec: Optional[GridSpec], dt_ms: Optional[float] = 1.0,
+                     model: Optional[str] = "adaptive_lif"):
     """Refuse what ``build_network`` cannot build, one diagnostic per broken
     rule naming its config key -> the spec's connection kernel (not computed
-    for a ring beyond int32 words; a spec of None checks model and dt_ms)."""
+    for a ring beyond int32 words).  An argument of None skips the rules
+    that read it; a dt_ms of None also the kernel, whose size they bound."""
     problems = []
-    if model not in MODEL_KINDS:
+    if model is not None and model not in MODEL_KINDS:
         problems.append(f"model.kind: unknown model {model!r}; expected one of {MODEL_KINDS}")
-    if dt_ms <= 0:
+    if dt_ms is None:
+        spec = None
+    elif dt_ms <= 0:
         problems.append(f"run.dt_ms: must be > 0, got {dt_ms}")
     elif spec is not None:
         n, delay_hi = spec.n_neurons, ms_steps(spec.delay_max_ms, dt_ms)

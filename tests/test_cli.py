@@ -259,6 +259,62 @@ def test_run_refuses_values_that_are_not_finite_before_building(tmp_path, monkey
         for key, _, raw in (item.partition("=") for item in bad)]
 
 
+@pytest.mark.parametrize("extra, lines", [
+    # a value that does not parse skips only the rules that read it
+    (["--set=run.simulated_seconds=nan", "--set=run.ranks=0"],
+     ["--set run.simulated_seconds: must be a finite number, got 'nan'",
+      "run.ranks: must be >= 1, got 0"]),
+    # the flags are items of the same pass, refused by the rules' owners
+    (["--transport", "pigeon", "--set=run.ranks=0"],
+     ["run.ranks: must be >= 1, got 0",
+      "run.transport: expected one of ('memory', 'tcp'), got 'pigeon'"]),
+    # no grid is built from a grid.x that did not parse, so no rule
+    # compares the ranks with its columns
+    (["--set=grid.x=abc", "--set=run.ranks=150", "--set=run.timeout_seconds=0"],
+     ["--set grid.x: invalid literal for int() with base 0: 'abc'",
+      "run.timeout_seconds: must be > 0, got 0.0"]),
+], ids=["nan-and-ranks", "transport-flag", "grid-not-parsed"])
+def test_run_reports_every_input_problem_in_one_pass(tmp_path, monkeypatch, capsys, extra,
+                                                     lines):
+    _no_build(monkeypatch)
+    assert main(["run", "--out", str(tmp_path / "o")] + _tiny_args(extra)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}" for line in lines]
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_reports_config_lines_beside_set_items_and_refuses_an_unreadable_config(
+        tmp_path, monkeypatch, capsys):
+    _no_build(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid.x = 4\nrun.ranks = zero\n")
+    assert main(["run", "--out", str(tmp_path / "o"), "--config", str(cfg)] + _tiny_args(
+        ["--set=run.timeout_seconds=-1", "--set=grid.w_exc=heavy", "--set=grid.nope=1"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {cfg}:2: run.ranks: invalid literal for int() with base 0: 'zero'",
+        "config error: --set grid.w_exc: could not convert string to float: 'heavy'",
+        "config error: --set: unknown key 'grid.nope'",
+        "config error: run.timeout_seconds: must be > 0, got -1.0",
+    ]
+    # a directory has no lines: every key it might set is unknown, so only
+    # the rules of the keys set after it run
+    assert main(["run", "--out", str(tmp_path / "o"), "--config", str(tmp_path),
+                 "--set=run.ranks=0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --config {tmp_path}: Is a directory",
+        "config error: run.ranks: must be >= 1, got 0",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_flags_win_over_set_items(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--ranks", "2"]
+                + _tiny_args(["--set=run.ranks=3", "--set=run.simulated_seconds=0.05"])) == 0
+    doc = _read_kv(out / "metrics.kv")
+    assert doc["config.run.ranks"] == "2"
+    assert "metrics.rank1.n_neurons" in doc and "metrics.rank2.n_neurons" not in doc
+
+
 def test_run_refuses_a_stray_power_key_without_a_current(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]
                 + _tiny_args(["--set=power.embedded.voltage=-5"])) == 2
@@ -400,12 +456,31 @@ def test_report_single_record_no_ratios(tmp_path):
     assert not (out / "comparison.txt").exists()
 
 
-def test_report_zero_events_exits_2(tmp_path):
+def test_report_zero_events_exits_2(tmp_path, capsys):
     code = main([
         "report", "--out", str(tmp_path / "o"),
         "--set=power.server.current=1.15", "--set=power.server.wall_seconds=9.1",
     ])
     assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: power.server.events is 0 and no measured event count supplied one; "
+        "joule-per-event needs a positive event count"]
+
+
+def test_report_reads_its_metrics_doc_in_the_same_pass(tmp_path, capsys):
+    binary = tmp_path / "binary.kv"
+    binary.write_bytes(b"metrics.total_events = \xff\n")
+    for doc, why in ((tmp_path / "absent.kv", "No such file or directory"),
+                     (tmp_path, "Is a directory"),
+                     (binary, "'utf-8' codec can't decode byte 0xff in position 23: "
+                              "invalid start byte")):
+        assert main(["report", "--out", str(tmp_path / "rep"), "--metrics", str(doc),
+                     "--set=power.server.current=1.0", "--set=power.server.voltage=-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: power.server: voltage must be > 0, got -1.0",
+            f"config error: --metrics {doc}: {why}",
+        ]
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_takes_events_from_metrics_doc(tmp_path):
@@ -490,6 +565,29 @@ def test_calibrate_refuses_each_bad_flag_before_building(tmp_path, monkeypatch, 
                  "--warmup-seconds", "nan"] + _tiny_args()) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: --warmup-seconds: must be finite and >= 0, got nan"]
+
+
+def test_calibrate_probes_run_exactly_the_steps_they_read(tmp_path, monkeypatch, capsys):
+    # 20.5 + 20.5 steps round to 21 + 21: each probe runs all 42 and reads
+    # its rate over the 21 steps after the warmup
+    from spikebench import distributed
+    from spikebench.engine import step_count
+
+    real, runs = distributed.run_simulation, []
+
+    def recorded(net, *, seconds, **kwargs):
+        result = real(net, seconds=seconds, **kwargs)
+        runs.append((step_count(seconds, net.dt_ms), result[1][0], net.n_neurons))
+        return result
+
+    monkeypatch.setattr(distributed, "run_simulation", recorded)
+    assert main(["calibrate", "--out", str(tmp_path / "o"), "--target-hz", "13.0",
+                 "--band-hz", "1000.0", "--warmup-seconds", "0.0205",
+                 "--probe-seconds", "0.0205"] + _tiny_args()) == 0
+    [(n_steps, steps, n_neurons)] = runs  # the first probe lands in the band
+    assert n_steps == 42 and steps.max() <= 41
+    rate = int((steps >= 21).sum()) / (n_neurons * 0.021)
+    assert f"(probe rate {rate:.3f} Hz)" in capsys.readouterr().out
 
 
 def test_calibrate_impossible_target_exits_1(tmp_path):

@@ -22,6 +22,7 @@ from spikebench.config import (
     load_bundled_config,
     parse_config,
     parse_config_text,
+    parse_inputs,
 )
 
 
@@ -290,3 +291,18 @@ def test_every_float_key_refuses_a_value_that_is_not_finite():
         "x.cfg:3: stimulus.ext_rate_hz: must be a finite number, got 'inf'",
     ]
     assert apply_overrides(RunConfig(), ["grid.w_exc=1e300"])["grid.w_exc"] == 1e300
+
+
+def test_a_value_that_did_not_parse_reads_none_until_a_later_item_sets_it():
+    cfg, problems = parse_inputs("small-1k", [("--set", "grid.x=abc"), ("--set", "grid.x=3"),
+                                              ("--set", "run.ranks=2"),
+                                              ("--ranks", "run.ranks=two")])
+    assert problems == ["--set grid.x: invalid literal for int() with base 0: 'abc'",
+                        "--ranks run.ranks: invalid literal for int() with base 0: 'two'"]
+    assert cfg["grid.x"] == 3 and cfg["run.ranks"] is None
+    assert cfg.grid_spec().grid_x == 3 and cfg.validate() == []
+    # a source that cannot be read could have set any key
+    cfg, problems = parse_inputs("no-such", [("--set", "run.ranks=0")])
+    assert problems == [f"no bundled config 'no-such.cfg'; available: {bundled_config_names()}"]
+    assert [key for key, value in cfg.values.items() if value is not None] == ["run.ranks"]
+    assert cfg.validate() == ["run.ranks: must be >= 1, got 0"]

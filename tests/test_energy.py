@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from spikebench import ConfigError, PlatformRecord, UndefinedMetricError, energy_report
+from spikebench import ConfigError, PlatformRecord, energy_report
 from spikebench.energy import (
     REFERENCE_JOULE_PER_EVENT,
     format_comparison_table,
@@ -45,7 +45,7 @@ def test_joule_per_event_values():
     assert energy_report(EMBEDDED, "embedded").joule_per_event == pytest.approx(2.247e-6,
                                                                                 rel=1e-3)
     assert energy_report(UNPOWERED, "x").joule_per_event == 0.0
-    with pytest.raises(UndefinedMetricError, match=r"power\.server\.events is 0"):
+    with pytest.raises(ConfigError, match=r"power\.server\.events is 0"):
         energy_report(replace(SERVER, events=0), "server")
 
 

@@ -31,12 +31,22 @@ import numpy as np
 
 from . import distributed, engine as engine_mod, network as network_mod
 from .config import POWER_LABELS, RunConfig, emit_config, parse_inputs
-from .energy import energy_report, format_comparison_table, format_energy_report
-from .errors import ConfigError, SpikebenchError, read_input
+from .energy import energy_report, format_comparison_table, format_energy_report, unmeasured
+from .errors import ConfigError, SpikebenchError, read_input, require, rule_problems
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+
+
+def _flag(flag: str, raw, parse=lambda raw: int(raw, 0)):
+    """(``parse(raw)``, []) for a flag's text, the config's integer syntax
+    by default; (None, [its diagnostic]) if it does not parse; (None, [])
+    for a flag not given."""
+    try:
+        return (None if raw is None else parse(raw)), []
+    except ValueError as err:
+        return None, [f"{flag}: {err}"]
 
 
 def _load_config(args, own, **placed) -> RunConfig:
@@ -44,15 +54,13 @@ def _load_config(args, own, **placed) -> RunConfig:
     refused with every problem of its inputs, of ``cfg.validate(**placed)``
     and of the command's ``own(cfg)``, which skips a key that reads None."""
     flags = [("--set", item) for item in args.set or []]
-    if args.seed is not None:
-        flags += [("--seed", f"grid.seed={args.seed}"),
-                  ("--seed", f"stimulus.seed={args.seed + 1}")]
+    seed, bad_seed = _flag("--seed", args.seed)
+    if seed is not None:
+        flags += [("--seed", f"grid.seed={seed}"), ("--seed", f"stimulus.seed={seed + 1}")]
     flags += [(f"--{name}", f"run.{name}={getattr(args, name)}")  # --ranks, --transport
               for name in ("ranks", "transport") if getattr(args, name, None) is not None]
     cfg, problems = parse_inputs(args.config, flags)
-    problems += cfg.validate(**placed) + own(cfg)
-    if problems:
-        raise ConfigError(problems)
+    require([], problems, bad_seed, cfg.validate(**placed), own(cfg))
     return cfg
 
 
@@ -124,21 +132,26 @@ def _write_raster(cfg: RunConfig, out_dir: str, steps, gids, suffix: str = "") -
     return path
 
 
+def _resolved(cfg: RunConfig, label: str, measured) -> tuple:
+    """power.<label>'s wall time and event count, a 0 taking the run's loop
+    time (``metrics.wall_seconds``) or event count from ``measured``, its
+    RunMetrics or None -> (wall_seconds, events, the key the time came from)."""
+    wall, events = cfg[f"power.{label}.wall_seconds"], cfg[f"power.{label}.events"]
+    run_wall, run_events = (measured.wall_seconds, measured.total_events) if measured else (0.0, 0)
+    wall_key = f"power.{label}.wall_seconds" if wall else "metrics.wall_seconds"
+    return wall or run_wall, events or run_events, wall_key
+
+
 def _write_energy(cfg: RunConfig, out_dir: str, measured) -> tuple:
     """Write energy.kv for every configured power record, after the
-    provenance header.  ``measured`` is the run's RunMetrics, or None.  A
-    zero ``power.<label>.events`` takes its event count; a zero
-    ``power.<label>.wall_seconds`` takes its loop time,
-    ``metrics.wall_seconds``, and energy.kv names the key each time came
-    from.  Returns (path, [EnergyReport per label])."""
+    provenance header, each record's time and event count resolved
+    against ``measured`` (``_resolved``); energy.kv names the key each
+    time came from.  Returns (path, [EnergyReport per label])."""
     lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
-    wall, events = (measured.wall_seconds, measured.total_events) if measured else (0.0, 0)
     reports = []
     for label in cfg.power_labels():
-        record = cfg.power_record(label)
-        wall_key = f"power.{label}.wall_seconds" if record.wall_seconds else "metrics.wall_seconds"
-        record = dataclasses.replace(record, wall_seconds=record.wall_seconds or wall,
-                                     events=record.events or events)
+        wall, events, wall_key = _resolved(cfg, label, measured)
+        record = dataclasses.replace(cfg.power_record(label), wall_seconds=wall, events=events)
         reports.append(energy_report(record, label))
         lines.append(format_energy_report(reports[-1], prefix=f"energy.{label}").rstrip())
         lines.append(f"energy.{label}.wall_seconds_from = {wall_key}")
@@ -156,10 +169,11 @@ def _cpu_seconds(who) -> float:
 
 def cmd_run(args) -> int:
     children_s = _cpu_seconds(resource.RUSAGE_CHILDREN)
-    # the lines' own diagnostics; --rank is checked against the cluster once it reads
+    # the lines' own diagnostics; --rank is checked against the cluster once both read
+    rank, bad_rank = _flag("--rank", args.rank)
     cluster, bad_lines = _read(distributed.parse_cluster_file, args.cluster)
-    placed = {} if bad_lines else {"rank": args.rank, "cluster": cluster}
-    cfg = _load_config(args, lambda cfg: bad_lines, **placed)
+    placed = {} if bad_rank or bad_lines else {"rank": rank, "cluster": cluster}
+    cfg = _load_config(args, lambda cfg: bad_rank + bad_lines, **placed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     build_ns = time.perf_counter_ns()
@@ -172,10 +186,10 @@ def cmd_run(args) -> int:
         net, seconds=cfg["run.simulated_seconds"], stim=cfg.stimulus(),
         n_ranks=cfg["run.ranks"], transport=cfg["run.transport"],
         lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params(),
-        timeout=cfg["run.timeout_seconds"], rank=args.rank, cluster=cluster,
+        timeout=cfg["run.timeout_seconds"], rank=rank, cluster=cluster,
     )
     metrics.setup_seconds["build"] = build_ns / 1e9
-    suffix = "" if args.rank is None else f"_rank{args.rank}"
+    suffix = "" if rank is None else f"_rank{rank}"
 
     checksum = engine_mod.raster_checksum(steps, gids)
     raster_path = _write_raster(cfg, out_dir, steps, gids, suffix)
@@ -191,10 +205,6 @@ def cmd_run(args) -> int:
                                   + _cpu_seconds(resource.RUSAGE_CHILDREN) - children_s)
     _write_kv(metrics_path, doc)
 
-    wrote = [raster_path, metrics_path]
-    if cfg.power_labels() and args.rank is None:
-        wrote.append(_write_energy(cfg, out_dir, metrics)[0])
-
     print(
         f"run complete: {metrics.total_spikes} spikes, "
         f"mean rate {metrics.mean_rate_hz:.3f} Hz, "
@@ -203,36 +213,56 @@ def cmd_run(args) -> int:
         f"equivalent synapses {equivalent}"
     )
     print(f"raster sha256 {checksum}")
-    for path in wrote:
-        print(f"wrote {path}")
+    print(f"wrote {raster_path}\nwrote {metrics_path}")
+    if cfg.power_labels() and rank is None:
+        # every power input was checked before the build; the run's own
+        # event count can still leave joules per event undefined
+        undefined = [f"power.{label}" for label in cfg.power_labels()
+                     if not _resolved(cfg, label, metrics)[1]]
+        if undefined:
+            raise SpikebenchError(f"{', '.join(undefined)}: the run counted 0 synaptic events, "
+                                  "so joules per event are undefined; energy.kv not written")
+        print(f"wrote {_write_energy(cfg, out_dir, metrics)[0]}")
     return EXIT_OK
 
 
-def _calibrate_problems(args, cfg: RunConfig) -> list:
-    """The calibrate flags' problems, one diagnostic per flag."""
-    dt_ms = cfg["run.dt_ms"]  # None did not parse; build_network refuses a dt at or below 0
-    probe = dt_ms is None or dt_ms <= 0 or (
-        args.probe_seconds < math.inf and engine_mod.step_count(args.probe_seconds, dt_ms) >= 1)
-    return [f"{flag}: must be {rule}, got {value}" for flag, value, ok, rule in (
-        ("--target-hz", args.target_hz, 0 < args.target_hz < math.inf, "finite and > 0"),
-        ("--band-hz", args.band_hz, 0 < args.band_hz < math.inf, "finite and > 0"),
-        ("--warmup-seconds", args.warmup_seconds, 0 <= args.warmup_seconds < math.inf,
-         "finite and >= 0"),
-        ("--probe-seconds", args.probe_seconds, probe,
-         f"finite and at least one step of run.dt_ms = {dt_ms} ms"),
-    ) if not ok]
+def _calibrate_flags(args) -> tuple:
+    """--target-hz, --band-hz, --warmup-seconds and --probe-seconds as
+    floats, each None if its text does not parse -> (values, problems)."""
+    parsed = [_flag(flag, getattr(args, flag[2:].replace("-", "_")), float)
+              for flag in ("--target-hz", "--band-hz", "--warmup-seconds", "--probe-seconds")]
+    return [value for value, _ in parsed], [p for _, bad in parsed for p in bad]
+
+
+def _calibrate_problems(values, cfg: RunConfig) -> list:
+    """The rules of the calibrate flags' ``values``, one diagnostic per
+    flag; a value of None did not parse and skips its rule."""
+    target, band, warmup, probe = values
+    dt_ms = cfg["run.dt_ms"]  # None did not parse; build_network refuses a dt it cannot step
+    probe_ok = probe is None or dt_ms is None or not 0 < dt_ms < math.inf or (
+        -math.inf < probe < math.inf and engine_mod.step_count(probe, dt_ms) >= 1)
+    return rule_problems([
+        ("--target-hz:", target, target is None or 0 < target < math.inf, "be finite and > 0"),
+        ("--band-hz:", band, band is None or 0 < band < math.inf, "be finite and > 0"),
+        ("--warmup-seconds:", warmup, warmup is None or 0 <= warmup < math.inf,
+         "be finite and >= 0"),
+        ("--probe-seconds:", probe, probe_ok,
+         f"be finite and at least one step of run.dt_ms = {dt_ms} ms"),
+    ])
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args, lambda cfg: _calibrate_problems(args, cfg))
+    values, bad_flags = _calibrate_flags(args)
+    cfg = _load_config(args, lambda cfg: bad_flags + _calibrate_problems(values, cfg))
+    target_hz, band_hz, warmup_seconds, probe_seconds = values
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     net = network_mod.build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"],
                                     model=cfg["model.kind"])
     stim, lif, stdp = cfg.stimulus(), cfg.lif_params(), cfg.stdp_params()
     dt_ms, w_exc = cfg["run.dt_ms"], cfg["grid.w_exc"]
-    warmup_steps = engine_mod.step_count(args.warmup_seconds, dt_ms)
-    probe_steps = engine_mod.step_count(args.probe_seconds, dt_ms)
+    warmup_steps = engine_mod.step_count(warmup_seconds, dt_ms)
+    probe_steps = engine_mod.step_count(probe_seconds, dt_ms)
 
     def probe(scale: float) -> float:
         # the one table at each probe's weight (the build never reads it);
@@ -247,7 +277,7 @@ def cmd_calibrate(args) -> int:
         return spikes / (net.n_neurons * probe_steps * dt_ms / 1000.0)
 
     scale, achieved = engine_mod.calibrate_rate(
-        probe, target_hz=args.target_hz, band_hz=args.band_hz)
+        probe, target_hz=target_hz, band_hz=band_hz)
     derived = cfg.with_values(**{"grid.w_exc": w_exc * scale})
     out_path = os.path.join(out_dir, "calibrated.cfg")
     with open(out_path, "w") as fh:
@@ -258,25 +288,34 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _report_problems(cfg: RunConfig) -> list:
-    """Refuse a report of no record, and a comparison whose two records
-    would both take the one run's loop time: its time ratio would be 1 by
-    construction, and its energy ratio only the power ratio."""
+def _report_problems(cfg: RunConfig, measured, doc_read: bool) -> list:
+    """Refuse a report of no record; a comparison whose two records would
+    both take the one run's loop time (its time ratio would be 1 by
+    construction, and its energy ratio only the power ratio); and a record
+    whose time or event count, resolved against ``measured`` as
+    ``_write_energy`` resolves it, is still 0, unless a ``--metrics``
+    document did not read (``doc_read`` false) and its counters are unknown."""
     if None in (cfg[f"power.{label}.current"] for label in POWER_LABELS):
-        return []  # both rules read every current
-    keys = [f"power.{label}.wall_seconds" for label in cfg.power_labels()]
+        return []  # every rule reads every current
+    labels = cfg.power_labels()
+    keys = [f"power.{label}.wall_seconds" for label in labels]
     if not keys:
         return ["no power records configured; set power.<label>.current (labels: server, embedded)"]
+    problems = []
     if [cfg[key] for key in keys] == [0, 0]:
-        return [f"{keys[0]} and {keys[1]} are both 0, so both platforms would take the one "
-                "run's loop time and the table would compare that run with itself; set at "
-                "least one of them"]
-    return []
+        problems.append(f"{keys[0]} and {keys[1]} are both 0, so both platforms would take the "
+                        "one run's loop time and the table would compare that run with itself; "
+                        "set at least one of them")
+    for label in labels:
+        if doc_read and None not in (cfg[f"power.{label}.wall_seconds"],
+                                     cfg[f"power.{label}.events"]):
+            problems += unmeasured(label, *_resolved(cfg, label, measured)[:2])
+    return problems
 
 
 def cmd_report(args) -> int:
     measured, bad_doc = _read(_read_metrics, args.metrics)
-    cfg = _load_config(args, lambda cfg: _report_problems(cfg) + bad_doc)
+    cfg = _load_config(args, lambda cfg: _report_problems(cfg, measured, not bad_doc) + bad_doc)
     out_dir = args.out
     energy_path, reports = _write_energy(cfg, out_dir, measured)
     print(f"wrote {energy_path}")
@@ -303,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, help="override grid and stimulus seeds")
+        p.add_argument("--seed", help="override grid and stimulus seeds")
 
     p_run = sub.add_parser("run", help="execute a benchmark run")
     common(p_run)
     p_run.add_argument("--ranks", help="number of ranks (overrides run.ranks)")
-    p_run.add_argument("--rank", type=int,
+    p_run.add_argument("--rank",
                        help="run exactly this rank of a multi-process cluster run")
     p_run.add_argument("--cluster", help="cluster file with `rank host:port` lines")
     p_run.add_argument("--transport", help="transport for single-host multi-rank runs, "
@@ -317,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="calibrate the excitatory weight grid.w_exc")
     common(p_cal)
-    p_cal.add_argument("--target-hz", type=float, default=5.1)
-    p_cal.add_argument("--band-hz", type=float, default=1.5)
-    p_cal.add_argument("--probe-seconds", type=float, default=0.5)
-    p_cal.add_argument("--warmup-seconds", type=float, default=0.5)
+    p_cal.add_argument("--target-hz", default="5.1")
+    p_cal.add_argument("--band-hz", default="1.5")
+    p_cal.add_argument("--probe-seconds", default="0.5")
+    p_cal.add_argument("--warmup-seconds", default="0.5")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_rep = sub.add_parser("report", help="energy report from measured inputs")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .energy import PlatformRecord
-from .errors import ConfigError, read_input
+from .errors import ConfigError, read_input, require
 from .distributed import check_run_args
 from .network import GridSpec, check_build_args
 from .neurons import AdaptiveLifParams
@@ -133,9 +133,7 @@ def _parse_items(items, values: Dict[str, object]) -> List[str]:
 
 def _parsed(items, values: Dict[str, object]) -> "RunConfig":
     """The config of ``items`` over ``values``, or a ConfigError of them."""
-    problems = _parse_items(items, values)
-    if problems:
-        raise ConfigError(problems)
+    require([], _parse_items(items, values))
     return RunConfig(values)
 
 
@@ -216,9 +214,7 @@ class RunConfig:
         return problems
 
     def require_valid(self) -> "RunConfig":
-        problems = self.validate()
-        if problems:
-            raise ConfigError(problems)
+        require([], self.validate())
         return self
 
 

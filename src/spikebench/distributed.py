@@ -34,6 +34,7 @@ signal, so the peers of a failed rank fail at their next receive.
 """
 
 import contextlib
+import math
 import socket
 import struct
 import threading
@@ -45,7 +46,7 @@ import numpy as np
 
 from .engine import Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks, step_count
 from .errors import (ConfigError, ExchangeError, FrameCorruptionError, ProtocolViolationError,
-                     read_input)
+                     read_input, require)
 from .neurons import AdaptiveLifParams
 from .network import Network
 from .plasticity import StdpParams, StdpState
@@ -571,20 +572,20 @@ def check_run_args(*, n_columns: Optional[int] = None, dt_ms: Optional[float] = 
     build refuses any other).  ``rank`` and ``cluster`` go together: a
     cluster names every rank's address, and ``rank`` says which runs here.
     """
+    timed = seconds is not None and 0 < seconds < math.inf
+    ranked = n_ranks is not None and n_ranks >= 1
+    rows = [("run.simulated_seconds:", seconds, seconds is None or timed, "be > 0"),
+            ("run.ranks:", n_ranks, n_ranks is None or ranked, "be >= 1"),
+            ("run.timeout_seconds:", timeout, timeout is None or 0 < timeout < math.inf,
+             "be > 0")]
     problems = []
-    if seconds is not None and not seconds > 0:
-        problems.append(f"run.simulated_seconds: must be > 0, got {seconds}")
-    elif None not in (seconds, dt_ms) and dt_ms > 0 and step_count(seconds, dt_ms) < 1:
+    if timed and dt_ms is not None and 0 < dt_ms < math.inf and step_count(seconds, dt_ms) < 1:
         problems.append(f"run.simulated_seconds: {seconds} s rounds to 0 steps of "
                         f"run.dt_ms = {dt_ms} ms")
-    if n_ranks is not None and n_ranks < 1:
-        problems.append(f"run.ranks: must be >= 1, got {n_ranks}")
-    elif None not in (n_ranks, n_columns) and n_ranks > n_columns:
+    if ranked and n_columns is not None and n_ranks > n_columns:
         problems.append(f"run.ranks: {n_ranks} ranks exceed the grid's {n_columns} columns")
     if transport is not None and transport not in TRANSPORTS:
         problems.append(f"run.transport: expected one of {TRANSPORTS}, got {transport!r}")
-    if timeout is not None and not timeout > 0:
-        problems.append(f"run.timeout_seconds: must be > 0, got {timeout}")
     if rank is not None and cluster is None:
         problems.append(f"rank {rank} needs a cluster (CLI: --cluster FILE)")
     if cluster is not None and rank is None:
@@ -597,8 +598,7 @@ def check_run_args(*, n_columns: Optional[int] = None, dt_ms: Optional[float] = 
             problems.append(f"cluster has no address for ranks {missing}")
         problems += [f"cluster rank {r} outside [0, {n_ranks})"
                      for r in sorted(cluster) if not 0 <= r < n_ranks]
-    if problems:
-        raise ConfigError(problems)
+    require(rows, problems)
 
 
 def run_simulation(net: Network, *, seconds: float, stim: StimulusSpec,

@@ -7,14 +7,16 @@ overhead.  The comparison table lists reference energy-per-event
 constants of published neuromorphic platforms for context.
 """
 
+import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import require
 
 __all__ = [
     "PlatformRecord",
     "EnergyReport",
     "energy_report",
+    "unmeasured",
     "format_energy_report",
     "format_comparison_table",
     "REFERENCE_JOULE_PER_EVENT",
@@ -44,16 +46,15 @@ class PlatformRecord:
     baseline_w: float = 0.0
 
     def __post_init__(self):
-        problems = [] if self.voltage > 0 else [f"voltage must be > 0, got {self.voltage}"]
-        problems += [f"{f.name} must be >= 0, got {getattr(self, f.name)}"
-                     for f in fields(self)[1:]  # every field after voltage
-                     if not getattr(self, f.name) >= 0]
-        power = self.voltage * self.current
-        if self.voltage > 0 and self.current >= 0 and self.baseline_w > power:
-            problems.append(f"baseline_w must lie in [0, voltage * current = {power} W], "
-                            f"got {self.baseline_w}")
-        if problems:
-            raise ConfigError(problems)
+        voltage, current, baseline_w = self.voltage, self.current, self.baseline_w
+        measured = 0 < voltage < math.inf and 0 <= current < math.inf
+        require([("voltage", voltage, 0 < voltage < math.inf, "be > 0"),
+                 *((f.name, getattr(self, f.name), 0 <= getattr(self, f.name) < math.inf,
+                    "be >= 0") for f in fields(self)[1:]),  # every field after voltage
+                 # the baseline's bound, once voltage, current and baseline are valid
+                 ("baseline_w", baseline_w,
+                  not (measured and voltage * current < baseline_w < math.inf),
+                  f"lie in [0, voltage * current = {voltage * current} W]")])
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,21 @@ class EnergyReport:
     baseline_w: float = 0.0
 
 
+def unmeasured(label: str, wall_seconds: float, events: int) -> list:
+    """One diagnostic for each of power.<label>'s time and event count that
+    is still 0, taken neither from the record nor from a run."""
+    return [problem for problem, zero in (
+        (f"power.{label}.wall_seconds is 0 and no run supplied its time; set it, or pass "
+         "the run's metrics (report --metrics FILE)", wall_seconds == 0),
+        (f"power.{label}.events is 0 and no measured event count supplied one; "
+         "joule-per-event needs a positive event count", events == 0)) if zero]
+
+
 def energy_report(record: PlatformRecord, label: str) -> EnergyReport:
     """The platform's power V*I less its baseline, the energy over its wall
     time and the joules per event, each with the error V*dI carries.  The
     record's time and event count must be known (> 0) by now."""
-    problems = []
-    if record.wall_seconds == 0:
-        problems.append(f"power.{label}.wall_seconds is 0 and no run supplied its time; "
-                        "set it, or pass the run's metrics (report --metrics FILE)")
-    if record.events == 0:
-        problems.append(f"power.{label}.events is 0 and no measured event count supplied one; "
-                        "joule-per-event needs a positive event count")
-    if problems:
-        raise ConfigError(problems)
+    require([], unmeasured(label, record.wall_seconds, record.events))
     power_err = record.voltage * record.current_error
     net_power = record.voltage * record.current - record.baseline_w
     energy = net_power * record.wall_seconds

@@ -27,6 +27,8 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     NumericalDivergenceError,
+    finite,
+    require,
 )
 from .neurons import (
     AdaptiveLifParams,
@@ -97,16 +99,11 @@ class StimulusSpec:
     seed: int = 7
 
     def __post_init__(self):
-        problems = []
-        if self.ext_synapses_per_neuron < 0:
-            problems.append(
-                f"ext_synapses_per_neuron must be >= 0, got {self.ext_synapses_per_neuron}"
-            )
-        if self.ext_rate_hz < 0:
-            problems.append(f"ext_rate_hz must be >= 0, got {self.ext_rate_hz}")
-        problems += rng.seed_problems(self.seed)
-        if problems:
-            raise ConfigError(problems)
+        n, rate = self.ext_synapses_per_neuron, self.ext_rate_hz
+        require([("ext_synapses_per_neuron", n, n >= 0, "be >= 0"),
+                 ("ext_rate_hz", rate, 0 <= rate < math.inf, "be >= 0"),
+                 *finite(self, "ext_weight")],
+                rng.seed_problems(self.seed))
 
     def events_per_step(self, dt_ms: float) -> float:
         """Poisson mean per neuron per step."""
@@ -422,9 +419,9 @@ def expected_event_count(neurons: float, seconds: float, mean_rate_hz: float,
                          fanout: float, ext_syn: float, ext_rate_hz: float) -> float:
     """Expected total synaptic events:
     neurons * seconds * (rate * fanout + ext_rate * ext_synapses)."""
-    args = (neurons, seconds, mean_rate_hz, fanout, ext_syn, ext_rate_hz)
-    if any(a < 0 for a in args):
-        raise ConfigError([f"expected_event_count arguments must be >= 0, got {args}"])
+    require((name, value, 0 <= value < math.inf, "be >= 0") for name, value in (
+        ("neurons", neurons), ("seconds", seconds), ("mean_rate_hz", mean_rate_hz),
+        ("fanout", fanout), ("ext_syn", ext_syn), ("ext_rate_hz", ext_rate_hz)))
     return neurons * seconds * (mean_rate_hz * fanout + ext_rate_hz * ext_syn)
 
 
@@ -485,14 +482,18 @@ def calibrate_rate(probe: Callable[[float], float], target_hz: float = 5.1,
             hi = mid
 
 
+def _raster_bytes(steps: np.ndarray, gids: np.ndarray) -> bytes:
+    """The raster as a stream of (step u32, neuron u32) pairs, little-endian."""
+    pairs = np.empty((len(steps), 2), dtype="<u4")
+    pairs[:, 0] = steps
+    pairs[:, 1] = gids
+    return pairs.tobytes()
+
+
 def save_raster_binary(path, steps: np.ndarray, gids: np.ndarray) -> None:
-    """Write the raster as a stream of (step u32, neuron u32) pairs,
-    little-endian."""
-    arr = np.empty((len(steps), 2), dtype="<u4")
-    arr[:, 0] = steps
-    arr[:, 1] = gids
+    """Write the raster as ``_raster_bytes`` pairs, in its record order."""
     with open(path, "wb") as fh:
-        fh.write(arr.tobytes())
+        fh.write(_raster_bytes(steps, gids))
 
 
 def load_raster_binary(path) -> Tuple[np.ndarray, np.ndarray]:
@@ -533,7 +534,5 @@ def raster_checksum(steps: np.ndarray, gids: np.ndarray) -> str:
     (step, neuron); identical rasters give identical digests regardless
     of record order."""
     order = np.lexsort((gids, steps))
-    arr = np.empty((len(steps), 2), dtype="<u4")
-    arr[:, 0] = np.asarray(steps)[order]
-    arr[:, 1] = np.asarray(gids)[order]
-    return hashlib.sha256(arr.tobytes()).hexdigest()
+    return hashlib.sha256(_raster_bytes(np.asarray(steps)[order],
+                                        np.asarray(gids)[order])).hexdigest()

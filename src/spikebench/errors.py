@@ -1,4 +1,7 @@
-"""Exception types for the simulator and its tools, and the input-file reader."""
+"""Exception types for the simulator and its tools, the rule-row
+formatter every input check goes through, and the input-file reader."""
+
+import math
 
 
 class SpikebenchError(Exception):
@@ -14,6 +17,29 @@ class ConfigError(SpikebenchError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def rule_problems(rows) -> list:
+    """One line ``"{name} must {requirement}, got {value}"`` per row (name,
+    value, ok, requirement) whose positive test ``ok`` fails, as nan and
+    +-inf fail ``0 < x < math.inf``.  An infinite value reads "must be
+    finite"; a value of None (the row names it in ``name``) adds no "got"."""
+    return [f"{name} must {'be finite' if isinstance(value, float) and math.isinf(value) else need}"
+            + ("" if value is None else f", got {value}")
+            for name, value, ok, need in rows if not ok]
+
+
+def finite(record, *names) -> list:
+    """A ``math.isfinite`` row for each float field ``names`` of ``record``."""
+    return [(name, getattr(record, name), math.isfinite(getattr(record, name)), "be finite")
+            for name in names]
+
+
+def require(rows, *more) -> None:
+    """Raise one ConfigError of the broken ``rows`` and the diagnostics ``more``."""
+    problems = rule_problems(rows) + [p for extra in more for p in extra]
+    if problems:
+        raise ConfigError(problems)
 
 
 def read_input(path, name: str) -> str:

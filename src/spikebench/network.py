@@ -28,7 +28,7 @@ import numpy as np
 
 from . import forked, rng
 from .engine import StimulusSpec, ms_steps
-from .errors import ConfigError
+from .errors import ConfigError, require, rule_problems
 
 __all__ = [
     "GridSpec",
@@ -75,30 +75,24 @@ class GridSpec:
         return int(math.floor(self.exc_fraction * self.neurons_per_column + 0.5))
 
     def __post_init__(self):
-        problems = []
-        if self.grid_x < 1 or self.grid_y < 1:
-            problems.append(f"grid must be at least 1x1, got {self.grid_x}x{self.grid_y}")
-        if self.neurons_per_column < 1:
-            problems.append(f"neurons_per_column must be >= 1, got {self.neurons_per_column}")
-        if not 0.0 < self.exc_fraction < 1.0:
-            problems.append(f"exc_fraction must be in (0, 1), got {self.exc_fraction}")
-        if self.target_fanout <= 0:
-            problems.append(f"target_fanout must be > 0, got {self.target_fanout}")
-        elif self.n_columns >= 1 and self.neurons_per_column >= 1 and self.target_fanout >= self.n_neurons:
-            problems.append(
-                f"target_fanout ({self.target_fanout}) must be below the neuron count ({self.n_neurons})"
-            )
-        if self.decay_lambda <= 0:
-            problems.append(f"decay_lambda must be > 0, got {self.decay_lambda}")
-        if self.delay_min_ms <= 0 or self.delay_max_ms < self.delay_min_ms:
-            problems.append(
-                f"delays must satisfy 0 < delay_min <= delay_max, got [{self.delay_min_ms}, {self.delay_max_ms}]"
-            )
-        if self.w_exc < 0 or self.w_inh < 0:
-            problems.append("w_exc and w_inh are magnitudes and must be >= 0")
-        problems += rng.seed_problems(self.seed)
-        if problems:
-            raise ConfigError(problems)
+        x, y, npc, fanout = self.grid_x, self.grid_y, self.neurons_per_column, self.target_fanout
+        lo, hi = self.delay_min_ms, self.delay_max_ms
+        counted = x >= 1 and y >= 1 and npc >= 1 and 0 < fanout < math.inf
+        require([
+            ("grid", f"{x}x{y}", x >= 1 and y >= 1, "be at least 1x1"),
+            ("neurons_per_column", npc, npc >= 1, "be >= 1"),
+            ("exc_fraction", self.exc_fraction, 0 < self.exc_fraction < 1, "be in (0, 1)"),
+            ("target_fanout", fanout, 0 < fanout < math.inf, "be > 0"),
+            (f"target_fanout ({fanout})", None, not counted or fanout < self.n_neurons,
+             f"be below the neuron count ({self.n_neurons})"),
+            ("decay_lambda", self.decay_lambda, 0 < self.decay_lambda < math.inf, "be > 0"),
+            ("delay_min_ms", lo, 0 < lo < math.inf, "be > 0"),
+            ("delay_max_ms", hi, 0 < hi < math.inf, "be > 0"),
+            (f"delay_max_ms ({hi})", None, not 0 < hi < lo < math.inf,
+             f"be at least delay_min_ms ({lo})"),
+            ("w_exc", self.w_exc, 0 <= self.w_exc < math.inf, "be >= 0"),
+            ("w_inh", self.w_inh, 0 <= self.w_inh < math.inf, "be >= 0"),
+        ], rng.seed_problems(self.seed))
 
 
 @dataclass
@@ -206,8 +200,8 @@ def connection_probability(d: float, spec: GridSpec, p0: Optional[float] = None)
     ``p0 * exp(-d/decay_lambda)`` clamped to [0, 1]; pass a precomputed
     p0 to skip renormalization.
     """
-    if d < 0:
-        raise ConfigError([f"distance must be >= 0, got {d}"])
+    require([("distance", d, 0 <= d < math.inf, "be >= 0"),
+             ("p0", p0, p0 is None or 0 <= p0 < math.inf, "be >= 0")])
     if p0 is None:
         p0 = normalize_fanout(spec)
     p = p0 * math.exp(-d / spec.decay_lambda)
@@ -325,18 +319,17 @@ def check_build_args(spec: Optional[GridSpec], dt_ms: Optional[float] = 1.0,
     rule naming its config key -> the spec's connection kernel (not computed
     for a ring beyond int32 words).  An argument of None skips the rules
     that read it; a dt_ms of None also the kernel, whose size they bound."""
-    problems = []
-    if model is not None and model not in MODEL_KINDS:
-        problems.append(f"model.kind: unknown model {model!r}; expected one of {MODEL_KINDS}")
-    if dt_ms is None:
+    problems = [] if model is None or model in MODEL_KINDS else [
+        f"model.kind: unknown model {model!r}; expected one of {MODEL_KINDS}"]
+    stepped = dt_ms is not None and 0 < dt_ms < math.inf
+    problems += rule_problems([("run.dt_ms:", dt_ms, dt_ms is None or stepped, "be > 0")])
+    if not stepped:
         spec = None
-    elif dt_ms <= 0:
-        problems.append(f"run.dt_ms: must be > 0, got {dt_ms}")
     elif spec is not None:
         n, delay_hi = spec.n_neurons, ms_steps(spec.delay_max_ms, dt_ms)
-        if spec.delay_min_ms < dt_ms:  # no delay can be shorter than a step
-            problems.append(f"grid.delay_min_ms ({spec.delay_min_ms}) must be at least one "
-                            f"step of run.dt_ms ({dt_ms})")
+        problems += rule_problems([  # no delay can be shorter than a step
+            (f"grid.delay_min_ms ({spec.delay_min_ms})", None, spec.delay_min_ms >= dt_ms,
+             f"be at least one step of run.dt_ms ({dt_ms})")])
         if delay_hi >= 2**15:
             problems.append(f"grid.delay_max_ms / run.dt_ms ({delay_hi}) exceeds the int16 range")
         # every word delay * n + target is below (delay_hi + 1) * n, the cells

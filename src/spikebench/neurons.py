@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDivergenceError
+from .errors import ConfigError, NumericalDivergenceError, finite, require
 
 __all__ = [
     "IzhikevichParams",
@@ -77,13 +77,11 @@ class IzhikevichParams:
     v_peak: float = 30.0
 
     def __post_init__(self):
-        problems = []
-        if not self.a > 0:
-            problems.append(f"a must be > 0, got {self.a}")
-        if not self.v_peak > self.c:
-            problems.append(f"v_peak ({self.v_peak}) must exceed reset c ({self.c})")
-        if problems:
-            raise ConfigError(problems)
+        c, v_peak = self.c, self.v_peak
+        require([("a", self.a, 0 < self.a < math.inf, "be > 0"),
+                 *finite(self, "b", "c", "d", "v_peak"),
+                 (f"v_peak ({v_peak})", None, not -math.inf < v_peak <= c < math.inf,
+                  f"exceed reset c ({c})")])
 
 
 @dataclass(frozen=True)
@@ -106,19 +104,13 @@ class AdaptiveLifParams:
     e_k: float = -90.0
 
     def __post_init__(self):
-        problems = []
-        if not self.tau_m > 0:
-            problems.append(f"tau_m must be > 0, got {self.tau_m}")
-        if not self.tau_c > 0:
-            problems.append(f"tau_c must be > 0, got {self.tau_c}")
-        if not self.v_thresh > self.v_reset:
-            problems.append(
-                f"v_thresh ({self.v_thresh}) must exceed v_reset ({self.v_reset})"
-            )
-        if self.t_refr < 0:
-            problems.append(f"t_refr must be >= 0, got {self.t_refr}")
-        if problems:
-            raise ConfigError(problems)
+        v_thresh, v_reset = self.v_thresh, self.v_reset
+        require([("tau_m", self.tau_m, 0 < self.tau_m < math.inf, "be > 0"),
+                 ("tau_c", self.tau_c, 0 < self.tau_c < math.inf, "be > 0"),
+                 ("t_refr", self.t_refr, 0 <= self.t_refr < math.inf, "be >= 0"),
+                 *finite(self, "v_rest", "v_thresh", "v_reset", "g_c", "delta_c", "e_k"),
+                 (f"v_thresh ({v_thresh})", None, not -math.inf < v_thresh <= v_reset < math.inf,
+                  f"exceed v_reset ({v_reset})")])
 
 
 @dataclass
@@ -136,10 +128,9 @@ class NeuronState:
     last_spike_step: Optional[int] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.w)):
-            raise ConfigError([f"neuron state must be finite, got v={self.v} w={self.w}"])
-        if self.refr_remaining < 0:
-            raise ConfigError([f"refr_remaining must be >= 0, got {self.refr_remaining}"])
+        refr = self.refr_remaining
+        require([*finite(self, "v", "w"),
+                 ("refr_remaining", refr, 0 <= refr < math.inf, "be >= 0")])
 
 
 _PRESETS = {
@@ -157,8 +148,7 @@ def izhikevich_preset(kind: str) -> IzhikevichParams:
 
 
 def _check_dt(dt: float) -> None:
-    if not dt > 0:
-        raise ConfigError([f"dt must be > 0, got {dt}"])
+    require([("dt", dt, 0 < dt < math.inf, "be > 0")])
 
 
 def step_izhikevich(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import engine, forked
 from .engine import _source_blocks, _unpack
-from .errors import ConfigError
+from .errors import ConfigError, finite, require
 
 __all__ = ["StdpParams", "stdp_delta_w", "potentiate", "depress", "StdpState"]
 
@@ -47,17 +47,14 @@ class StdpParams:
     w_max: float = 10.0
 
     def __post_init__(self):
-        problems = []
-        if not self.tau_plus > 0:
-            problems.append(f"tau_plus must be > 0, got {self.tau_plus}")
-        if not self.tau_minus > 0:
-            problems.append(f"tau_minus must be > 0, got {self.tau_minus}")
-        if self.w_min > self.w_max:
-            problems.append(f"w_min ({self.w_min}) must not exceed w_max ({self.w_max})")
-        if self.a_plus < 0 or self.a_minus < 0:
-            problems.append("a_plus and a_minus are magnitudes and must be >= 0")
-        if problems:
-            raise ConfigError(problems)
+        w_min, w_max = self.w_min, self.w_max
+        require([("a_plus", self.a_plus, 0 <= self.a_plus < math.inf, "be >= 0"),
+                 ("a_minus", self.a_minus, 0 <= self.a_minus < math.inf, "be >= 0"),
+                 ("tau_plus", self.tau_plus, 0 < self.tau_plus < math.inf, "be > 0"),
+                 ("tau_minus", self.tau_minus, 0 < self.tau_minus < math.inf, "be > 0"),
+                 *finite(self, "w_min", "w_max"),
+                 (f"w_min ({w_min})", None, not -math.inf < w_max < w_min < math.inf,
+                  f"not exceed w_max ({w_max})")])
 
 
 def stdp_delta_w(dt_pre_post: float, params: StdpParams) -> float:

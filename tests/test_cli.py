@@ -353,6 +353,50 @@ def test_run_refuses_a_stimulus_seed_outside_64_bits(tmp_path, monkeypatch, caps
         assert err == [f"config error: stimulus: seed must fit in 64 bits, got {seed}"]
 
 
+def test_flags_arrive_as_text_and_their_owners_parse_them_in_the_pass(tmp_path, monkeypatch,
+                                                                     capsys):
+    # --rank and --seed take the config's integer syntax, int(text, 0), so
+    # 010 is refused as it is in a config line; calibrate's floats parse
+    # beside its rules.  Each bad flag is one line beside the config's.
+    _no_build(monkeypatch)
+    out = tmp_path / "o"
+    cases = [
+        (["run", "--rank", "x"] + _tiny_args(["--set=run.ranks=0"]),
+         ["run.ranks: must be >= 1, got 0", "--rank: invalid literal for int() with base 0: 'x'"]),
+        (["run", "--seed", "010", "--rank", "1", "--cluster", str(tmp_path / "absent")]
+         + _tiny_args(),
+         ["--seed: invalid literal for int() with base 0: '010'",
+          f"cluster file {tmp_path / 'absent'}: No such file or directory"]),
+        (["calibrate", "--target-hz", "fast", "--band-hz", "inf", "--probe-seconds=-inf"]
+         + _tiny_args(["--set=run.ranks=0"]),
+         ["run.ranks: must be >= 1, got 0",
+          "--target-hz: could not convert string to float: 'fast'",
+          "--band-hz: must be finite, got inf",
+          "--probe-seconds: must be finite, got -inf"]),
+    ]
+    for argv, lines in cases:
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}" for line in lines]
+    assert not out.exists()
+
+
+def test_a_run_whose_own_count_leaves_joules_per_event_undefined_exits_1(tmp_path, capsys):
+    # every power input is valid, so the run builds and runs; its own 0
+    # events leave the energy undefined: a runtime failure, after the
+    # summary and the artifacts the run wrote, and no energy.kv
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out)] + _tiny_args(
+        ["--set=stimulus.ext_rate_hz=0", "--set=power.server.current=1"])) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("run complete: 0 spikes")
+    assert captured.out.splitlines()[2:] == [f"wrote {out / 'raster.csv'}",
+                                             f"wrote {out / 'metrics.kv'}"]
+    assert captured.err.splitlines() == [
+        "runtime failure: power.server: the run counted 0 synaptic events, so joules per event "
+        "are undefined; energy.kv not written"]
+    assert not (out / "energy.kv").exists()
+
+
 def test_run_energy_report_from_measured_events(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--out", str(out)] + _tiny_args([
@@ -465,6 +509,22 @@ def test_report_zero_events_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error: power.server.events is 0 and no measured event count supplied one; "
         "joule-per-event needs a positive event count"]
+
+
+def test_report_checks_its_time_and_event_rules_in_the_pass(tmp_path, monkeypatch, capsys):
+    # a record with a broken field still has its time and event count
+    # resolved (here against no run), so every problem shows at once
+    _no_build(monkeypatch)
+    assert main(["report", "--out", str(tmp_path / "rep"), "--set=power.server.current=1",
+                 "--set=power.server.voltage=-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: power.server: voltage must be > 0, got -1.0",
+        "config error: power.server.wall_seconds is 0 and no run supplied its time; set it, "
+        "or pass the run's metrics (report --metrics FILE)",
+        "config error: power.server.events is 0 and no measured event count supplied one; "
+        "joule-per-event needs a positive event count",
+    ]
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_reads_its_metrics_doc_in_the_same_pass(tmp_path, capsys):

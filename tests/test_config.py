@@ -9,10 +9,17 @@ from spikebench import (
     AdaptiveLifParams,
     ConfigError,
     GridSpec,
+    IzhikevichParams,
+    NeuronState,
     PlatformRecord,
     StdpParams,
     StimulusSpec,
+    connection_probability,
+    expected_event_count,
 )
+from spikebench.distributed import check_run_args
+from spikebench.network import check_build_args
+from spikebench.neurons import _check_dt
 from spikebench.config import (
     SCHEMA,
     RunConfig,
@@ -291,6 +298,79 @@ def test_every_float_key_refuses_a_value_that_is_not_finite():
         "x.cfg:3: stimulus.ext_rate_hz: must be a finite number, got 'inf'",
     ]
     assert apply_overrides(RunConfig(), ["grid.w_exc=1e300"])["grid.w_exc"] == 1e300
+
+
+# every parameter record, with the fields it has no default for
+_RECORDS = {GridSpec: {}, StimulusSpec: {}, AdaptiveLifParams: {}, StdpParams: {},
+            PlatformRecord: {}, IzhikevichParams: dict(a=0.02, b=0.2, c=-65.0, d=8.0),
+            NeuronState: dict(v=-65.0, w=-13.0)}
+
+
+@pytest.mark.parametrize("record, name", [
+    (record, f.name) for record in _RECORDS for f in dataclasses.fields(record)
+    if f.type is float], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_every_float_field_of_a_record_refuses_a_value_that_is_not_finite(record, name, value):
+    # each rule is a positive test, which nan and +-inf fail; a rule across
+    # two fields is skipped while one of them is broken, so one line each
+    with pytest.raises(ConfigError) as err:
+        record(**{**_RECORDS[record], name: value})
+    [problem] = err.value.problems
+    assert problem.startswith(f"{name} must ") and problem.endswith(f", got {value}")
+
+
+def test_a_nan_stimulus_rate_or_refractory_time_is_refused():
+    # each ran before: no external event at all, or a refractory time of 0
+    with pytest.raises(ConfigError) as err:
+        StimulusSpec(ext_rate_hz=float("nan"))
+    assert err.value.problems == ["ext_rate_hz must be >= 0, got nan"]
+    with pytest.raises(ConfigError) as err:
+        AdaptiveLifParams(t_refr=float("nan"))
+    assert err.value.problems == ["t_refr must be >= 0, got nan"]
+
+
+def test_a_rule_across_two_fields_is_one_line_naming_one_field():
+    cases = [
+        (GridSpec, dict(delay_min_ms=5.0, delay_max_ms=2.0),
+         ["delay_max_ms (2.0) must be at least delay_min_ms (5.0)"]),
+        (GridSpec, dict(w_exc=-1.0, w_inh=-2.0),  # the magnitudes are one rule each
+         ["w_exc must be >= 0, got -1.0", "w_inh must be >= 0, got -2.0"]),
+        (StdpParams, dict(w_min=5.0, w_max=1.0), ["w_min (5.0) must not exceed w_max (1.0)"]),
+        (StdpParams, dict(a_plus=-1.0, a_minus=-2.0),
+         ["a_plus must be >= 0, got -1.0", "a_minus must be >= 0, got -2.0"]),
+        (AdaptiveLifParams, dict(v_thresh=-70.0),
+         ["v_thresh (-70.0) must exceed v_reset (-60.0)"]),
+        (IzhikevichParams, dict(a=0.02, b=0.2, c=40.0, d=8.0),
+         ["v_peak (30.0) must exceed reset c (40.0)"]),
+        # voltage and current both broken: their product bounds nothing
+        (PlatformRecord, dict(voltage=-5.0, current=-1.0, baseline_w=2.0),
+         ["voltage must be > 0, got -5.0", "current must be >= 0, got -1.0"]),
+    ]
+    for record, kwargs, problems in cases:
+        with pytest.raises(ConfigError) as err:
+            record(**kwargs)
+        assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_every_float_argument_of_an_entry_point_refuses_a_value_that_is_not_finite(value):
+    spec = GridSpec(grid_x=2, grid_y=2, neurons_per_column=10, target_fanout=5.0)
+    calls = [
+        (lambda: check_build_args(spec, value), "run.dt_ms: "),
+        (lambda: check_run_args(seconds=value), "run.simulated_seconds: "),
+        (lambda: check_run_args(timeout=value), "run.timeout_seconds: "),
+        (lambda: _check_dt(value), "dt "),
+        (lambda: connection_probability(value, spec), "distance "),
+        (lambda: connection_probability(1.0, spec, p0=value), "p0 "),
+        *[(lambda i=i: expected_event_count(*[value if j == i else 1.0 for j in range(6)]),
+           f"{name} ") for i, name in enumerate(
+               ["neurons", "seconds", "mean_rate_hz", "fanout", "ext_syn", "ext_rate_hz"])],
+    ]
+    for call, name in calls:
+        with pytest.raises(ConfigError) as err:
+            call()
+        [problem] = err.value.problems
+        assert problem.startswith(f"{name}must ") and problem.endswith(f", got {value}")
 
 
 def test_a_value_that_did_not_parse_reads_none_until_a_later_item_sets_it():

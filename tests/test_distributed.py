@@ -22,7 +22,7 @@ from spikebench import (
     build_network,
     raster_checksum,
 )
-from spikebench import distributed, engine, network
+from spikebench import distributed, engine, network, rng
 from spikebench.distributed import (
     Communicator,
     FRAME_MAGIC,
@@ -779,6 +779,26 @@ def test_check_run_args_rejects_each_cluster_rank_that_does_not_exist():
     check_run_args(n_ranks=2, rank=0, cluster={0: ("127.0.0.1", 5000), 1: ("127.0.0.1", 5001)})
 
 
+def test_a_build_or_run_argument_that_is_not_finite_is_refused_before_any_draw(monkeypatch):
+    # each once ended in a ValueError or OverflowError traceback, or ran on
+    net = _net()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew or partitioned before the arguments were checked")
+
+    monkeypatch.setattr(rng, "philox_generator", no_draw)
+    monkeypatch.setattr(distributed, "partition", no_draw)
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ConfigError) as exc_info:
+        build_network(net.spec, dt_ms=nan)
+    assert exc_info.value.problems == ["run.dt_ms: must be > 0, got nan"]
+    for kwargs, problem in ((dict(seconds=inf), "run.simulated_seconds: must be finite, got inf"),
+                            (dict(timeout=inf), "run.timeout_seconds: must be finite, got inf")):
+        with pytest.raises(ConfigError) as exc_info:
+            run_simulation(net, **{"seconds": 0.01, "stim": _stim(), **kwargs})
+        assert exc_info.value.problems == [problem]
+
+
 def test_library_run_refuses_its_arguments_before_partition(monkeypatch):
     # check_run_args owns every rule on run_simulation's arguments and
     # runs before partition, with STDP on as well; the public functions
@@ -800,8 +820,8 @@ def test_library_run_refuses_its_arguments_before_partition(monkeypatch):
             "run.simulated_seconds: 0.0004 s rounds to 0 steps of run.dt_ms = 1.0 ms"]),
         (dict(seconds=0.0, n_ranks=2, transport="carrier-pigeon", timeout=float("nan"),
               rank=2), [
-            "run.simulated_seconds: must be > 0, got 0.0", transport,
-            "run.timeout_seconds: must be > 0, got nan",
+            "run.simulated_seconds: must be > 0, got 0.0",
+            "run.timeout_seconds: must be > 0, got nan", transport,
             "rank 2 needs a cluster (CLI: --cluster FILE)", "rank 2 outside [0, 2)"]),
     ]
     for kwargs, problems in cases:

@@ -1,6 +1,7 @@
 """Engine loop: stimulus, delay ring, event accounting, calibration."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -408,6 +409,15 @@ def test_raster_checksum_order_invariant():
     gids = np.array([5, 6, 7], dtype=np.uint32)
     shuffled = raster_checksum(steps[::-1].copy(), gids[::-1].copy())
     assert raster_checksum(steps, gids) == shuffled
+
+
+def test_raster_checksum_hashes_the_bytes_of_a_sorted_binary_raster(tmp_path):
+    # both encode the raster as one array of (step u32, neuron u32) pairs
+    steps = np.array([0, 1, 1, 5, 70000], dtype=np.int64)
+    gids = np.array([3, 2, 9, 0, 2**32 - 1], dtype=np.int64)
+    path = tmp_path / "raster.bin"
+    save_raster_binary(path, steps, gids)
+    assert raster_checksum(steps, gids) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ------------------------------------------------------------- run metrics

@@ -2,12 +2,12 @@
 
 Subcommands:
 
-* ``run``        execute a benchmark run, write raster + metrics (+ energy
-                 report when power inputs are configured)
+* ``run``        execute a benchmark run, write raster + metrics
 * ``calibrate``  find the excitatory weight ``grid.w_exc`` hitting the
                  target rate and write a derived config
-* ``report``     turn measured electrical inputs into the energy report
-                 and, with two platform records, the comparison table
+* ``report``     turn measured electrical inputs, and a run's metrics, into
+                 the energy report and, with two platform records, the
+                 comparison table: the only command that writes energy.kv
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 
@@ -142,26 +142,6 @@ def _resolved(cfg: RunConfig, label: str, measured) -> tuple:
     return wall or run_wall, events or run_events, wall_key
 
 
-def _write_energy(cfg: RunConfig, out_dir: str, measured) -> tuple:
-    """Write energy.kv for every configured power record, after the
-    provenance header, each record's time and event count resolved
-    against ``measured`` (``_resolved``); energy.kv names the key each
-    time came from.  Returns (path, [EnergyReport per label])."""
-    lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
-    reports = []
-    for label in cfg.power_labels():
-        wall, events, wall_key = _resolved(cfg, label, measured)
-        record = dataclasses.replace(cfg.power_record(label), wall_seconds=wall, events=events)
-        reports.append(energy_report(record, label))
-        lines.append(format_energy_report(reports[-1], prefix=f"energy.{label}").rstrip())
-        lines.append(f"energy.{label}.wall_seconds_from = {wall_key}")
-    os.makedirs(out_dir, exist_ok=True)  # once every record has its report
-    path = os.path.join(out_dir, "energy.kv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path, reports
-
-
 def _cpu_seconds(who) -> float:
     usage = resource.getrusage(who)
     return usage.ru_utime + usage.ru_stime
@@ -214,15 +194,6 @@ def cmd_run(args) -> int:
     )
     print(f"raster sha256 {checksum}")
     print(f"wrote {raster_path}\nwrote {metrics_path}")
-    if cfg.power_labels() and rank is None:
-        # every power input was checked before the build; the run's own
-        # event count can still leave joules per event undefined
-        undefined = [f"power.{label}" for label in cfg.power_labels()
-                     if not _resolved(cfg, label, metrics)[1]]
-        if undefined:
-            raise SpikebenchError(f"{', '.join(undefined)}: the run counted 0 synaptic events, "
-                                  "so joules per event are undefined; energy.kv not written")
-        print(f"wrote {_write_energy(cfg, out_dir, metrics)[0]}")
     return EXIT_OK
 
 
@@ -236,18 +207,25 @@ def _calibrate_flags(args) -> tuple:
 
 def _calibrate_problems(values, cfg: RunConfig) -> list:
     """The rules of the calibrate flags' ``values``, one diagnostic per
-    flag; a value of None did not parse and skips its rule."""
+    broken rule; a value of None did not parse and skips its rules."""
     target, band, warmup, probe = values
     dt_ms = cfg["run.dt_ms"]  # None did not parse; build_network refuses a dt it cannot step
-    probe_ok = probe is None or dt_ms is None or not 0 < dt_ms < math.inf or (
+    stepped = dt_ms is not None and 0 < dt_ms < math.inf
+    warmup_ok = warmup is None or 0 <= warmup < math.inf
+    probe_ok = probe is None or not stepped or (
         -math.inf < probe < math.inf and engine_mod.step_count(probe, dt_ms) >= 1)
+    # each probe runs the warmup's steps and then its own, numbered in 32 bits
+    counted = stepped and None not in (warmup, probe) and warmup_ok and probe_ok
     return rule_problems([
         ("--target-hz:", target, target is None or 0 < target < math.inf, "be finite and > 0"),
         ("--band-hz:", band, band is None or 0 < band < math.inf, "be finite and > 0"),
-        ("--warmup-seconds:", warmup, warmup is None or 0 <= warmup < math.inf,
-         "be finite and >= 0"),
+        ("--warmup-seconds:", warmup, warmup_ok, "be finite and >= 0"),
         ("--probe-seconds:", probe, probe_ok,
          f"be finite and at least one step of run.dt_ms = {dt_ms} ms"),
+        ("--warmup-seconds + --probe-seconds:", None, not counted or (
+            engine_mod.step_count(warmup, dt_ms) + engine_mod.step_count(probe, dt_ms)
+            < engine_mod.MAX_STEPS),
+         f"be fewer than 2**32 steps of run.dt_ms = {dt_ms} ms, got {warmup} + {probe} s"),
     ])
 
 
@@ -292,9 +270,9 @@ def _report_problems(cfg: RunConfig, measured, doc_read: bool) -> list:
     """Refuse a report of no record; a comparison whose two records would
     both take the one run's loop time (its time ratio would be 1 by
     construction, and its energy ratio only the power ratio); and a record
-    whose time or event count, resolved against ``measured`` as
-    ``_write_energy`` resolves it, is still 0, unless a ``--metrics``
-    document did not read (``doc_read`` false) and its counters are unknown."""
+    whose time or event count, resolved against ``measured`` (``_resolved``),
+    is still 0, unless a ``--metrics`` document did not read (``doc_read``
+    false) and its counters are unknown."""
     if None in (cfg[f"power.{label}.current"] for label in POWER_LABELS):
         return []  # every rule reads every current
     labels = cfg.power_labels()
@@ -316,8 +294,22 @@ def _report_problems(cfg: RunConfig, measured, doc_read: bool) -> list:
 def cmd_report(args) -> int:
     measured, bad_doc = _read(_read_metrics, args.metrics)
     cfg = _load_config(args, lambda cfg: _report_problems(cfg, measured, not bad_doc) + bad_doc)
+    # energy.kv: the provenance header, then each record with its time and
+    # event count resolved against the run (``_resolved``) and the key its
+    # time came from
+    lines = [f"{k} = {v}" for k, v in _provenance(cfg).items()]
+    reports = []
+    for label in cfg.power_labels():
+        wall, events, wall_key = _resolved(cfg, label, measured)
+        record = dataclasses.replace(cfg.power_record(label), wall_seconds=wall, events=events)
+        reports.append(energy_report(record, label))
+        lines.append(format_energy_report(reports[-1], prefix=f"energy.{label}").rstrip())
+        lines.append(f"energy.{label}.wall_seconds_from = {wall_key}")
     out_dir = args.out
-    energy_path, reports = _write_energy(cfg, out_dir, measured)
+    os.makedirs(out_dir, exist_ok=True)
+    energy_path = os.path.join(out_dir, "energy.kv")
+    with open(energy_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {energy_path}")
 
     if len(reports) == 2:

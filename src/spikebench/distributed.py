@@ -44,7 +44,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks, step_count
+from .engine import (MAX_STEPS, Engine, StimulusSpec, _source_blocks, _unpack, merge_ranks,
+                     step_count)
 from .errors import (ConfigError, ExchangeError, FrameCorruptionError, ProtocolViolationError,
                      read_input, require)
 from .neurons import AdaptiveLifParams
@@ -574,12 +575,16 @@ def check_run_args(*, n_columns: Optional[int] = None, dt_ms: Optional[float] = 
     """
     timed = seconds is not None and 0 < seconds < math.inf
     ranked = n_ranks is not None and n_ranks >= 1
+    n_steps = (step_count(seconds, dt_ms) if timed and dt_ms is not None and 0 < dt_ms < math.inf
+               else None)
     rows = [("run.simulated_seconds:", seconds, seconds is None or timed, "be > 0"),
+            ("run.simulated_seconds:", seconds, n_steps is None or n_steps < MAX_STEPS,
+             f"be fewer than 2**32 steps of run.dt_ms = {dt_ms} ms"),
             ("run.ranks:", n_ranks, n_ranks is None or ranked, "be >= 1"),
             ("run.timeout_seconds:", timeout, timeout is None or 0 < timeout < math.inf,
              "be > 0")]
     problems = []
-    if timed and dt_ms is not None and 0 < dt_ms < math.inf and step_count(seconds, dt_ms) < 1:
+    if n_steps == 0:
         problems.append(f"run.simulated_seconds: {seconds} s rounds to 0 steps of "
                         f"run.dt_ms = {dt_ms} ms")
     if ranked and n_columns is not None and n_ranks > n_columns:

@@ -10,7 +10,7 @@ constants of published neuromorphic platforms for context.
 import math
 from dataclasses import dataclass, fields
 
-from .errors import require
+from .errors import integer, require
 
 __all__ = [
     "PlatformRecord",
@@ -49,8 +49,10 @@ class PlatformRecord:
         voltage, current, baseline_w = self.voltage, self.current, self.baseline_w
         measured = 0 < voltage < math.inf and 0 <= current < math.inf
         require([("voltage", voltage, 0 < voltage < math.inf, "be > 0"),
-                 *((f.name, getattr(self, f.name), 0 <= getattr(self, f.name) < math.inf,
-                    "be >= 0") for f in fields(self)[1:]),  # every field after voltage
+                 *((name, getattr(self, name), 0 <= getattr(self, name) < math.inf, "be >= 0")
+                   for name in ("current", "current_error", "wall_seconds")),
+                 integer("events", self.events, self.events >= 0, "be >= 0"),
+                 ("baseline_w", baseline_w, 0 <= baseline_w < math.inf, "be >= 0"),
                  # the baseline's bound, once voltage, current and baseline are valid
                  ("baseline_w", baseline_w,
                   not (measured and voltage * current < baseline_w < math.inf),

@@ -28,6 +28,7 @@ from .errors import (
     ContractViolationError,
     NumericalDivergenceError,
     finite,
+    integer,
     require,
 )
 from .neurons import (
@@ -42,6 +43,7 @@ __all__ = [
     "DelayRing",
     "RunMetrics",
     "merge_ranks",
+    "MAX_STEPS",
     "ms_steps",
     "step_count",
     "Engine",
@@ -100,7 +102,7 @@ class StimulusSpec:
 
     def __post_init__(self):
         n, rate = self.ext_synapses_per_neuron, self.ext_rate_hz
-        require([("ext_synapses_per_neuron", n, n >= 0, "be >= 0"),
+        require([integer("ext_synapses_per_neuron", n, n >= 0, "be >= 0"),
                  ("ext_rate_hz", rate, 0 <= rate < math.inf, "be >= 0"),
                  *finite(self, "ext_weight")],
                 rng.seed_problems(self.seed))
@@ -160,10 +162,17 @@ class DelayRing:
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
+# frames and rasters store a step as a u32
+MAX_STEPS = 2**32
+
+
 def ms_steps(ms: float, dt_ms: float) -> int:
     """Steps of ``dt_ms`` in ``ms`` milliseconds, half steps rounded up:
-    the one rule for durations and delays."""
-    return math.floor(ms / dt_ms + 0.5)
+    the one rule for durations and delays.  A count of ``MAX_STEPS`` or
+    more reads ``MAX_STEPS``, which every caller's rule refuses, so a ratio
+    too large for an int (inf, at a tiny ``dt_ms``) is refused too."""
+    steps = ms / dt_ms + 0.5
+    return math.floor(steps) if steps < MAX_STEPS else MAX_STEPS
 
 
 def step_count(seconds: float, dt_ms: float) -> int:

@@ -2,6 +2,7 @@
 formatter every input check goes through, and the input-file reader."""
 
 import math
+from numbers import Integral
 
 
 class SpikebenchError(Exception):
@@ -33,6 +34,14 @@ def finite(record, *names) -> list:
     """A ``math.isfinite`` row for each float field ``names`` of ``record``."""
     return [(name, getattr(record, name), math.isfinite(getattr(record, name)), "be finite")
             for name in names]
+
+
+def integer(name, value, ok, need) -> tuple:
+    """The rule row (name, value, ok, need) of an int field, which a value
+    that is not an integer breaks as "be an integer" whatever ``ok`` says
+    (``numbers.Integral``, so numpy's integers pass)."""
+    whole = isinstance(value, Integral)
+    return name, value, whole and ok, need if whole else "be an integer"
 
 
 def require(rows, *more) -> None:

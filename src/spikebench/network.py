@@ -22,13 +22,14 @@ round(exc_fraction*npc) ids are excitatory.
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import forked, rng
 from .engine import StimulusSpec, ms_steps
-from .errors import ConfigError, require, rule_problems
+from .errors import ConfigError, integer, require, rule_problems
 
 __all__ = [
     "GridSpec",
@@ -77,10 +78,13 @@ class GridSpec:
     def __post_init__(self):
         x, y, npc, fanout = self.grid_x, self.grid_y, self.neurons_per_column, self.target_fanout
         lo, hi = self.delay_min_ms, self.delay_max_ms
-        counted = x >= 1 and y >= 1 and npc >= 1 and 0 < fanout < math.inf
+        columns = isinstance(x, Integral) and isinstance(y, Integral)
+        counted = (columns and x >= 1 and y >= 1 and isinstance(npc, Integral) and npc >= 1
+                   and 0 < fanout < math.inf)
         require([
-            ("grid", f"{x}x{y}", x >= 1 and y >= 1, "be at least 1x1"),
-            ("neurons_per_column", npc, npc >= 1, "be >= 1"),
+            ("grid", f"{x}x{y}", columns and x >= 1 and y >= 1,
+             "be at least 1x1" if columns else "be whole columns"),
+            integer("neurons_per_column", npc, npc >= 1, "be >= 1"),
             ("exc_fraction", self.exc_fraction, 0 < self.exc_fraction < 1, "be in (0, 1)"),
             ("target_fanout", fanout, 0 < fanout < math.inf, "be > 0"),
             (f"target_fanout ({fanout})", None, not counted or fanout < self.n_neurons,
@@ -330,14 +334,17 @@ def check_build_args(spec: Optional[GridSpec], dt_ms: Optional[float] = 1.0,
         problems += rule_problems([  # no delay can be shorter than a step
             (f"grid.delay_min_ms ({spec.delay_min_ms})", None, spec.delay_min_ms >= dt_ms,
              f"be at least one step of run.dt_ms ({dt_ms})")])
-        if delay_hi >= 2**15:
-            problems.append(f"grid.delay_max_ms / run.dt_ms ({delay_hi}) exceeds the int16 range")
         # every word delay * n + target is below (delay_hi + 1) * n, the cells
         # of a 1-rank delay ring; a rank of a larger run holds fewer neurons
-        if (delay_hi + 1) * n >= 2**31:
-            problems.append(f"{delay_hi + 1} ring slots x {n} neurons is {(delay_hi + 1) * n} "
+        words = (delay_hi + 1) * n
+        if delay_hi >= 2**15:  # the ratio, which ms_steps caps when too large to round
+            problems.append(f"grid.delay_max_ms / run.dt_ms ({spec.delay_max_ms / dt_ms}) "
+                            "exceeds the int16 range")
+        elif words >= 2**31:  # skipped while the delay, one of its inputs, is out of range
+            problems.append(f"{delay_hi + 1} ring slots x {n} neurons is {words} "
                             "synapse words, beyond int32 (2**31); use fewer neurons or a "
                             "shorter grid.delay_max_ms")
+        if words >= 2**31:
             spec = None  # too large for its kernel too
     try:
         kernel = None if spec is None else _connection_kernel(spec)

@@ -25,6 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import integer, rule_problems
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _WORD_MULT = 0xD1342543DE82EF95
@@ -37,7 +39,7 @@ _U53 = 1.0 / 9007199254740992.0
 
 def seed_problems(seed: int) -> list:
     """A seed is one 64-bit word; a wider one would key another's streams."""
-    return [] if 0 <= seed < 2**64 else [f"seed must fit in 64 bits, got {seed}"]
+    return rule_problems([integer("seed", seed, 0 <= seed < 2**64, "fit in 64 bits")])
 
 
 def mix64(x: int) -> int:

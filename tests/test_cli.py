@@ -273,7 +273,20 @@ def test_run_refuses_values_that_are_not_finite_before_building(tmp_path, monkey
     (["--set=grid.x=abc", "--set=run.ranks=150", "--set=run.timeout_seconds=0"],
      ["--set grid.x: invalid literal for int() with base 0: 'abc'",
       "run.timeout_seconds: must be > 0, got 0.0"]),
-], ids=["nan-and-ranks", "transport-flag", "grid-not-parsed"])
+    # frames and rasters number a step in 32 bits; a step count too large
+    # for an int is refused by the same rule, with no traceback
+    (["--set=run.simulated_seconds=4294967.2955"],
+     ["run.simulated_seconds: must be fewer than 2**32 steps of run.dt_ms = 1.0 ms, "
+      "got 4294967.2955"]),
+    (["--set=run.simulated_seconds=1e306"],
+     ["run.simulated_seconds: must be fewer than 2**32 steps of run.dt_ms = 1.0 ms, "
+      "got 1e+306"]),
+    (["--set=run.dt_ms=1e-320"],
+     ["grid.delay_max_ms / run.dt_ms (inf) exceeds the int16 range",
+      "run.simulated_seconds: must be fewer than 2**32 steps of run.dt_ms = 1e-320 ms, "
+      "got 0.3"]),
+], ids=["nan-and-ranks", "transport-flag", "grid-not-parsed", "2**32-steps", "huge-seconds",
+        "tiny-dt"])
 def test_run_reports_every_input_problem_in_one_pass(tmp_path, monkeypatch, capsys, extra,
                                                      lines):
     _no_build(monkeypatch)
@@ -380,30 +393,27 @@ def test_flags_arrive_as_text_and_their_owners_parse_them_in_the_pass(tmp_path, 
     assert not out.exists()
 
 
-def test_a_run_whose_own_count_leaves_joules_per_event_undefined_exits_1(tmp_path, capsys):
-    # every power input is valid, so the run builds and runs; its own 0
-    # events leave the energy undefined: a runtime failure, after the
-    # summary and the artifacts the run wrote, and no energy.kv
+@pytest.mark.parametrize("extra", [
+    ["--set=power.server.current=1.15", "--set=power.embedded.current=0.08"],
+    ["--ranks", "2", "--set=power.server.current=1.15", "--set=power.server.wall_seconds=9.1"],
+    # a run of 0 events completes; only report would find its price undefined
+    ["--set=stimulus.ext_rate_hz=0", "--set=power.server.current=1"],
+])
+def test_run_writes_no_energy_report_whatever_power_holds(tmp_path, capsys, extra):
     out = tmp_path / "o"
-    assert main(["run", "--out", str(out)] + _tiny_args(
-        ["--set=stimulus.ext_rate_hz=0", "--set=power.server.current=1"])) == 1
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[0].startswith("run complete: 0 spikes")
-    assert captured.out.splitlines()[2:] == [f"wrote {out / 'raster.csv'}",
-                                             f"wrote {out / 'metrics.kv'}"]
-    assert captured.err.splitlines() == [
-        "runtime failure: power.server: the run counted 0 synaptic events, so joules per event "
-        "are undefined; energy.kv not written"]
-    assert not (out / "energy.kv").exists()
+    assert main(["run", "--out", str(out)] + _tiny_args(extra)) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"wrote {out / 'raster.csv'}",
+                                                        f"wrote {out / 'metrics.kv'}"]
+    assert sorted(os.listdir(out)) == ["metrics.kv", "raster.csv"]
 
 
 def test_run_energy_report_from_measured_events(tmp_path):
     out = tmp_path / "out"
-    code = main(["run", "--out", str(out)] + _tiny_args([
-        "--set=power.server.current=1.15", "--set=power.server.wall_seconds=9.1",
-    ]))
-    assert code == 0
-    doc = _read_kv(out / "energy.kv")
+    assert main(["run", "--out", str(out)] + _tiny_args()) == 0
+    rep = tmp_path / "rep"
+    assert main(["report", "--out", str(rep), "--metrics", str(out / "metrics.kv"),
+                 "--set=power.server.current=1.15", "--set=power.server.wall_seconds=9.1"]) == 0
+    doc = _read_kv(rep / "energy.kv")
     assert float(doc["energy.server.power_w"]) == pytest.approx(253.0, rel=1e-9)
     metrics = _read_kv(out / "metrics.kv")
     expected_jpe = 2302.3 / int(metrics["metrics.total_events"])
@@ -412,20 +422,20 @@ def test_run_energy_report_from_measured_events(tmp_path):
 
 
 def test_energy_from_the_runs_own_time_reproduces_metrics(tmp_path, capsys):
-    # power.server.wall_seconds stays 0: run and report --metrics take the
-    # loop time from the run, so energy.kv follows from metrics.kv alone
+    # power.server.wall_seconds stays 0: report --metrics takes the loop
+    # time from the run, so energy.kv follows from metrics.kv alone
     out = tmp_path / "run"
-    assert main(["run", "--out", str(out)] + _tiny_args(["--set=power.server.current=1.0"])) == 0
+    assert main(["run", "--out", str(out)] + _tiny_args()) == 0
     metrics = _read_kv(out / "metrics.kv")
     wall = float(metrics["metrics.wall_seconds"])
     expected_jpe = 220.0 * 1.0 * wall / int(metrics["metrics.total_events"])
     rep = tmp_path / "rep"
     assert main(["report", "--out", str(rep), "--metrics", str(out / "metrics.kv"),
                  "--set=power.server.current=1.0"]) == 0
-    for doc in (_read_kv(out / "energy.kv"), _read_kv(rep / "energy.kv")):
-        assert doc["energy.server.wall_seconds_from"] == "metrics.wall_seconds"
-        assert float(doc["energy.server.wall_seconds"]) == wall
-        assert float(doc["energy.server.joule_per_event"]) == pytest.approx(expected_jpe, rel=1e-12)
+    doc = _read_kv(rep / "energy.kv")
+    assert doc["energy.server.wall_seconds_from"] == "metrics.wall_seconds"
+    assert float(doc["energy.server.wall_seconds"]) == wall
+    assert float(doc["energy.server.joule_per_event"]) == pytest.approx(expected_jpe, rel=1e-12)
     # without a run's metrics the time is unknown: one diagnostic, exit 2
     capsys.readouterr()
     assert main(["report", "--out", str(tmp_path / "bad"), "--set=power.server.current=1.0",
@@ -433,6 +443,70 @@ def test_energy_from_the_runs_own_time_reproduces_metrics(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "power.server.wall_seconds is 0" in err[0], err
     assert not (tmp_path / "bad").exists()
+
+
+# a fixed metrics document, as run writes it (235 M events over 9.1 s of loop)
+PINNED_METRICS = """\
+config.grid.seed = 42
+metrics.n_neurons = 10000
+metrics.simulated_seconds = 3.0
+metrics.wall_seconds = 9.1
+metrics.total_spikes = 153000
+metrics.internal_synaptic_events = 183000000
+metrics.external_synaptic_events = 52000000
+metrics.table_bytes = 48000000
+"""
+
+PINNED_ENERGY = """\
+energy.server.label = server
+energy.server.power_w = 252.99999999999997
+energy.server.power_err_w = 1.1
+energy.server.energy_j = 2302.2999999999997
+energy.server.energy_err_j = 10.01
+energy.server.joule_per_event = 9.797021276595743e-06
+energy.server.joule_per_event_err = 4.259574468085106e-08
+energy.server.wall_seconds = 9.1
+energy.server.synaptic_events = 235000000
+energy.server.baseline_w = 0.0
+energy.server.wall_seconds_from = metrics.wall_seconds
+energy.embedded.label = embedded
+energy.embedded.power_w = 15.100000000000001
+energy.embedded.power_err_w = 1.1
+energy.embedded.energy_j = 453.00000000000006
+energy.embedded.energy_err_j = 33.0
+energy.embedded.joule_per_event = 1.9276595744680855e-06
+energy.embedded.joule_per_event_err = 1.404255319148936e-07
+energy.embedded.wall_seconds = 30.0
+energy.embedded.synaptic_events = 235000000
+energy.embedded.baseline_w = 2.5
+energy.embedded.wall_seconds_from = power.embedded.wall_seconds
+"""
+
+PINNED_TABLE = """\
+                          server   embedded  server / embedded
+joule per synaptic event  9.80 uJ  1.93 uJ   5.08x
+total energy to solution  2302 J   453 J     5.08x
+instantaneous power       253 W    15.1 W    16.75x
+time to solution          9.1 s    30 s      0.30x
+
+reference compass_sim_on_core_i7: 5.7e-06 J/event
+reference spinnaker: 2e-08 J/event
+reference truenorth: 2.6e-11 J/event
+"""
+
+
+def test_report_of_a_metrics_document_is_pinned_byte_for_byte(tmp_path):
+    doc = tmp_path / "metrics.kv"
+    doc.write_text(PINNED_METRICS)
+    rep = tmp_path / "rep"
+    assert main(["report", "--out", str(rep), "--metrics", str(doc),
+                 "--set=power.server.current=1.15", "--set=power.embedded.current=0.08",
+                 "--set=power.embedded.wall_seconds=30.0",
+                 "--set=power.embedded.baseline_w=2.5"]) == 0
+    energy = [line for line in (rep / "energy.kv").read_text().splitlines(keepends=True)
+              if line.startswith("energy.")]
+    assert "".join(energy) == PINNED_ENERGY
+    assert (rep / "comparison.txt").read_text() == PINNED_TABLE
 
 
 def test_report_reproduces_measured_table(tmp_path, capsys):
@@ -457,11 +531,9 @@ def test_report_reproduces_measured_table(tmp_path, capsys):
 def test_report_refuses_to_compare_one_run_with_itself(tmp_path, capsys):
     run = tmp_path / "run"
     both = ["--set=power.server.current=1.15", "--set=power.embedded.current=0.08"]
-    # run still writes a record per label, each from the run's own time
+    # run prices nothing, whatever power.* holds
     assert main(["run", "--out", str(run)] + _tiny_args(both)) == 0
-    doc = _read_kv(run / "energy.kv")
-    wall = _read_kv(run / "metrics.kv")["metrics.wall_seconds"]
-    assert doc["energy.server.wall_seconds"] == doc["energy.embedded.wall_seconds"] == wall
+    assert not (run / "energy.kv").exists()
     capsys.readouterr()
     rep = tmp_path / "rep"
     assert main(["report", "--out", str(rep), "--metrics", str(run / "metrics.kv")]
@@ -625,6 +697,13 @@ def test_calibrate_refuses_each_bad_flag_before_building(tmp_path, monkeypatch, 
                  "--warmup-seconds", "nan"] + _tiny_args()) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: --warmup-seconds: must be finite and >= 0, got nan"]
+    # the probes run warmup + probe steps, which frames number in 32 bits
+    for warmup, probe in (("0.5", "1e306"), ("4294967.295", "0.001")):
+        assert main(["calibrate", "--out", str(out), "--warmup-seconds", warmup,
+                     "--probe-seconds", probe] + _tiny_args()) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --warmup-seconds + --probe-seconds: must be fewer than 2**32 steps "
+            f"of run.dt_ms = 1.0 ms, got {float(warmup)} + {float(probe)} s"]
 
 
 def test_calibrate_probes_run_exactly_the_steps_they_read(tmp_path, monkeypatch, capsys):
@@ -743,7 +822,8 @@ def test_multiprocess_tcp_cluster_matches_memory(tmp_path):
     cluster.write_text("".join(f"{r} 127.0.0.1:{p}\n" for r, p in enumerate(ports)))
     outs = [tmp_path / f"rank{r}" for r in range(2)]
     base = ["-m", "spikebench.cli", "run", "--cluster", str(cluster)]
-    sets = [f"--set={k}={v}" for k, v in TINY.items()] + ["--set=run.ranks=2"]
+    sets = [f"--set={k}={v}" for k, v in TINY.items()] + [
+        "--set=run.ranks=2", "--set=power.server.current=1.15"]
     procs = [
         subprocess.Popen(
             [sys.executable] + base + ["--rank", str(r), "--out", str(outs[r])] + sets,
@@ -754,6 +834,8 @@ def test_multiprocess_tcp_cluster_matches_memory(tmp_path):
     for proc in procs:
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err.decode()
+    for r in range(2):  # each rank's raster and metrics, never an energy report
+        assert sorted(os.listdir(outs[r])) == [f"metrics_rank{r}.kv", f"raster_rank{r}.csv"]
 
     steps = []
     gids = []

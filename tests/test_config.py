@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from spikebench import (
@@ -317,6 +318,23 @@ def test_every_float_field_of_a_record_refuses_a_value_that_is_not_finite(record
         record(**{**_RECORDS[record], name: value})
     [problem] = err.value.problems
     assert problem.startswith(f"{name} must ") and problem.endswith(f", got {value}")
+
+
+@pytest.mark.parametrize("record, name", [
+    (record, f.name) for record in _RECORDS for f in dataclasses.fields(record)
+    if f.type is int], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5, 3.0])
+def test_every_int_field_of_a_record_refuses_a_value_that_is_not_an_integer(record, name, value):
+    # one line, naming the field (grid_x and grid_y share the row "grid",
+    # of value "XxY"); numpy's integers are integers
+    with pytest.raises(ConfigError) as err:
+        record(**{**_RECORDS[record], name: value})
+    [problem] = err.value.problems
+    row, got = {"grid_x": ("grid", f"{value}x10"),
+                "grid_y": ("grid", f"10x{value}")}.get(name, (name, value))
+    assert problem.startswith(f"{row} must ") and problem.endswith(f", got {got}")
+    kwargs = _RECORDS[record]
+    assert record(**{**kwargs, name: np.int64(30)}) == record(**{**kwargs, name: 30})
 
 
 def test_a_nan_stimulus_rate_or_refractory_time_is_refused():

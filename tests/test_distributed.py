@@ -818,6 +818,9 @@ def test_library_run_refuses_its_arguments_before_partition(monkeypatch):
         (dict(timeout=-1), ["run.timeout_seconds: must be > 0, got -1"]),
         (dict(seconds=0.0004), [
             "run.simulated_seconds: 0.0004 s rounds to 0 steps of run.dt_ms = 1.0 ms"]),
+        (dict(seconds=1e306), [
+            "run.simulated_seconds: must be fewer than 2**32 steps of run.dt_ms = 1.0 ms, "
+            "got 1e+306"]),
         (dict(seconds=0.0, n_ranks=2, transport="carrier-pigeon", timeout=float("nan"),
               rank=2), [
             "run.simulated_seconds: must be > 0, got 0.0",

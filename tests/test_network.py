@@ -260,6 +260,13 @@ def test_build_rejects_ring_beyond_int32_word(monkeypatch):
     # one slot fewer fits int32: the build goes on to draw
     with pytest.raises(RuntimeError, match="drew a synapse"):
         build_network(dataclasses.replace(spec, delay_max_ms=32766.0), dt_ms=1.0)
+    # a delay beyond int16 names only the delay, and the ring it leaves
+    # beyond int32 still skips the kernel
+    monkeypatch.setattr(network, "_connection_kernel", no_draw)
+    with pytest.raises(ConfigError) as err:
+        build_network(spec, dt_ms=0.5)
+    assert err.value.problems == [
+        "grid.delay_max_ms / run.dt_ms (65534.0) exceeds the int16 range"]
 
 
 def test_delay_min_below_dt_rejected():

@@ -15,6 +15,7 @@ delivered, one external event per Poisson arrival.
 
 import bisect
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional, Tuple
@@ -125,6 +126,7 @@ class DelayRing:
         self.n_local = n_local
         self.buf = np.zeros((n_slots, n_local), dtype=np.float64)
         self.cursor = 0
+        self._bins = None  # the step's bins while accumulate(..., more=True) holds them open
 
     def drain(self) -> np.ndarray:
         """Return and zero the current slot's accumulators."""
@@ -132,7 +134,7 @@ class DelayRing:
         self.buf[self.cursor].fill(0.0)
         return row
 
-    def accumulate(self, words: np.ndarray, weights: np.ndarray) -> None:
+    def accumulate(self, words: np.ndarray, weights: np.ndarray, more: bool = False) -> None:
         """Add ``weights[i]`` at delay ``words[i] // n_local`` (slot
         (cursor + delay) mod length), target ``words[i] % n_local``.
 
@@ -145,20 +147,39 @@ class DelayRing:
         and receives one ``buf + bin`` addition, exactly as binning by
         absolute slot would.  Callers control the float addition order by
         ordering their inputs.
+
+        A step's weights may come in several calls: each call with
+        ``more`` leaves the step's bins open, and the next call continues
+        them (``np.bincount`` opens the bins, ``np.add.at``, which also
+        adds in input order, continues them).  Only the call without
+        ``more`` adds them into the ring, so a step split into calls sums
+        every bin from +0.0 in input order and adds it once, bit for bit
+        as one call with all of its words would.
         """
-        if len(words) == 0:
-            return
         n_slots, n_local, c = self.n_slots, self.n_local, self.cursor
-        if int(words.min()) < n_local:
-            raise ContractViolationError("synaptic delay below the 1-step minimum")
-        acc = np.bincount(words, weights=weights, minlength=n_slots * n_local)
-        if len(acc) > n_slots * n_local:
-            raise ContractViolationError("synaptic delay beyond the ring length")
-        acc = acc.reshape(n_slots, n_local)
+        size = n_slots * n_local
+        if len(words):
+            if int(words.min()) < n_local:
+                raise ContractViolationError("synaptic delay below the 1-step minimum")
+            if self._bins is None:
+                bins = np.bincount(words, weights=weights, minlength=size)
+                if len(bins) > size:
+                    raise ContractViolationError("synaptic delay beyond the ring length")
+                self._bins = bins
+            elif int(words.max()) >= size:
+                raise ContractViolationError("synaptic delay beyond the ring length")
+            else:
+                np.add.at(self._bins, words, weights)
+        if more or self._bins is None:
+            return
+        acc = self._bins.reshape(n_slots, n_local)
+        self._bins = None
         self.buf[c:] += acc[:n_slots - c]
         self.buf[:c] += acc[n_slots - c:]
 
     def advance(self) -> None:
+        if self._bins is not None:
+            raise ContractViolationError("the step's ring bins were left open")
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
@@ -303,9 +324,11 @@ class Engine:
         self._block_steps = max(1, _STIMULUS_BLOCK_LANES // max(1, self.n_local))
         self._block = np.zeros((self._block_steps, self.n_local), dtype=np.int64)
         self._block_t0 = -1
-        # delivery scratch, reused every step: the joined words (int64, so
-        # bincount takes them without a copy)
-        self._words = np.empty(0, dtype=np.int64)
+        # delivery scratch, reused by every block of every step (fewer than
+        # _BLOCK_SYNAPSES synapses plus one source's span): the joined words
+        # (int64, so bincount takes them without a copy)
+        longest = int(np.diff(part.in_offsets).max(initial=0))
+        self._words = np.empty(_BLOCK_SYNAPSES + longest, dtype=np.int64)
 
         if self.model == "izhikevich":
             exc = part.local_excitatory
@@ -380,27 +403,32 @@ class Engine:
 
     def deliver(self, t: int, sources_sorted: np.ndarray) -> None:
         """Expand this step's spikes (ascending source id, local and remote
-        merged) through the rank's incoming synapse lists."""
+        merged) through the rank's incoming synapse lists.
+
+        The spans are delivered in blocks of whole spans (``_source_blocks``
+        over their running sum), each joined into the engine's scratch and
+        binned into the ring bins that the step's first block opened, so
+        no temporary grows with a burst step."""
         part = self.part
         starts = part.in_offsets[sources_sorted]
         lengths = part.in_offsets[sources_sorted + 1] - starts
-        n = int(lengths.sum())
-        if n:
-            if n > len(self._words):  # grow geometrically; never shrink
-                self._words = np.empty(max(n, 2 * len(self._words)), dtype=np.int64)
-            # exact-length views: accumulate sees this step's synapses only
-            words = self._words[:n]
-            # each source's synapses are one contiguous span of the table;
-            # joining the spans in source order copies each word once
-            spans = [slice(a, a + k) for a, k in zip(starts.tolist(), lengths.tolist())]
-            np.concatenate([part.in_words[s] for s in spans], out=words)
-            # np.repeat has no out=; a Python loop filling a buffer span by
-            # span held the GIL and slowed thread ranks
-            w = np.repeat(part.source_weights[sources_sorted], lengths)
-            if self.stdp is not None:  # only plastic synapses have weights of their own
-                self.stdp.overlay(w, sources_sorted, lengths)
-            self.ring.accumulate(words, w)
-            self.internal_events += n
+        counts = lengths.tolist()
+        ends = list(itertools.accumulate(counts, initial=0))
+        if ends[-1]:
+            spans = list(zip(starts.tolist(), counts))
+            for i, j in _source_blocks(ends):
+                words = self._words[:ends[j] - ends[i]]
+                # each source's synapses are one contiguous span of the table;
+                # joining the spans in source order copies each word once
+                np.concatenate([part.in_words[a:a + k] for a, k in spans[i:j]], out=words)
+                # np.repeat has no out=; a Python loop filling a buffer span
+                # by span held the GIL and slowed thread ranks
+                sources, lens = sources_sorted[i:j], lengths[i:j]
+                w = np.repeat(part.source_weights[sources], lens)
+                if self.stdp is not None:  # only plastic synapses have weights of their own
+                    self.stdp.overlay(w, sources, lens)
+                self.ring.accumulate(words, w, more=j < len(counts))
+            self.internal_events += ends[-1]
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)
 
@@ -521,8 +549,7 @@ def save_raster_csv(path, steps: np.ndarray, gids: np.ndarray,
         for key, value in (provenance or {}).items():
             fh.write(f"# {key} = {value}\n")
         fh.write("step,neuron\n")
-        for s, g in zip(steps, gids):
-            fh.write(f"{int(s)},{int(g)}\n")
+        fh.writelines(f"{s},{g}\n" for s, g in zip(steps.tolist(), gids.tolist()))
 
 
 def load_raster_csv(path) -> Tuple[np.ndarray, np.ndarray]:

@@ -101,29 +101,51 @@ def test_zero_delay_is_contract_violation():
 def test_ring_rotated_accumulate_matches_modulo_reference():
     # reference: bin by absolute slot (cursor + delay) mod length, then add
     # the whole binned ring; the rotated form must agree bit for bit at
-    # every cursor position
+    # every cursor position.  A second ring takes each step's words split
+    # into blocks (empty ones too) that continue one set of bins
+    # (more=True); it must equal the one call per step byte for byte
     n_slots, n_local = 7, 5
     gen = np.random.default_rng(3)
-    ring = DelayRing(n_slots, n_local)
+    ring, blocked = DelayRing(n_slots, n_local), DelayRing(n_slots, n_local)
     ref = np.zeros((n_slots, n_local))
     for step in range(3 * n_slots):
-        for _ in range(2):  # several calls per step, as with many spikers
-            size = int(gen.integers(1, 40))
-            delays = gen.integers(1, n_slots, size).astype(np.int16)
-            targets = gen.integers(0, 2, size).astype(np.int32)  # repeated targets
-            weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
-            _accumulate(ring, delays, targets, weights)
-            slots = (ring.cursor + delays.astype(np.int64)) % n_slots
-            ref += np.bincount(slots * n_local + targets, weights=weights,
-                               minlength=n_slots * n_local).reshape(n_slots, n_local)
+        size = int(gen.integers(1, 80))
+        delays = gen.integers(1, n_slots, size).astype(np.int16)
+        targets = gen.integers(0, 2, size).astype(np.int32)  # repeated cells
+        # 16 decades, so a different summation order moves the last bits
+        weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
+        _accumulate(ring, delays, targets, weights)
+        words = (delays.astype(np.int64) * n_local + targets).astype(np.int32)
+        cuts = [0, *np.sort(gen.integers(0, size + 1, int(gen.integers(0, 5)))).tolist(), size]
+        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            blocked.accumulate(words[a:b], weights[a:b], more=k < len(cuts) - 2)
+        slots = (ring.cursor + delays.astype(np.int64)) % n_slots
+        ref += np.bincount(slots * n_local + targets, weights=weights,
+                           minlength=n_slots * n_local).reshape(n_slots, n_local)
         assert ring.buf.tobytes() == ref.tobytes(), f"cursor {ring.cursor}"
+        assert blocked.buf.tobytes() == ring.buf.tobytes(), f"cursor {ring.cursor}"
         assert ring.drain().tobytes() == ref[ring.cursor].tobytes()
+        blocked.drain()
         ref[ring.cursor] = 0.0
+        ring.advance()
+        blocked.advance()
+
+
+def test_ring_bins_left_open_refuse_to_advance():
+    ring = DelayRing(n_slots=3, n_local=2)
+    _accumulate(ring, [1], [0], [1.0])
+    ring.accumulate(np.array([2], dtype=np.int32), np.array([1.0]), more=True)
+    assert ring.buf.sum() == 1.0  # the open bins are not in the ring yet
+    with pytest.raises(ContractViolationError):
         ring.advance()
 
 
 def test_delay_beyond_ring_is_contract_violation():
     ring = DelayRing(n_slots=3, n_local=2)
+    with pytest.raises(ContractViolationError):
+        _accumulate(ring, [3], [0], [1.0])
+    # and in a block that continues the step's bins
+    ring.accumulate(np.array([2], dtype=np.int32), np.array([1.0]), more=True)
     with pytest.raises(ContractViolationError):
         _accumulate(ring, [3], [0], [1.0])
 
@@ -245,6 +267,54 @@ def test_loop_page_faults_do_not_depend_on_what_was_freed_before():
     after_free = loop_faults()
     # bound: 1,000 faults, 4 MB of pages; both loops here take 0-6,200
     assert abs(after_free - plain) < 1000, (plain, after_free)
+
+
+def _small_1k_run(monkeypatch, block, stdp):
+    """A 1-rank small-1k run with ``engine._BLOCK_SYNAPSES`` set to
+    ``block`` before its engine is built: (run_simulation's result, the
+    engine, the engine's delivery scratch when it was built, the part)."""
+    from spikebench import distributed, engine as engine_mod
+    from spikebench.config import apply_overrides, load_bundled_config
+
+    monkeypatch.setattr(engine_mod, "_BLOCK_SYNAPSES", block)
+    engines = []
+
+    class Recorded(Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append((self, self._words))
+
+    monkeypatch.setattr(distributed, "Engine", Recorded)
+    cfg = load_bundled_config("small-1k")
+    if stdp:
+        cfg = apply_overrides(cfg, ["stdp.enabled=true"]).require_valid()
+    net = build_network(cfg.grid_spec(), dt_ms=cfg["run.dt_ms"])
+    run = run_simulation(net, seconds=cfg["run.simulated_seconds"], stim=cfg.stimulus(),
+                         lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params())
+    ((eng, words),), (part,) = engines, run[3]
+    return run, eng, words, part
+
+
+@pytest.mark.parametrize("stdp", [False, True])
+def test_small_blocks_deliver_the_golden_raster_bit_for_bit(monkeypatch, stdp):
+    # at 64 synapses a block holds about one source's span, so nearly every
+    # step's delivery continues its bins over several blocks
+    from test_golden import PINS
+
+    runs = {}
+    for block in (64, 1 << 16):
+        (metrics, raster, _, _), eng, words, part = _small_1k_run(monkeypatch, block, stdp)
+        fan = np.diff(part.in_offsets)
+        # the scratch was sized once, before the loop, and never grown
+        assert eng._words is words and len(eng._words) == block + int(fan.max())
+        runs[block] = (raster_checksum(*raster), metrics.total_events, eng.ring.buf.tobytes(),
+                       part.in_weights.tobytes() if stdp else None)
+    steps, gids = raster
+    # with small blocks, the largest step held more synapses than the scratch
+    small = 64 + int(fan.max())
+    assert max(int(fan[gids[steps == t]].sum()) for t in np.unique(steps)) > small
+    assert runs[64][:2] == PINS["adaptive_lif+stdp" if stdp else "adaptive_lif"]
+    assert runs[64] == runs[1 << 16]
 
 
 def test_run_determinism_bit_identical():
@@ -402,6 +472,15 @@ def test_raster_csv_roundtrip_with_provenance(tmp_path):
     assert "step,neuron" in text
     s2, g2 = load_raster_csv(path)
     assert (s2 == steps).all() and (g2 == gids).all()
+
+
+def test_raster_csv_bytes_are_pinned(tmp_path):
+    steps = np.array([0, 4, 4, 70000], dtype=np.uint32)
+    gids = np.array([7, 1, 2**32 - 1, 0], dtype=np.uint32)
+    path = tmp_path / "raster.csv"
+    save_raster_csv(path, steps, gids, provenance={"config.grid.seed": 42, "run.dt_ms": 1.0})
+    assert path.read_bytes() == (b"# config.grid.seed = 42\n# run.dt_ms = 1.0\n"
+                                 b"step,neuron\n0,7\n4,1\n4,4294967295\n70000,0\n")
 
 
 def test_raster_checksum_order_invariant():

@@ -126,7 +126,6 @@ class DelayRing:
         self.n_local = n_local
         self.buf = np.zeros((n_slots, n_local), dtype=np.float64)
         self.cursor = 0
-        self._bins = None  # the step's bins while accumulate(..., more=True) holds them open
 
     def drain(self) -> np.ndarray:
         """Return and zero the current slot's accumulators."""
@@ -134,7 +133,9 @@ class DelayRing:
         self.buf[self.cursor].fill(0.0)
         return row
 
-    def accumulate(self, words: np.ndarray, weights: np.ndarray, more: bool = False) -> None:
+    def accumulate(self, words: np.ndarray, weights: np.ndarray,
+                   bins: Optional[np.ndarray] = None,
+                   more: bool = False) -> Optional[np.ndarray]:
         """Add ``weights[i]`` at delay ``words[i] // n_local`` (slot
         (cursor + delay) mod length), target ``words[i] % n_local``.
 
@@ -148,38 +149,36 @@ class DelayRing:
         absolute slot would.  Callers control the float addition order by
         ordering their inputs.
 
-        A step's weights may come in several calls: each call with
-        ``more`` leaves the step's bins open, and the next call continues
-        them (``np.bincount`` opens the bins, ``np.add.at``, which also
-        adds in input order, continues them).  Only the call without
-        ``more`` adds them into the ring, so a step split into calls sums
-        every bin from +0.0 in input order and adds it once, bit for bit
-        as one call with all of its words would.
+        A step's weights may come in several calls: a call with ``more``
+        returns the step's bins instead of adding them, and the caller
+        passes them to the next call, which continues them (``np.bincount``
+        opens the bins, ``np.add.at``, which also adds in input order,
+        continues them).  Only the call without ``more`` adds them into the
+        ring, so a step split into calls sums every bin from +0.0 in input
+        order and adds it once, bit for bit as one call with all of its
+        words would.
         """
         n_slots, n_local, c = self.n_slots, self.n_local, self.cursor
         size = n_slots * n_local
         if len(words):
             if int(words.min()) < n_local:
                 raise ContractViolationError("synaptic delay below the 1-step minimum")
-            if self._bins is None:
+            if bins is None:
                 bins = np.bincount(words, weights=weights, minlength=size)
                 if len(bins) > size:
                     raise ContractViolationError("synaptic delay beyond the ring length")
-                self._bins = bins
             elif int(words.max()) >= size:
                 raise ContractViolationError("synaptic delay beyond the ring length")
             else:
-                np.add.at(self._bins, words, weights)
-        if more or self._bins is None:
-            return
-        acc = self._bins.reshape(n_slots, n_local)
-        self._bins = None
+                np.add.at(bins, words, weights)
+        if more or bins is None:
+            return bins
+        acc = bins.reshape(n_slots, n_local)
         self.buf[c:] += acc[:n_slots - c]
         self.buf[:c] += acc[n_slots - c:]
+        return None
 
     def advance(self) -> None:
-        if self._bins is not None:
-            raise ContractViolationError("the step's ring bins were left open")
         self.cursor = (self.cursor + 1) % self.n_slots
 
 
@@ -407,8 +406,9 @@ class Engine:
 
         The spans are delivered in blocks of whole spans (``_source_blocks``
         over their running sum), each joined into the engine's scratch and
-        binned into the ring bins that the step's first block opened, so
-        no temporary grows with a burst step."""
+        binned into the step's bins, which the first block opens and which
+        reach the ring once, after the last block; so no temporary grows
+        with a burst step."""
         part = self.part
         starts = part.in_offsets[sources_sorted]
         lengths = part.in_offsets[sources_sorted + 1] - starts
@@ -416,6 +416,7 @@ class Engine:
         ends = list(itertools.accumulate(counts, initial=0))
         if ends[-1]:
             spans = list(zip(starts.tolist(), counts))
+            bins = None
             for i, j in _source_blocks(ends):
                 words = self._words[:ends[j] - ends[i]]
                 # each source's synapses are one contiguous span of the table;
@@ -427,7 +428,7 @@ class Engine:
                 w = np.repeat(part.source_weights[sources], lens)
                 if self.stdp is not None:  # only plastic synapses have weights of their own
                     self.stdp.overlay(w, sources, lens)
-                self.ring.accumulate(words, w, more=j < len(counts))
+                bins = self.ring.accumulate(words, w, bins, more=j < len(counts))
             self.internal_events += ends[-1]
         if self.stdp is not None:
             self.stdp.process_step(sources_sorted, self._last_spiked_local)

@@ -101,27 +101,32 @@ def test_zero_delay_is_contract_violation():
 def test_ring_rotated_accumulate_matches_modulo_reference():
     # reference: bin by absolute slot (cursor + delay) mod length, then add
     # the whole binned ring; the rotated form must agree bit for bit at
-    # every cursor position.  A second ring takes each step's words split
+    # every cursor position.  A second ring takes each call's words cut
     # into blocks (empty ones too) that continue one set of bins
-    # (more=True); it must equal the one call per step byte for byte
+    # (more=True) up to the call's last block, which adds them; it must
+    # equal the first byte for byte
     n_slots, n_local = 7, 5
     gen = np.random.default_rng(3)
     ring, blocked = DelayRing(n_slots, n_local), DelayRing(n_slots, n_local)
     ref = np.zeros((n_slots, n_local))
     for step in range(3 * n_slots):
-        size = int(gen.integers(1, 80))
-        delays = gen.integers(1, n_slots, size).astype(np.int16)
-        targets = gen.integers(0, 2, size).astype(np.int32)  # repeated cells
-        # 16 decades, so a different summation order moves the last bits
-        weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
-        _accumulate(ring, delays, targets, weights)
-        words = (delays.astype(np.int64) * n_local + targets).astype(np.int32)
-        cuts = [0, *np.sort(gen.integers(0, size + 1, int(gen.integers(0, 5)))).tolist(), size]
-        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            blocked.accumulate(words[a:b], weights[a:b], more=k < len(cuts) - 2)
-        slots = (ring.cursor + delays.astype(np.int64)) % n_slots
-        ref += np.bincount(slots * n_local + targets, weights=weights,
-                           minlength=n_slots * n_local).reshape(n_slots, n_local)
+        for _ in range(2):  # several calls per step, as with many spikers
+            size = int(gen.integers(1, 40))
+            delays = gen.integers(1, n_slots, size).astype(np.int16)
+            targets = gen.integers(0, 2, size).astype(np.int32)  # repeated cells
+            # 16 decades, so a different summation order moves the last bits
+            weights = gen.normal(0.0, 3.0, size) * 10.0 ** gen.integers(-8, 8, size)
+            _accumulate(ring, delays, targets, weights)
+            slots = (ring.cursor + delays.astype(np.int64)) % n_slots
+            ref += np.bincount(slots * n_local + targets, weights=weights,
+                               minlength=n_slots * n_local).reshape(n_slots, n_local)
+            words = (delays.astype(np.int64) * n_local + targets).astype(np.int32)
+            cuts = [0, *np.sort(gen.integers(0, size + 1, int(gen.integers(0, 5)))).tolist(), size]
+            bins = None
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                bins = blocked.accumulate(words[a:b], weights[a:b], bins,
+                                          more=k < len(cuts) - 2)
+            assert bins is None
         assert ring.buf.tobytes() == ref.tobytes(), f"cursor {ring.cursor}"
         assert blocked.buf.tobytes() == ring.buf.tobytes(), f"cursor {ring.cursor}"
         assert ring.drain().tobytes() == ref[ring.cursor].tobytes()
@@ -131,23 +136,15 @@ def test_ring_rotated_accumulate_matches_modulo_reference():
         blocked.advance()
 
 
-def test_ring_bins_left_open_refuse_to_advance():
-    ring = DelayRing(n_slots=3, n_local=2)
-    _accumulate(ring, [1], [0], [1.0])
-    ring.accumulate(np.array([2], dtype=np.int32), np.array([1.0]), more=True)
-    assert ring.buf.sum() == 1.0  # the open bins are not in the ring yet
-    with pytest.raises(ContractViolationError):
-        ring.advance()
-
-
 def test_delay_beyond_ring_is_contract_violation():
     ring = DelayRing(n_slots=3, n_local=2)
     with pytest.raises(ContractViolationError):
         _accumulate(ring, [3], [0], [1.0])
     # and in a block that continues the step's bins
-    ring.accumulate(np.array([2], dtype=np.int32), np.array([1.0]), more=True)
+    bins = ring.accumulate(np.array([2], dtype=np.int32), np.array([1.0]), more=True)
     with pytest.raises(ContractViolationError):
-        _accumulate(ring, [3], [0], [1.0])
+        ring.accumulate(np.array([3 * 2], dtype=np.int32), np.array([1.0]), bins)
+    assert not ring.buf.any()  # open bins are not in the ring
 
 
 # ----------------------------------------------------------- engine runs
@@ -293,6 +290,37 @@ def _small_1k_run(monkeypatch, block, stdp):
                          lif_params=cfg.lif_params(), stdp_params=cfg.stdp_params())
     ((eng, words),), (part,) = engines, run[3]
     return run, eng, words, part
+
+
+def test_blocked_delivery_adds_each_steps_bins_once(monkeypatch):
+    # with source weights over 16 decades, any other grouping than one bin
+    # per cell and step, summed in (source, table position) order, moves
+    # the last bits: adding each block's bins to the ring on its own, or
+    # binning a block on its own before adding it to the step's bins
+    from spikebench import engine as engine_mod
+    from spikebench.distributed import partition
+
+    monkeypatch.setattr(engine_mod, "_BLOCK_SYNAPSES", 16)  # about half a span
+    _, (part,) = partition(_tiny_net(), 1)
+    gen = np.random.default_rng(11)
+    n = len(part.source_weights)
+    part.source_weights[:] = gen.normal(0.0, 3.0, n) * 10.0 ** gen.integers(-8, 8, n)
+    stim = StimulusSpec(ext_synapses_per_neuron=100, ext_rate_hz=8.0, ext_weight=2.0, seed=13)
+    eng = Engine(part, stim, n_steps=1)
+    ring = eng.ring
+    ref = np.zeros_like(ring.buf)
+    for t in range(3 * ring.n_slots):
+        sources = np.sort(gen.choice(n, int(gen.integers(1, 12)), replace=False))
+        spans = [np.arange(part.in_offsets[s], part.in_offsets[s + 1]) for s in sources]
+        idx = np.concatenate(spans)
+        w = np.repeat(part.source_weights[sources], [len(x) for x in spans])
+        acc = np.bincount(part.in_words[idx], weights=w, minlength=ref.size).reshape(ref.shape)
+        c = ring.cursor
+        ref[c:] += acc[:ring.n_slots - c]
+        ref[:c] += acc[ring.n_slots - c:]
+        eng.deliver(t, sources)
+        assert ring.buf.tobytes() == ref.tobytes(), t
+        eng.advance()
 
 
 @pytest.mark.parametrize("stdp", [False, True])
